@@ -9,6 +9,7 @@
 
 #include "metrics/histogram.h"
 #include "metrics/time_weighted.h"
+#include "serving/health_gate.h"
 #include "sim/task.h"
 #include "trace/span_context.h"
 
@@ -30,6 +31,8 @@ constexpr Time kGrayFailCost = 2'000'000;     // 2 ms
 constexpr double kFailurePenaltyS = 0.5;
 constexpr double kLatencyAlpha = 0.1;
 constexpr double kLatencyPriorS = 0.02;
+
+using serving::HealthGate;
 
 /// One client-visible request. Physical dispatches (primary + optional
 /// hedge) share this record; the first success decides it, and when every
@@ -56,11 +59,11 @@ struct FleetBalancer {
         : platform(std::make_unique<hw::Platform>(
               sim, hw::Platform::Config{spec.calib, gpus, spec.faults})),
           server(std::make_unique<serving::InferenceServer>(*platform, node_config(spec))),
-          health(spec.server.balancer.health) {}
+          health(gate(spec.server.balancer.health)) {}
     std::unique_ptr<hw::Platform> platform;
     std::unique_ptr<serving::InferenceServer> server;
-    NodeHealth health;
-    NodeHealth::State last_state = NodeHealth::State::kHealthy;
+    HealthGate health;
+    HealthGate::State last_state = HealthGate::State::kClosed;
     std::uint64_t outstanding = 0;  ///< balancer-visible in-flight dispatches
     /// Time-weighted outstanding integral (alias-free per-node queue depth
     /// for the capacity plane; point samples miss fast-failing bursts).
@@ -71,6 +74,12 @@ struct FleetBalancer {
     /// Requests currently on the wire to this node (for crash cancellation).
     std::vector<serving::RequestPtr> wire;
   };
+
+  static HealthGate::Options gate(const serving::HealthCheckPolicy& h) {
+    return {.enabled = h.enabled, .alpha = h.ewma_alpha, .trip_score = h.eject_score,
+            .probe_failures = h.eject_probe_failures, .hold = h.eject_duration,
+            .trial_slots = std::max(1, h.rejoin_probes)};
+  }
 
   static serving::ServerConfig node_config(const FleetSpec& spec) {
     serving::ServerConfig cfg = spec.server;
@@ -109,8 +118,8 @@ struct FleetBalancer {
     const int count = static_cast<int>(nodes.size());
     cand_.clear();
     for (int i = 0; i < count; ++i) {
-      const bool r = nodes[static_cast<std::size_t>(i)]->health.routable(sim.now());
-      sync_node_state(i);  // routable() may have advanced ejected -> half-open
+      const bool r = nodes[static_cast<std::size_t>(i)]->health.admits(sim.now());
+      sync_node_state(i);  // admits() may have advanced ejected -> half-open
       if (i != exclude && r) cand_.push_back(i);
     }
     if (cand_.empty()) {
@@ -210,8 +219,7 @@ struct FleetBalancer {
   /// inbound link.
   sim::Process attempt(LogicalPtr lg, int n, bool hedged) {
     Node& node = *nodes[static_cast<std::size_t>(n)];
-    const bool trial =
-        cfg.health.enabled && node.health.state() == NodeHealth::State::kHalfOpen;
+    const bool trial = node.health.state() == HealthGate::State::kHalfOpen;
     if (trial) node.health.begin_trial();
     ++node.outstanding;
     node.outstanding_integral.set(sim.now(), static_cast<double>(node.outstanding));
@@ -302,7 +310,7 @@ struct FleetBalancer {
     if (neutral) {
       ++cancelled;  // a hedge loser, drop-accounted on its node; not the node's fault
     } else {
-      node.health.on_request_outcome(success, now);
+      node.health.on_outcome(success, now);
       sync_node_state(n);
       const double obs = success ? sim::to_seconds(now - t0) : kFailurePenaltyS;
       node.latency_ewma_s = kLatencyAlpha * obs + (1.0 - kLatencyAlpha) * node.latency_ewma_s;
@@ -393,13 +401,13 @@ struct FleetBalancer {
 
   void sync_node_state(int n) {
     Node& node = *nodes[static_cast<std::size_t>(n)];
-    const NodeHealth::State s = node.health.state();
+    const HealthGate::State s = node.health.state();
     if (s == node.last_state) return;
     node.last_state = s;
     if (spec.trace != nullptr) {
-      const char* name = s == NodeHealth::State::kHealthy    ? "rejoined"
-                         : s == NodeHealth::State::kEjected  ? "ejected"
-                                                             : "half-open";
+      const char* name = s == HealthGate::State::kClosed  ? "rejoined"
+                         : s == HealthGate::State::kOpen  ? "ejected"
+                                                          : "half-open";
       spec.trace->instant("fleet.health", "node" + std::to_string(n) + " " + name, sim.now());
     }
   }
@@ -446,12 +454,10 @@ struct FleetBalancer {
       const metrics::Labels labels{{"node", std::to_string(i)}};
       reg->gauge_fn("fleet_node_health_score", labels, [n] { return n->health.score(); });
       reg->gauge_fn("fleet_node_state", labels, [n] {
-        switch (n->health.state()) {
-          case NodeHealth::State::kHealthy: return 1.0;
-          case NodeHealth::State::kHalfOpen: return 0.5;
-          case NodeHealth::State::kEjected: return 0.0;
-        }
-        return 0.0;
+        const HealthGate::State s = n->health.state();
+        return s == HealthGate::State::kClosed     ? 1.0
+               : s == HealthGate::State::kHalfOpen ? 0.5
+                                                   : 0.0;
       });
       reg->gauge_fn("fleet_node_outstanding", labels,
                     [n] { return static_cast<double>(n->outstanding); });
@@ -461,9 +467,9 @@ struct FleetBalancer {
       reg->counter_fn("fleet_node_dispatches_total", labels,
                       [n] { return static_cast<double>(n->dispatches_total); });
       reg->counter_fn("fleet_node_ejections_total", labels,
-                      [n] { return static_cast<double>(n->health.ejections()); });
+                      [n] { return static_cast<double>(n->health.trips()); });
       reg->counter_fn("fleet_node_rejoins_total", labels,
-                      [n] { return static_cast<double>(n->health.rejoins()); });
+                      [n] { return static_cast<double>(n->health.recoveries()); });
     }
     reg->counter_fn("fleet_requests_total", {{"outcome", "ok"}},
                     [this] { return static_cast<double>(completed); });
@@ -582,8 +588,8 @@ FleetResult run_fleet(const FleetSpec& spec) {
   r.probes = fleet.probes;
   r.probe_failures = fleet.probe_failures;
   for (auto& n : fleet.nodes) {
-    r.ejections += n->health.ejections();
-    r.rejoins += n->health.rejoins();
+    r.ejections += n->health.trips();
+    r.rejoins += n->health.recoveries();
     if (auto* audit = n->server->auditor()) {
       r.audit_violations += audit->violation_count();
       for (auto& line : audit->report()) r.audit_report.push_back(std::move(line));

@@ -14,7 +14,8 @@
 //     kNodePartition) act on the balancer<->node edge, not inside the node;
 //   - periodic health probes per node feed an EWMA health score together
 //     with balancer-observed request outcomes; unhealthy nodes are ejected,
-//     trialled half-open, and rejoined (NodeHealth below);
+//     trialled half-open, and rejoined by a serving::HealthGate per node,
+//     the same state machine that runs each server's ingest breaker;
 //   - power-of-two-choices and latency-weighted policies route over the
 //     currently routable nodes only;
 //   - request hedging re-dispatches slow requests to a second node under a
@@ -36,103 +37,6 @@ namespace serve::core {
 // files round-trip them); re-export the names callers have always used.
 using serving::BalancerPolicy;
 using serving::balancer_policy_name;
-
-/// Per-node health state machine at the balancer: the PR 3 circuit breaker
-/// lifted to fleet scope. Pure bookkeeping (no simulator dependency) so the
-/// transitions are unit-testable; the balancer feeds it probe and request
-/// outcomes stamped with virtual time.
-class NodeHealth {
- public:
-  enum class State : std::uint8_t { kHealthy, kEjected, kHalfOpen };
-
-  explicit NodeHealth(const serving::HealthCheckPolicy& policy) : policy_(policy) {}
-
-  /// Feeds one health-probe outcome. Consecutive failures eject fast (a
-  /// crashed or partitioned node answers nothing); half-open successes count
-  /// toward rejoin; a half-open failure re-ejects immediately.
-  void on_probe(bool success, sim::Time now) { feed(success, now, /*is_probe=*/true); }
-
-  /// Feeds one balancer-observed request outcome. This is what catches gray
-  /// failures: the node still answers probes, but its error rate drags the
-  /// EWMA score below the ejection threshold.
-  void on_request_outcome(bool success, sim::Time now) {
-    feed(success, now, /*is_probe=*/false);
-  }
-
-  /// May a new request be routed here now? Healthy yes; ejected no (but the
-  /// eject hold expiring flips to half-open first); half-open only while
-  /// trial slots remain. Does not claim a slot — the balancer calls
-  /// begin_trial()/end_trial() around the dispatch it actually makes.
-  [[nodiscard]] bool routable(sim::Time now) {
-    if (!policy_.enabled) return true;
-    advance(now);
-    if (state_ == State::kHealthy) return true;
-    return state_ == State::kHalfOpen && trials_in_flight_ < policy_.rejoin_probes;
-  }
-  void begin_trial() noexcept { ++trials_in_flight_; }
-  void end_trial() noexcept {
-    if (trials_in_flight_ > 0) --trials_in_flight_;
-  }
-
-  [[nodiscard]] State state() const noexcept { return state_; }
-  [[nodiscard]] double score() const noexcept { return score_; }
-  [[nodiscard]] std::uint64_t ejections() const noexcept { return ejections_; }
-  [[nodiscard]] std::uint64_t rejoins() const noexcept { return rejoins_; }
-
- private:
-  void advance(sim::Time now) {
-    if (state_ == State::kEjected && now >= eject_until_) {
-      state_ = State::kHalfOpen;
-      half_open_successes_ = 0;
-      trials_in_flight_ = 0;
-    }
-  }
-
-  void feed(bool success, sim::Time now, bool is_probe) {
-    if (!policy_.enabled) return;
-    advance(now);
-    score_ = policy_.ewma_alpha * (success ? 1.0 : 0.0) + (1.0 - policy_.ewma_alpha) * score_;
-    if (is_probe) consecutive_probe_failures_ = success ? 0 : consecutive_probe_failures_ + 1;
-    switch (state_) {
-      case State::kHealthy:
-        if (score_ < policy_.eject_score ||
-            consecutive_probe_failures_ >= policy_.eject_probe_failures) {
-          eject(now);
-        }
-        break;
-      case State::kHalfOpen:
-        if (!success) {
-          eject(now);
-        } else if (++half_open_successes_ >= policy_.rejoin_probes) {
-          state_ = State::kHealthy;
-          score_ = 1.0;  // rejoin with a clean slate, like the breaker's close
-          ++rejoins_;
-        }
-        break;
-      case State::kEjected:
-        break;  // outcomes of requests dispatched pre-ejection; EWMA already fed
-    }
-  }
-
-  void eject(sim::Time now) {
-    state_ = State::kEjected;
-    eject_until_ = now + policy_.eject_duration;
-    consecutive_probe_failures_ = 0;
-    half_open_successes_ = 0;
-    trials_in_flight_ = 0;
-    ++ejections_;
-  }
-
-  serving::HealthCheckPolicy policy_{};
-  State state_ = State::kHealthy;
-  double score_ = 1.0;
-  int consecutive_probe_failures_ = 0;
-  int half_open_successes_ = 0;
-  int trials_in_flight_ = 0;
-  sim::Time eject_until_ = 0;
-  std::uint64_t ejections_ = 0;
-  std::uint64_t rejoins_ = 0;
-};
 
 struct FleetSpec {
   serving::ServerConfig server{};       ///< endpoint deployed on every node

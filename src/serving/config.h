@@ -38,15 +38,15 @@ struct RetryPolicy {
   double budget_refill_per_success = 0.1;  ///< tokens returned per success
 };
 
-/// Ingest circuit breaker: opens when the server is drowning (deep in-flight
-/// queue or high recent error rate) and fast-fails submissions instead of
-/// letting the backlog grow without bound.
+/// Ingest circuit breaker (a serving::HealthGate): opens when the server is
+/// drowning (deep in-flight queue or high recent error rate) and fast-fails
+/// submissions instead of letting the backlog grow without bound.
 struct CircuitBreakerPolicy {
   bool enabled = false;
   int queue_depth_open = 2048;     ///< in-flight depth that trips the breaker
-  double error_rate_open = 0.5;    ///< recent-error EWMA that trips it
+  double error_rate_open = 0.5;    ///< trips when the success EWMA < 1 - this
   sim::Time open_duration = 100'000'000;  ///< how long it stays open (100 ms)
-  int half_open_probes = 8;        ///< trial admissions before closing again
+  int half_open_probes = 8;        ///< concurrent trials; this many successes close
 };
 
 /// Graceful degradation: when a GPU's preprocessing path is unusable (the
@@ -94,8 +94,8 @@ enum class BalancerPolicy : std::uint8_t {
 /// EWMA health score together with balancer-observed request outcomes; a
 /// node whose probes time out repeatedly (crash, partition) or whose score
 /// collapses (gray failure) is ejected, trialled half-open after
-/// `eject_duration`, and rejoined after `rejoin_probes` clean probes — the
-/// PR 3 circuit-breaker state machine lifted to fleet scope.
+/// `eject_duration`, and rejoined after `rejoin_probes` clean trials — one
+/// serving::HealthGate per node, the same machine as the ingest breaker.
 struct HealthCheckPolicy {
   bool enabled = false;
   sim::Time probe_interval = 50'000'000;  ///< 50 ms between probes per node

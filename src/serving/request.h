@@ -77,6 +77,7 @@ struct Request {
   std::size_t gpu_index = 0;               ///< accelerator this request runs on
   sim::Time enqueue_time = 0;              ///< last scheduler-queue entry time
   bool dropped = false;                    ///< shed by admission control
+  bool breaker_trial = false;              ///< holds a half-open breaker trial slot
   /// Cooperative cancellation (set by the fleet balancer when a hedged
   /// sibling already won, or when the request's node crashed). Schedulers
   /// drop the request at the next dispatch point instead of spending GPU

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "codec/jpeg.h"
 #include "codec/synthetic.h"
@@ -15,15 +16,22 @@ using sim::seconds;
 using sim::Time;
 
 namespace {
-/// Circuit-breaker error EWMA smoothing and the minimum number of outcomes
-/// before the error-rate trigger may fire (a single early failure must not
-/// read as a 100% error rate).
-constexpr double kEwmaAlpha = 0.05;
-constexpr std::uint64_t kMinOutcomeSamples = 20;
+/// Circuit-breaker score smoothing and the number of outcomes before the
+/// error trigger may fire (a single early failure must not read as a 100%
+/// error rate).
+constexpr double kBreakerAlpha = 0.05;
+constexpr std::uint64_t kBreakerMinOutcomes = 20;
+constexpr std::array<std::string_view, 3> kBreakerStateNames{"closed", "open", "half-open"};
 }  // namespace
 
 InferenceServer::InferenceServer(hw::Platform& platform, ServerConfig config)
-    : platform_(platform), config_(config), stats_(platform.sim()) {
+    : platform_(platform),
+      config_(config),
+      stats_(platform.sim()),
+      breaker_({.enabled = config.breaker.enabled, .alpha = kBreakerAlpha,
+                .trip_score = 1.0 - config.breaker.error_rate_open,
+                .min_outcomes = kBreakerMinOutcomes, .hold = config.breaker.open_duration,
+                .trial_slots = std::max(1, config.breaker.half_open_probes)}) {
   if (config_.ingress_cache.enabled) {
     ingress_cache_ = std::make_unique<IngressCache>(IngressCache::Options{
         .image_budget_bytes = config_.ingress_cache.image_budget_bytes,
@@ -92,10 +100,12 @@ void InferenceServer::init_telemetry() {
   tele_.handoff_lost = reg.counter("serving_handoff_lost_total");
   tele_.broker_retries = reg.counter("serving_broker_publish_retries_total");
   tele_.broker_failovers = reg.counter("serving_broker_failovers_total");
-  tele_.breaker_to_open = reg.counter("serving_breaker_transitions_total", {{"to", "open"}});
-  tele_.breaker_to_half_open =
-      reg.counter("serving_breaker_transitions_total", {{"to", "half-open"}});
-  tele_.breaker_to_closed = reg.counter("serving_breaker_transitions_total", {{"to", "closed"}});
+  for (const auto to : {HealthGate::State::kOpen, HealthGate::State::kHalfOpen,
+                        HealthGate::State::kClosed}) {
+    const auto i = static_cast<std::size_t>(to);
+    tele_.breaker_to[i] = reg.counter("serving_breaker_transitions_total",
+                                      {{"to", std::string(kBreakerStateNames[i])}});
+  }
   for (std::size_t s = 0; s < metrics::kStageCount; ++s) {
     tele_.stage_seconds[s] = reg.counter(
         "serving_stage_seconds_total",
@@ -166,18 +176,12 @@ void InferenceServer::record_terminal(const Request& req) {
   }
 }
 
-void InferenceServer::note_breaker(BreakerState to) {
-  switch (to) {
-    case BreakerState::kOpen: tele_.breaker_to_open.inc(); break;
-    case BreakerState::kHalfOpen: tele_.breaker_to_half_open.inc(); break;
-    case BreakerState::kClosed: tele_.breaker_to_closed.inc(); break;
-  }
-  if (auditor_) {
-    const std::string_view name = to == BreakerState::kOpen      ? "open"
-                                  : to == BreakerState::kHalfOpen ? "half-open"
-                                                                  : "closed";
-    auditor_->on_breaker_transition(name, platform_.sim().now());
-  }
+void InferenceServer::note_breaker(HealthGate::State before) {
+  const auto to = static_cast<std::size_t>(breaker_.state());
+  if (to == static_cast<std::size_t>(before)) return;
+  if (breaker_.state() == HealthGate::State::kOpen) stats_.record_breaker_open();
+  tele_.breaker_to[to].inc();
+  if (auditor_) auditor_->on_breaker_transition(kBreakerStateNames[to], platform_.sim().now());
 }
 
 void InferenceServer::submit(RequestPtr req) {
@@ -192,7 +196,7 @@ void InferenceServer::submit(RequestPtr req) {
     fail_request(0, std::move(req), FailReason::kShutdown);
     return;
   }
-  if (!breaker_admit()) {
+  if (!breaker_admits(*req)) {
     fail_request(0, std::move(req), FailReason::kBreakerOpen);
     return;
   }
@@ -200,57 +204,30 @@ void InferenceServer::submit(RequestPtr req) {
   platform_.sim().spawn(handle_request(std::move(req)));
 }
 
-bool InferenceServer::breaker_admit() {
+bool InferenceServer::breaker_admits(Request& req) {
   if (!config_.breaker.enabled) return true;
   const Time now = platform_.sim().now();
-  if (breaker_state_ == BreakerState::kOpen && now >= breaker_open_until_) {
-    breaker_state_ = BreakerState::kHalfOpen;
-    half_open_budget_ = std::max(1, config_.breaker.half_open_probes);
-    half_open_successes_ = 0;
-    note_breaker(BreakerState::kHalfOpen);
+  const HealthGate::State before = breaker_.state();
+  bool admitted = breaker_.admits(now);
+  // In-flight depth is a trigger only the server sees; the submission that
+  // reaches it is the first one rejected.
+  if (admitted && breaker_.state() == HealthGate::State::kClosed &&
+      static_cast<std::int64_t>(in_flight()) >= config_.breaker.queue_depth_open) {
+    breaker_.trip(now);
+    admitted = false;
   }
-  switch (breaker_state_) {
-    case BreakerState::kClosed: {
-      const bool deep =
-          in_flight() >= static_cast<std::uint64_t>(std::max(1, config_.breaker.queue_depth_open));
-      const bool erroring = outcome_samples_ >= kMinOutcomeSamples &&
-                            error_ewma_ >= config_.breaker.error_rate_open;
-      if (deep || erroring) {
-        open_breaker();
-        return false;
-      }
-      return true;
-    }
-    case BreakerState::kOpen:
-      return false;
-    case BreakerState::kHalfOpen:
-      if (half_open_budget_ <= 0) return false;  // probes outstanding
-      --half_open_budget_;
-      return true;
-  }
-  return true;
+  req.breaker_trial = admitted && breaker_.state() == HealthGate::State::kHalfOpen;
+  if (req.breaker_trial) breaker_.begin_trial();
+  note_breaker(before);
+  return admitted;
 }
 
-void InferenceServer::open_breaker() {
-  breaker_state_ = BreakerState::kOpen;
-  breaker_open_until_ = platform_.sim().now() + config_.breaker.open_duration;
-  stats_.record_breaker_open();
-  note_breaker(BreakerState::kOpen);
-}
-
-void InferenceServer::record_outcome(bool success) {
-  ++outcome_samples_;
-  error_ewma_ = kEwmaAlpha * (success ? 0.0 : 1.0) + (1.0 - kEwmaAlpha) * error_ewma_;
-  if (!config_.breaker.enabled || breaker_state_ != BreakerState::kHalfOpen) return;
-  if (!success) {
-    open_breaker();  // a failed probe re-opens immediately
-    return;
-  }
-  if (++half_open_successes_ >= std::max(1, config_.breaker.half_open_probes)) {
-    breaker_state_ = BreakerState::kClosed;
-    error_ewma_ = 0.0;  // fresh start; stale failure history must not re-trip
-    note_breaker(BreakerState::kClosed);
-  }
+void InferenceServer::settle_breaker(Request& req, std::optional<bool> outcome) {
+  if (std::exchange(req.breaker_trial, false)) breaker_.end_trial();
+  if (!outcome) return;
+  const HealthGate::State before = breaker_.state();
+  breaker_.on_outcome(*outcome, platform_.sim().now());
+  note_breaker(before);
 }
 
 bool InferenceServer::gpu_degraded(std::size_t g) {
@@ -838,11 +815,10 @@ void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason rea
   tele_.failed.inc();
   if (reason == FailReason::kBreakerOpen) tele_.rejected.inc();
   record_terminal(*req);
-  // Breaker rejections and post-shutdown submissions must not feed the error
-  // EWMA: the breaker would hold itself open on its own rejections.
-  if (reason != FailReason::kBreakerOpen && reason != FailReason::kShutdown) {
-    record_outcome(false);
-  }
+  // Breaker rejections and post-shutdown submissions must not feed the
+  // breaker: it would hold itself open on its own rejections.
+  const bool rejected = reason == FailReason::kBreakerOpen || reason == FailReason::kShutdown;
+  settle_breaker(*req, rejected ? std::nullopt : std::optional<bool>{false});
   if (auditor_) auditor_->on_complete(*req);
   req->done.set();
 }
@@ -866,6 +842,7 @@ void InferenceServer::drop_request(std::size_t g, RequestPtr req, std::string_vi
   stats_.record(*req);
   tele_.dropped.inc();
   record_terminal(*req);
+  settle_breaker(*req, std::nullopt);
   if (auditor_) auditor_->on_complete(*req);
   req->done.set();
 }
@@ -922,7 +899,7 @@ sim::Process InferenceServer::finish_request(RequestPtr req) {
   stats_.record(*req);
   tele_.completed.inc();
   record_terminal(*req);
-  record_outcome(true);
+  settle_breaker(*req, true);
   if (auditor_) auditor_->on_complete(*req);
   req->done.set();
 }

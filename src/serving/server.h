@@ -13,6 +13,7 @@
 #include <array>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "serving/audit.h"
 #include "serving/batcher.h"
 #include "serving/config.h"
+#include "serving/health_gate.h"
 #include "serving/ingress_cache.h"
 #include "serving/request.h"
 #include "serving/stats.h"
@@ -32,9 +34,6 @@ namespace serve::serving {
 
 class InferenceServer {
  public:
-  /// Ingest circuit-breaker state (CircuitBreakerPolicy).
-  enum class BreakerState : std::uint8_t { kClosed, kOpen, kHalfOpen };
-
   /// Creates the endpoint and spawns its scheduler processes.
   InferenceServer(hw::Platform& platform, ServerConfig config);
 
@@ -77,7 +76,8 @@ class InferenceServer {
   /// counters and drive budget shrinks from a fault plan.
   [[nodiscard]] IngressCache* ingress_cache() noexcept { return ingress_cache_.get(); }
 
-  [[nodiscard]] BreakerState breaker_state() const noexcept { return breaker_state_; }
+  /// Ingest circuit breaker (CircuitBreakerPolicy): closed / open / half-open.
+  [[nodiscard]] const HealthGate& breaker() const noexcept { return breaker_; }
 
  private:
   struct GpuState {
@@ -116,11 +116,12 @@ class InferenceServer {
                 std::string_view where);
 
   // --- resilience machinery ---
-  /// Circuit-breaker admission decision for one submission.
-  bool breaker_admit();
-  void open_breaker();
-  /// Feeds the breaker's error EWMA and half-open probe bookkeeping.
-  void record_outcome(bool success);
+  // Circuit breaker: admission (trips on in-flight depth, claims half-open
+  // trial slots); settlement at every terminal state (frees the slot, feeds
+  // `outcome` unless shed, cancelled or rejected); transition accounting.
+  bool breaker_admits(Request& req);
+  void settle_breaker(Request& req, std::optional<bool> outcome);
+  void note_breaker(HealthGate::State before);
   /// Degradation check with hysteresis; updates per-GPU degrade state.
   bool gpu_degraded(std::size_t g);
   /// Picks the GPU for a new request, skipping degraded ones when the
@@ -150,7 +151,7 @@ class InferenceServer {
   struct Telemetry {
     metrics::Counter submitted, completed, failed, dropped, rejected, degraded;
     metrics::Counter handoff_lost, broker_retries, broker_failovers;
-    metrics::Counter breaker_to_open, breaker_to_half_open, breaker_to_closed;
+    std::array<metrics::Counter, 3> breaker_to{};  ///< by HealthGate::State
     std::array<metrics::Counter, metrics::kStageCount> stage_seconds{};
     metrics::HistogramHandle latency, batch_size;
     /// Completion-charged latency sum (the λ·W side of the Little's-law
@@ -162,7 +163,6 @@ class InferenceServer {
   /// Terminal accounting shared by finish/fail/drop: latency histogram and
   /// cumulative per-stage seconds.
   void record_terminal(const Request& req);
-  void note_breaker(BreakerState to);
 
   hw::Platform& platform_;
   ServerConfig config_;
@@ -184,13 +184,7 @@ class InferenceServer {
   std::uint64_t lost_handoffs_ = 0;
   std::size_t next_gpu_ = 0;
   bool accepting_ = true;
-  // Circuit-breaker state.
-  BreakerState breaker_state_ = BreakerState::kClosed;
-  sim::Time breaker_open_until_ = 0;
-  int half_open_budget_ = 0;     ///< probe admissions left in half-open
-  int half_open_successes_ = 0;  ///< successful probes observed
-  double error_ewma_ = 0.0;      ///< recent failure rate (EWMA, alpha 0.05)
-  std::uint64_t outcome_samples_ = 0;
+  HealthGate breaker_;
 };
 
 }  // namespace serve::serving

@@ -1,6 +1,6 @@
-// Tests for the fleet failure-domain layer: node-scoped faults, the
-// NodeHealth ejection state machine, health-checked balancing, request
-// hedging, and conservation/determinism of the whole assembly.
+// Tests for the fleet failure-domain layer: node-scoped faults,
+// health-checked balancing (the gate itself is in health_gate_test.cpp),
+// request hedging, and conservation/determinism of the whole assembly.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -54,85 +54,6 @@ TEST(FleetResult, ConservedChecksTerminalStates) {
   EXPECT_TRUE(r.conserved());
   r.failed = 2;
   EXPECT_FALSE(r.conserved());
-}
-
-// ---------------------------------------------------------------------------
-// NodeHealth state machine (pure bookkeeping, no simulator).
-
-serving::HealthCheckPolicy health_policy() {
-  serving::HealthCheckPolicy p;
-  p.enabled = true;
-  p.ewma_alpha = 0.5;
-  p.eject_score = 0.5;
-  p.eject_probe_failures = 3;
-  p.eject_duration = sim::milliseconds(500);
-  p.rejoin_probes = 3;
-  return p;
-}
-
-TEST(NodeHealth, EjectsOnConsecutiveProbeFailures) {
-  auto p = health_policy();
-  p.eject_score = -1.0;  // isolate the probe path from the score path
-  NodeHealth h(p);
-  h.on_probe(false, 0);
-  h.on_probe(false, 0);
-  EXPECT_EQ(h.state(), NodeHealth::State::kHealthy);
-  h.on_probe(false, 0);
-  EXPECT_EQ(h.state(), NodeHealth::State::kEjected);
-  EXPECT_EQ(h.ejections(), 1u);
-}
-
-TEST(NodeHealth, EjectsWhenScoreDropsBelowThreshold) {
-  auto p = health_policy();
-  p.eject_probe_failures = 1000;  // isolate the score path
-  NodeHealth h(p);
-  h.on_request_outcome(false, 0);  // score 1.0 -> 0.5: not yet below
-  EXPECT_EQ(h.state(), NodeHealth::State::kHealthy);
-  h.on_request_outcome(false, 0);  // 0.5 -> 0.25: ejected
-  EXPECT_EQ(h.state(), NodeHealth::State::kEjected);
-}
-
-TEST(NodeHealth, HalfOpenTrialsThenRejoin) {
-  NodeHealth h(health_policy());
-  for (int i = 0; i < 3; ++i) h.on_probe(false, 0);
-  ASSERT_EQ(h.state(), NodeHealth::State::kEjected);
-  EXPECT_FALSE(h.routable(sim::milliseconds(499)));
-  // Eject hold expires -> half-open with limited trial slots.
-  EXPECT_TRUE(h.routable(sim::milliseconds(500)));
-  EXPECT_EQ(h.state(), NodeHealth::State::kHalfOpen);
-  h.begin_trial();
-  h.begin_trial();
-  h.begin_trial();
-  EXPECT_FALSE(h.routable(sim::milliseconds(500)));  // trial slots exhausted
-  h.end_trial();
-  EXPECT_TRUE(h.routable(sim::milliseconds(500)));
-  // rejoin_probes successes close the loop; the score resets clean.
-  const auto t = sim::milliseconds(501);
-  h.on_probe(true, t);
-  h.on_probe(true, t);
-  h.on_probe(true, t);
-  EXPECT_EQ(h.state(), NodeHealth::State::kHealthy);
-  EXPECT_DOUBLE_EQ(h.score(), 1.0);
-  EXPECT_EQ(h.rejoins(), 1u);
-}
-
-TEST(NodeHealth, HalfOpenFailureReEjects) {
-  NodeHealth h(health_policy());
-  for (int i = 0; i < 3; ++i) h.on_probe(false, 0);
-  ASSERT_TRUE(h.routable(sim::milliseconds(500)));  // -> half-open
-  h.on_probe(false, sim::milliseconds(501));
-  EXPECT_EQ(h.state(), NodeHealth::State::kEjected);
-  EXPECT_EQ(h.ejections(), 2u);
-  // The hold restarts from the re-ejection time.
-  EXPECT_FALSE(h.routable(sim::milliseconds(900)));
-  EXPECT_TRUE(h.routable(sim::milliseconds(1001)));
-}
-
-TEST(NodeHealth, DisabledPolicyAlwaysRoutable) {
-  NodeHealth h(serving::HealthCheckPolicy{});  // enabled = false
-  for (int i = 0; i < 10; ++i) h.on_probe(false, 0);
-  EXPECT_TRUE(h.routable(0));
-  EXPECT_EQ(h.state(), NodeHealth::State::kHealthy);
 }
 
 // ---------------------------------------------------------------------------

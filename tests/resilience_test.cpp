@@ -12,6 +12,7 @@
 #include "core/experiment.h"
 #include "hw/devices.h"
 #include "hw/gpu_memory.h"
+#include "metrics/registry.h"
 #include "models/model_zoo.h"
 #include "serving/client.h"
 #include "serving/server.h"
@@ -362,9 +363,12 @@ TEST(RetryPolicy, RetrySucceedsOnTheHealthyGpu) {
 
 // --- Circuit breaker -------------------------------------------------------
 
+using BreakerState = serving::HealthGate::State;
+
 TEST(CircuitBreaker, OpensOnDepthFastFailsThenRecloses) {
   sim::Simulator sim;
-  hw::Platform platform{sim, {}};
+  metrics::Registry reg;
+  hw::Platform platform{sim, {.registry = &reg}};
   serving::ServerConfig cfg;
   cfg.model = models::vit_base();
   cfg.breaker.enabled = true;
@@ -382,7 +386,7 @@ TEST(CircuitBreaker, OpensOnDepthFastFailsThenRecloses) {
   }
   // The 4th submission brought in_flight to the depth threshold and tripped
   // the breaker; it and everything after it were fast-failed.
-  EXPECT_EQ(server.breaker_state(), serving::InferenceServer::BreakerState::kOpen);
+  EXPECT_EQ(server.breaker().state(), BreakerState::kOpen);
   EXPECT_TRUE(reqs[3]->failed);
   EXPECT_EQ(reqs[3]->fail_reason, FailReason::kBreakerOpen);
   EXPECT_TRUE(reqs[4]->failed);
@@ -399,8 +403,82 @@ TEST(CircuitBreaker, OpensOnDepthFastFailsThenRecloses) {
   sim.schedule_at(sim::milliseconds(60), [&] { server.submit(probe); });
   sim.run();
   EXPECT_FALSE(probe->failed);
-  EXPECT_EQ(server.breaker_state(), serving::InferenceServer::BreakerState::kClosed);
+  EXPECT_EQ(server.breaker().state(), BreakerState::kClosed);
   server.shutdown();
+  // Exactly one transition each way in serving_breaker_transitions_total.
+  for (const char* to : {"open", "half-open", "closed"}) {
+    const auto c = reg.find("serving_breaker_transitions_total", {{"to", to}});
+    ASSERT_TRUE(c.has_value()) << to;
+    EXPECT_DOUBLE_EQ(c->value, 1.0) << to;
+  }
+  reg.freeze_callbacks();
+}
+
+TEST(CircuitBreaker, ShedHalfOpenTrialReleasesItsSlot) {
+  // A shed half-open trial must return its slot; otherwise the breaker stays
+  // half-open and rejects every later request.
+  sim::Simulator sim;
+  hw::Platform platform{sim, {}};
+  serving::ServerConfig cfg;
+  cfg.model = models::vit_base();
+  cfg.breaker.enabled = true;
+  cfg.breaker.queue_depth_open = 4;
+  cfg.breaker.open_duration = sim::milliseconds(50);
+  cfg.breaker.half_open_probes = 1;
+  cfg.shed_deadline = sim::microseconds(1);  // every admitted request is shed
+  serving::InferenceServer server{platform, cfg};
+
+  std::vector<serving::RequestPtr> reqs;
+  auto submit_at = [&](sim::Time t) {
+    sim.schedule_at(t, [&] {
+      reqs.push_back(std::make_shared<serving::Request>(sim, reqs.size() + 1, hw::kMediumImage));
+      server.submit(reqs.back());
+    });
+  };
+  for (int i = 0; i < 6; ++i) submit_at(0);  // the 4th trips the breaker
+  submit_at(sim::milliseconds(60));          // half-open trial, shed
+  for (int s = 1; s <= 5; ++s) submit_at(sim::seconds(s));
+  sim.run();
+
+  ASSERT_EQ(reqs.size(), 12u);
+  EXPECT_EQ(reqs[3]->fail_reason, serving::FailReason::kBreakerOpen);
+  EXPECT_TRUE(reqs[6]->dropped);
+  for (std::size_t i = 7; i < reqs.size(); ++i) {
+    EXPECT_NE(reqs[i]->fail_reason, serving::FailReason::kBreakerOpen) << "request " << i;
+    EXPECT_TRUE(reqs[i]->dropped) << "request " << i;
+  }
+  // Sheds are not outcomes: the breaker keeps trialling, never closes.
+  EXPECT_EQ(server.breaker().state(), BreakerState::kHalfOpen);
+  server.shutdown();
+}
+
+TEST(CircuitBreaker, RejectionsNeverFeedTheScore) {
+  sim::Simulator sim;
+  hw::Platform platform{sim, {}};
+  serving::ServerConfig cfg;
+  cfg.model = models::vit_base();
+  cfg.breaker.enabled = true;
+  cfg.breaker.queue_depth_open = 4;
+  serving::InferenceServer server{platform, cfg};
+
+  std::vector<serving::RequestPtr> reqs;
+  for (int i = 0; i < 24; ++i) {
+    reqs.push_back(std::make_shared<serving::Request>(sim, static_cast<std::uint64_t>(i + 1),
+                                                      hw::kMediumImage));
+    server.submit(reqs.back());
+  }
+  ASSERT_EQ(server.stats().rejected(), 21u);  // more than the 20-outcome minimum
+  EXPECT_DOUBLE_EQ(server.breaker().score(), 1.0);
+  sim.run();
+  server.shutdown();
+  for (int i = 0; i < 24; ++i) {
+    auto late = std::make_shared<serving::Request>(sim, 100 + static_cast<std::uint64_t>(i),
+                                                   hw::kMediumImage);
+    server.submit(late);
+    EXPECT_EQ(late->fail_reason, serving::FailReason::kShutdown);
+  }
+  EXPECT_DOUBLE_EQ(server.breaker().score(), 1.0);
+  EXPECT_EQ(server.breaker().trips(), 1u);
 }
 
 TEST(CircuitBreaker, OpensOnErrorRate) {
@@ -426,7 +504,7 @@ TEST(CircuitBreaker, OpensOnErrorRate) {
     });
   }
   sim.run();
-  EXPECT_EQ(server.breaker_state(), serving::InferenceServer::BreakerState::kOpen);
+  EXPECT_EQ(server.breaker().state(), BreakerState::kOpen);
   EXPECT_GT(server.stats().rejected(), 0u);
   // Breaker rejections must not feed the EWMA (the breaker would never
   // close); only genuine GPU faults count as errors.
