@@ -5,6 +5,7 @@
 // their deadline before spending GPU time on them. This ablation drives the
 // tuned ViT server with an open-loop Poisson overload (~120% of capacity)
 // and sweeps the shed deadline, trading goodput against bounded tails.
+// Takes --audit / --trace-out like the other ablations.
 #include "bench_util.h"
 #include "core/experiment.h"
 #include "models/model_zoo.h"
@@ -21,6 +22,10 @@ struct Point {
   double drop_pct;
 };
 
+core::HarnessOptions g_harness;
+sim::TraceRecorder g_trace;
+std::uint64_t g_violations = 0;
+
 Point run(sim::Time deadline, double rate) {
   ExperimentSpec spec;
   spec.server.model = models::vit_base();
@@ -28,30 +33,22 @@ Point run(sim::Time deadline, double rate) {
   spec.server.shed_deadline = deadline;
   spec.warmup = sim::seconds(3.0);
   spec.measure = sim::seconds(12.0);
-  sim::Simulator sim;
-  hw::Platform platform{sim, {.calib = spec.calib}};
-  serving::InferenceServer server{platform, spec.server};
-  serving::OpenLoopClients clients{server,
-                                   {.interarrival = workload::poisson_arrivals(rate),
-                                    .image_source = serving::fixed_image(spec.image),
-                                    .seed = 11}};
-  clients.start();
-  sim.run_until(spec.warmup);
-  server.stats().begin();
-  sim.run_until(spec.warmup + spec.measure);
-  Point p{server.stats().throughput(), server.stats().latency().p99() * 1e3,
-          100.0 * server.stats().drop_rate()};
-  clients.stop();
-  sim.run();
-  server.shutdown();
-  return p;
+  spec.seed = 11;
+  g_harness.apply(spec, g_trace);
+  const core::ExperimentResult r = core::run_open_loop(spec, workload::poisson_arrivals(rate));
+  g_violations += core::report_audit(r, "shed_deadline_ns=" + std::to_string(deadline));
+  // Fraction of finished (completed or shed) requests that were shed.
+  const std::uint64_t finished = r.completed + r.dropped;
+  const double drop_rate =
+      finished ? static_cast<double>(r.dropped) / static_cast<double>(finished) : 0.0;
+  return {r.throughput_rps, r.p99_latency_s * 1e3, 100.0 * drop_rate};
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation", "Load shedding under overload (ViT @ ~120% offered load)");
-  if (!rep.parse_cli(argc, argv)) return 2;
+  if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
 
   const double overload_rate = 2200.0;  // capacity ~1840 img/s
   metrics::Table table({"shed_deadline_ms", "goodput_img_s", "p99_ms", "dropped_%"});
@@ -80,5 +77,5 @@ int main(int argc, char** argv) {
                     loose.drop_pct < tight.drop_pct && loose.p99_ms > tight.p99_ms,
                     "see table"});
   rep.checks(std::move(checks));
-  return rep.finish();
+  return rep.finish(core::finish_harness(g_harness, g_trace, g_violations));
 }

@@ -47,10 +47,10 @@ SweepPoint run_point(serving::PreprocDevice dev, int concurrency) {
        .seed = 99}};
   clients.start();
   sim.run_until(sim::seconds(2.0));
-  server.stats().begin();
+  server.begin_window();
   sim.run_until(sim::seconds(10.0));
-  SweepPoint point{concurrency, server.stats().throughput(),
-                   server.stats().latency().p99() * 1e3};
+  SweepPoint point{concurrency, server.window().throughput(),
+                   server.ledger().latency().p99() * 1e3};
   clients.stop();
   sim.run();
   server.shutdown();

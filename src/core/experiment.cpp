@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string_view>
+#include <utility>
 
 #include "broker/broker.h"
 #include "hw/tracing.h"
@@ -31,79 +32,6 @@ std::uint64_t total_evictions(hw::Platform& platform) {
   std::uint64_t n = 0;
   for (std::size_t i = 0; i < platform.gpu_count(); ++i) n += platform.gpu(i).stager().evictions();
   return n;
-}
-
-}  // namespace
-
-namespace {
-
-/// Shared warmup/measure/drain skeleton for closed- and open-loop runs.
-template <typename Clients>
-ExperimentResult run_with_clients(const ExperimentSpec& spec, hw::Platform& platform,
-                                  serving::InferenceServer& server, Clients& clients) {
-  auto& sim = platform.sim();
-  if (spec.recorder != nullptr) spec.recorder->start(sim);
-  clients.start();
-
-  // Warmup: fill queues and reach steady state, then reset all statistics.
-  sim.run_until(spec.warmup);
-  server.stats().begin();
-  reset_platform_stats(platform);
-  const std::uint64_t evictions_before = total_evictions(platform);
-  const auto* cache = server.ingress_cache();
-  const std::uint64_t cache_evictions_before = cache != nullptr ? cache->evictions() : 0;
-  const sim::Time window_start = sim.now();
-
-  sim.run_until(spec.warmup + spec.measure);
-  const sim::Time window_end = sim.now();
-
-  ExperimentResult r;
-  const auto& stats = server.stats();
-  r.throughput_rps = stats.throughput();
-  r.completed = stats.completed();
-  r.mean_latency_s = stats.latency().mean();
-  r.p50_latency_s = stats.latency().p50();
-  r.p99_latency_s = stats.latency().p99();
-  r.mean_batch = stats.batch_sizes().mean();
-  r.breakdown = stats.breakdown();
-  r.energy = hw::measure_energy(platform, window_start, window_end);
-  r.gpu_evictions = total_evictions(platform) - evictions_before;
-  r.cache_tensor_hits = stats.cache_tensor_hits();
-  r.cache_image_hits = stats.cache_image_hits();
-  r.cache_hit_rate = stats.cache_hit_rate();
-  if (cache != nullptr) r.cache_evictions = cache->evictions() - cache_evictions_before;
-  r.dropped = stats.dropped();
-  r.failed = stats.failed();
-  r.rejected = stats.rejected();
-  r.breaker_opens = stats.breaker_opens();
-  r.degraded = stats.degraded();
-  r.broker_failovers = stats.broker_failovers();
-  r.client_retries = clients.retries();
-  r.client_timeouts = clients.timeouts();
-
-  // Stop sampling at the window edge: the drain below runs the simulator
-  // dry, and a still-armed recorder would re-schedule itself forever.
-  if (spec.recorder != nullptr) spec.recorder->stop();
-
-  // Drain: stop the clients, let in-flight requests complete, close the
-  // server so scheduler processes exit cleanly.
-  clients.stop();
-  sim.run();
-  server.shutdown();
-  sim.run();
-
-  if (auto* audit = server.auditor()) {
-    r.audit_violations = audit->violation_count();
-    r.audit_report = audit->report();
-  }
-  // The triggered-capture binding points into the auditor, which dies with
-  // the server when this frame unwinds; the engine must not outlive it armed.
-  if (spec.alerts != nullptr) spec.alerts->release_triggered_sampler();
-  // Callback instruments capture the platform/server/clients by reference;
-  // convert them to plain values while everything is still alive so the
-  // registry can be read (and exported) after this stack frame unwinds.
-  if (spec.registry != nullptr) spec.registry->freeze_callbacks();
-  return r;
 }
 
 /// Per-request spans come from the auditor; stream them into spec.trace
@@ -174,9 +102,12 @@ struct FaultHarness {
   }
 };
 
-}  // namespace
-
-ExperimentResult run_experiment(const ExperimentSpec& spec) {
+/// One run for closed- and open-loop clients alike: builds the platform,
+/// server, trace/audit wiring and fault harness, then the clients that
+/// `make_clients(server, image_source)` returns, and runs the
+/// warmup/measure/drain skeleton.
+template <typename MakeClients>
+ExperimentResult run_with_clients(const ExperimentSpec& spec, MakeClients make_clients) {
   sim::Simulator sim;
   hw::Platform platform{sim,
                         {.calib = spec.calib,
@@ -188,33 +119,95 @@ ExperimentResult run_experiment(const ExperimentSpec& spec) {
   wire_audit_trace(spec, server);
   FaultHarness harness;
   harness.install(spec, sim, platform, server);
-  serving::ClosedLoopClients clients{
-      server,
-      {.concurrency = spec.concurrency,
-       .image_source = spec.image_source ? spec.image_source : serving::fixed_image(spec.image),
-       .seed = spec.seed}};
-  return run_with_clients(spec, platform, server, clients);
+  auto clients = make_clients(
+      server, spec.image_source ? spec.image_source : serving::fixed_image(spec.image));
+
+  if (spec.recorder != nullptr) spec.recorder->start(sim);
+  clients.start();
+
+  // Warmup: fill queues and reach steady state, then reset all statistics.
+  sim.run_until(spec.warmup);
+  server.begin_window();
+  reset_platform_stats(platform);
+  const std::uint64_t evictions_before = total_evictions(platform);
+  const auto* cache = server.ingress_cache();
+  const std::uint64_t cache_evictions_before = cache != nullptr ? cache->evictions() : 0;
+  const sim::Time window_start = sim.now();
+
+  sim.run_until(spec.warmup + spec.measure);
+  const sim::Time window_end = sim.now();
+
+  ExperimentResult r;
+  const serving::Ledger& ledger = server.ledger();
+  const serving::Ledger::Window w = server.window();
+  r.throughput_rps = w.throughput();
+  r.completed = w.completed;
+  r.mean_latency_s = ledger.latency().mean();
+  r.p50_latency_s = ledger.latency().p50();
+  r.p99_latency_s = ledger.latency().p99();
+  r.mean_batch = ledger.batch_sizes().mean();
+  r.breakdown = ledger.breakdown();
+  r.energy = hw::measure_energy(platform, window_start, window_end);
+  r.gpu_evictions = total_evictions(platform) - evictions_before;
+  r.cache_tensor_hits = w.cache_tensor_hits;
+  r.cache_image_hits = w.cache_image_hits;
+  r.cache_hit_rate = w.cache_hit_rate();
+  if (cache != nullptr) r.cache_evictions = cache->evictions() - cache_evictions_before;
+  r.dropped = w.dropped;
+  r.failed = w.failed;
+  r.rejected = w.rejected;
+  r.breaker_opens = w.breaker_opens();
+  r.degraded = w.degraded;
+  r.broker_failovers = w.broker_failovers;
+  r.client_retries = clients.retries();
+  r.client_timeouts = clients.timeouts();
+
+  // Stop sampling at the window edge: the drain below runs the simulator
+  // dry, and a still-armed recorder would re-schedule itself forever.
+  if (spec.recorder != nullptr) spec.recorder->stop();
+
+  // Drain: stop the clients, let in-flight requests complete, close the
+  // server so scheduler processes exit cleanly.
+  clients.stop();
+  sim.run();
+  server.shutdown();
+  sim.run();
+
+  if (auto* audit = server.auditor()) {
+    r.audit_violations = audit->violation_count();
+    r.audit_report = audit->report();
+  }
+  // The triggered-capture binding points into the auditor, which dies with
+  // the server when this frame unwinds; the engine must not outlive it armed.
+  if (spec.alerts != nullptr) spec.alerts->release_triggered_sampler();
+  // Callback instruments capture the platform/server/clients by reference;
+  // convert them to plain values while everything is still alive so the
+  // registry can be read (and exported) after this stack frame unwinds.
+  if (spec.registry != nullptr) spec.registry->freeze_callbacks();
+  return r;
+}
+
+}  // namespace
+
+ExperimentResult run_experiment(const ExperimentSpec& spec) {
+  return run_with_clients(spec, [&spec](serving::InferenceServer& server,
+                                        serving::ImageSource image_source) {
+    return serving::ClosedLoopClients{server,
+                                      {.concurrency = spec.concurrency,
+                                       .image_source = std::move(image_source),
+                                       .seed = spec.seed}};
+  });
 }
 
 ExperimentResult run_open_loop(const ExperimentSpec& spec,
                                serving::OpenLoopClients::Interarrival interarrival) {
-  sim::Simulator sim;
-  hw::Platform platform{sim,
-                        {.calib = spec.calib,
-                         .gpu_count = spec.gpu_count,
-                         .faults = spec.faults,
-                         .registry = spec.registry}};
-  if (spec.trace != nullptr) hw::attach_tracer(platform, *spec.trace);
-  serving::InferenceServer server{platform, spec.server};
-  wire_audit_trace(spec, server);
-  FaultHarness harness;
-  harness.install(spec, sim, platform, server);
-  serving::OpenLoopClients clients{
-      server,
-      {.interarrival = std::move(interarrival),
-       .image_source = spec.image_source ? spec.image_source : serving::fixed_image(spec.image),
-       .seed = spec.seed}};
-  return run_with_clients(spec, platform, server, clients);
+  return run_with_clients(spec, [&spec, &interarrival](serving::InferenceServer& server,
+                                                       serving::ImageSource image_source) {
+    return serving::OpenLoopClients{server,
+                                    {.interarrival = std::move(interarrival),
+                                     .image_source = std::move(image_source),
+                                     .seed = spec.seed}};
+  });
 }
 
 ExperimentResult run_zero_load(ExperimentSpec spec) {

@@ -56,8 +56,9 @@ struct ExperimentSpec {
   const sim::FaultPlan* faults = nullptr;
 
   /// Optional telemetry registry: the platform, server, brokers, and clients
-  /// register their instruments here. Cumulative from simulation start (not
-  /// window-scoped like ServerStats). The runner freezes callback
+  /// register their instruments here. Cumulative from simulation start; the
+  /// server's serving_* counters sample its serving::Ledger, whose window
+  /// differences fill ExperimentResult. The runner freezes callback
   /// instruments before tearing the run down, so the registry may safely
   /// outlive it.
   metrics::Registry* registry = nullptr;

@@ -550,7 +550,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
 
   if (spec.recorder != nullptr) spec.recorder->start(sim);
   sim.run_until(spec.warmup);
-  for (auto& n : fleet.nodes) n->server->stats().begin();
+  for (auto& n : fleet.nodes) n->server->begin_window();
   fleet.measuring = true;
   sim.run_until(spec.warmup + spec.measure);
   // Stop at the window edge: the drain runs the simulator dry, and a live
@@ -559,7 +559,7 @@ FleetResult run_fleet(const FleetSpec& spec) {
 
   FleetResult r;
   for (auto& n : fleet.nodes) {
-    r.node_throughput_rps.push_back(n->server->stats().throughput());
+    r.node_throughput_rps.push_back(n->server->window().throughput());
     r.node_dispatches.push_back(n->dispatches_window);
   }
   fleet.measuring = false;

@@ -1,6 +1,7 @@
 #include "serving/server.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -22,12 +23,25 @@ namespace {
 constexpr double kBreakerAlpha = 0.05;
 constexpr std::uint64_t kBreakerMinOutcomes = 20;
 constexpr std::array<std::string_view, 3> kBreakerStateNames{"closed", "open", "half-open"};
+
+/// Ledger counts exported as registry counters, in registration order.
+constexpr std::pair<std::string_view, std::uint64_t Ledger::Counts::*> kCountInstruments[] = {
+    {"serving_requests_submitted_total", &Ledger::Counts::submitted},
+    {"serving_requests_completed_total", &Ledger::Counts::completed},
+    {"serving_requests_failed_total", &Ledger::Counts::failed},
+    {"serving_requests_dropped_total", &Ledger::Counts::dropped},
+    {"serving_requests_rejected_total", &Ledger::Counts::rejected},
+    {"serving_requests_degraded_total", &Ledger::Counts::degraded},
+    {"serving_handoff_lost_total", &Ledger::Counts::handoff_lost},
+    {"serving_broker_publish_retries_total", &Ledger::Counts::broker_retries},
+    {"serving_broker_failovers_total", &Ledger::Counts::broker_failovers},
+};
 }  // namespace
 
 InferenceServer::InferenceServer(hw::Platform& platform, ServerConfig config)
     : platform_(platform),
       config_(config),
-      stats_(platform.sim()),
+      ledger_(platform.sim().now()),
       breaker_({.enabled = config.breaker.enabled, .alpha = kBreakerAlpha,
                 .trip_score = 1.0 - config.breaker.error_rate_open,
                 .min_outcomes = kBreakerMinOutcomes, .hold = config.breaker.open_duration,
@@ -91,25 +105,22 @@ InferenceServer::InferenceServer(hw::Platform& platform, ServerConfig config)
 
 void InferenceServer::init_telemetry() {
   auto& reg = *platform_.registry();
-  tele_.submitted = reg.counter("serving_requests_submitted_total");
-  tele_.completed = reg.counter("serving_requests_completed_total");
-  tele_.failed = reg.counter("serving_requests_failed_total");
-  tele_.dropped = reg.counter("serving_requests_dropped_total");
-  tele_.rejected = reg.counter("serving_requests_rejected_total");
-  tele_.degraded = reg.counter("serving_requests_degraded_total");
-  tele_.handoff_lost = reg.counter("serving_handoff_lost_total");
-  tele_.broker_retries = reg.counter("serving_broker_publish_retries_total");
-  tele_.broker_failovers = reg.counter("serving_broker_failovers_total");
+  const Ledger& l = ledger_;
+  for (const auto& [name, field] : kCountInstruments) {
+    reg.counter_fn(std::string(name), {},
+                   [&l, field] { return static_cast<double>(l.counts.*field); });
+  }
   for (const auto to : {HealthGate::State::kOpen, HealthGate::State::kHalfOpen,
                         HealthGate::State::kClosed}) {
     const auto i = static_cast<std::size_t>(to);
-    tele_.breaker_to[i] = reg.counter("serving_breaker_transitions_total",
-                                      {{"to", std::string(kBreakerStateNames[i])}});
+    reg.counter_fn("serving_breaker_transitions_total",
+                   {{"to", std::string(kBreakerStateNames[i])}},
+                   [&l, i] { return static_cast<double>(l.counts.breaker_to[i]); });
   }
   for (std::size_t s = 0; s < metrics::kStageCount; ++s) {
-    tele_.stage_seconds[s] = reg.counter(
-        "serving_stage_seconds_total",
-        {{"stage", std::string(metrics::stage_name(static_cast<Stage>(s)))}});
+    reg.counter_fn("serving_stage_seconds_total",
+                   {{"stage", std::string(metrics::stage_name(static_cast<Stage>(s)))}},
+                   [&l, s] { return l.stage_seconds[s]; });
   }
   // Exemplars on the latency histogram let the exporter link each bucket —
   // SLO tail included — to the last trace that landed there.
@@ -142,7 +153,7 @@ void InferenceServer::init_telemetry() {
   reg.counter_fn("serving_in_flight_seconds_total", {}, [this] {
     return inflight_integral_.integral_seconds(platform_.sim().now());
   });
-  tele_.latency_sum = reg.counter("serving_latency_seconds_total");
+  reg.counter_fn("serving_latency_seconds_total", {}, [&l] { return l.latency_sum; });
   // Queue depth per scheduler queue: sampled from the batchers at recorder
   // ticks (the growth-toward-seconds trajectory behind the Fig. 5 claim),
   // plus the time-weighted integral sibling the capacity plane differences
@@ -166,28 +177,16 @@ void InferenceServer::init_telemetry() {
   }
 }
 
-void InferenceServer::record_terminal(const Request& req) {
-  if (!tele_.latency.enabled()) return;
-  tele_.latency.observe(sim::to_seconds(req.latency()), req.trace_ctx.trace_id);
-  tele_.latency_sum.inc(sim::to_seconds(req.latency()));
-  for (std::size_t s = 0; s < metrics::kStageCount; ++s) {
-    const double v = req.stages.seconds[s];
-    if (v > 0.0) tele_.stage_seconds[s].inc(v);
-  }
-}
-
 void InferenceServer::note_breaker(HealthGate::State before) {
   const auto to = static_cast<std::size_t>(breaker_.state());
   if (to == static_cast<std::size_t>(before)) return;
-  if (breaker_.state() == HealthGate::State::kOpen) stats_.record_breaker_open();
-  tele_.breaker_to[to].inc();
+  ++ledger_.counts.breaker_to[to];
   if (auditor_) auditor_->on_breaker_transition(kBreakerStateNames[to], platform_.sim().now());
 }
 
 void InferenceServer::submit(RequestPtr req) {
-  ++submitted_;
+  ++ledger_.counts.submitted;
   inflight_integral_.add(platform_.sim().now(), 1.0);
-  tele_.submitted.inc();
   if (auditor_) auditor_->on_submit(*req);
   if (!accepting_) {
     // Post-shutdown submissions are fail-accounted (counted, done signalled)
@@ -331,8 +330,7 @@ void InferenceServer::hand_off(sim::Channel<RequestPtr>& ch, std::size_t g, Requ
     accepted = false;  // raced with shutdown's staged drain
   }
   if (accepted) return;
-  ++lost_handoffs_;
-  tele_.handoff_lost.inc();
+  ++ledger_.counts.handoff_lost;
   if (auditor_) auditor_->on_lost_handoff(*keep, where);
   drop_request(g, std::move(keep));
 }
@@ -466,8 +464,7 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
   // recently left) a failure window, fall back to the CPU pool and ship the
   // preprocessed tensor instead — slower, but the request survives.
   if (gpu_degraded(g)) {
-    stats_.record_degraded();
-    tele_.degraded.inc();
+    ++ledger_.counts.degraded;
     if (hit != CacheLevel::kTensor) {
       const Time q0 = sim.now();
       auto worker = co_await cpu.preproc_workers().acquire();
@@ -694,7 +691,7 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
     for (const auto& r : batch) {
       r->charge(Stage::kQueue, dispatch - r->enqueue_time, dispatch_blame);
     }
-    stats_.record_batch_size(b);
+    ledger_.on_batch(b);
     tele_.batch_size.observe(static_cast<double>(b));
 
     if (cpu_staged_path) {
@@ -809,18 +806,10 @@ void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason rea
   req->failed = true;
   req->fail_reason = reason;
   req->completed = now;
-  ++finished_;
-  inflight_integral_.add(now, -1.0);
-  stats_.record(*req);
-  tele_.failed.inc();
-  if (reason == FailReason::kBreakerOpen) tele_.rejected.inc();
-  record_terminal(*req);
   // Breaker rejections and post-shutdown submissions must not feed the
   // breaker: it would hold itself open on its own rejections.
   const bool rejected = reason == FailReason::kBreakerOpen || reason == FailReason::kShutdown;
-  settle_breaker(*req, rejected ? std::nullopt : std::optional<bool>{false});
-  if (auditor_) auditor_->on_complete(*req);
-  req->done.set();
+  settle(*req, rejected ? std::nullopt : std::optional<bool>{false});
 }
 
 void InferenceServer::drop_request(std::size_t g, RequestPtr req, std::string_view blame) {
@@ -837,14 +826,7 @@ void InferenceServer::drop_request(std::size_t g, RequestPtr req, std::string_vi
   }
   req->dropped = true;
   req->completed = now;
-  ++finished_;
-  inflight_integral_.add(now, -1.0);
-  stats_.record(*req);
-  tele_.dropped.inc();
-  record_terminal(*req);
-  settle_breaker(*req, std::nullopt);
-  if (auditor_) auditor_->on_complete(*req);
-  req->done.set();
+  settle(*req, std::nullopt);
 }
 
 sim::Process InferenceServer::finish_request(RequestPtr req) {
@@ -876,15 +858,12 @@ sim::Process InferenceServer::finish_request(RequestPtr req) {
           delivered = true;
           break;
         }
-        tele_.broker_retries.inc();
+        ++ledger_.counts.broker_retries;
         if (attempt < attempts && pol.backoff_base > 0) {
           co_await sim.wait(pol.backoff_base << (attempt - 1));
         }
       }
-      if (!delivered) {
-        stats_.record_broker_failover();  // fused in-process delivery
-        tele_.broker_failovers.inc();
-      }
+      if (!delivered) ++ledger_.counts.broker_failovers;  // fused in-process delivery
     } else {
       while (!co_await result_broker_->publish(req->id)) {
         co_await sim.wait(std::max<Time>(pol.poll_interval, 1));
@@ -894,14 +873,16 @@ sim::Process InferenceServer::finish_request(RequestPtr req) {
   }
 
   req->completed = sim.now();
-  ++finished_;
-  inflight_integral_.add(sim.now(), -1.0);
-  stats_.record(*req);
-  tele_.completed.inc();
-  record_terminal(*req);
-  settle_breaker(*req, true);
-  if (auditor_) auditor_->on_complete(*req);
-  req->done.set();
+  settle(*req, true);
+}
+
+void InferenceServer::settle(Request& req, std::optional<bool> outcome) {
+  ledger_.on_terminal(req);
+  tele_.latency.observe(sim::to_seconds(req.latency()), req.trace_ctx.trace_id);
+  inflight_integral_.add(req.completed, -1.0);
+  settle_breaker(req, outcome);
+  if (auditor_) auditor_->on_complete(req);
+  req.done.set();
 }
 
 }  // namespace serve::serving

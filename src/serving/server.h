@@ -10,7 +10,6 @@
 // paper's breakdown figures can be regenerated exactly.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -26,8 +25,8 @@
 #include "serving/config.h"
 #include "serving/health_gate.h"
 #include "serving/ingress_cache.h"
+#include "serving/ledger.h"
 #include "serving/request.h"
-#include "serving/stats.h"
 #include "sim/process.h"
 
 namespace serve::serving {
@@ -56,20 +55,22 @@ class InferenceServer {
   }
 
   [[nodiscard]] const ServerConfig& config() const noexcept { return config_; }
-  [[nodiscard]] ServerStats& stats() noexcept { return stats_; }
   [[nodiscard]] hw::Platform& platform() noexcept { return platform_; }
 
+  /// The one tally of this server's requests and resilience events.
+  [[nodiscard]] const Ledger& ledger() const noexcept { return ledger_; }
+  /// Opens the ledger's measurement window now.
+  void begin_window() { ledger_.begin_window(platform_.sim().now()); }
+  /// Ledger counts since begin_window(), up to now.
+  [[nodiscard]] Ledger::Window window() const { return ledger_.window(platform_.sim().now()); }
+
   /// Requests accepted but not yet completed.
-  [[nodiscard]] std::uint64_t in_flight() const noexcept { return submitted_ - finished_; }
+  [[nodiscard]] std::uint64_t in_flight() const noexcept { return ledger_.in_flight(); }
 
   /// Lifecycle auditor (nullptr unless ServerConfig::audit is set). To get
   /// per-request trace spans, call auditor()->set_trace(...) before the
   /// first submit.
   [[nodiscard]] RequestAuditor* auditor() noexcept { return auditor_.get(); }
-
-  /// Requests that failed a scheduler-queue hand-off and were drop-accounted
-  /// instead of lost (always 0 in a healthy configuration).
-  [[nodiscard]] std::uint64_t lost_handoffs() const noexcept { return lost_handoffs_; }
 
   /// Content-addressed preprocess cache (nullptr unless
   /// ServerConfig::ingress_cache.enabled). Exposed so harnesses can read its
@@ -143,30 +144,22 @@ class InferenceServer {
                                                      : IngressFormat::kCompressedImage;
   }
 
-  /// Registry handles for the serving layer (no-ops when the platform has no
-  /// registry — every handle degrades to a null-pointer check). Unlike
-  /// ServerStats, which is window-scoped (reset at measurement start), these
-  /// are cumulative from t = 0: the flight recorder differences them into
-  /// rates over time.
+  /// Registry histograms for the serving layer (no-ops when the platform has
+  /// no registry). The ledger's counts and sums reach the registry as
+  /// callback counters, cumulative from t = 0 like the ledger itself; the
+  /// flight recorder differences them into rates over time.
   struct Telemetry {
-    metrics::Counter submitted, completed, failed, dropped, rejected, degraded;
-    metrics::Counter handoff_lost, broker_retries, broker_failovers;
-    std::array<metrics::Counter, 3> breaker_to{};  ///< by HealthGate::State
-    std::array<metrics::Counter, metrics::kStageCount> stage_seconds{};
     metrics::HistogramHandle latency, batch_size;
-    /// Completion-charged latency sum (the λ·W side of the Little's-law
-    /// audit; its Δ per tick over the in-flight integral's Δ converge in
-    /// steady state and split apart exactly during backlog transients).
-    metrics::Counter latency_sum;
   };
   void init_telemetry();
-  /// Terminal accounting shared by finish/fail/drop: latency histogram and
-  /// cumulative per-stage seconds.
-  void record_terminal(const Request& req);
+  /// Tail shared by finish/fail/drop, in this order: ledger and latency
+  /// histogram, in-flight integral, settle_breaker(req, outcome), auditor,
+  /// completion signal.
+  void settle(Request& req, std::optional<bool> outcome);
 
   hw::Platform& platform_;
   ServerConfig config_;
-  ServerStats stats_;
+  Ledger ledger_;
   Telemetry tele_{};
   /// Time-weighted occupancy integrals (the L side of Little's law and the
   /// alias-free queue-depth series). Updated unconditionally — one add per
@@ -179,9 +172,6 @@ class InferenceServer {
   std::vector<std::unique_ptr<GpuState>> gpus_;
   broker::SimBroker<std::uint64_t>* result_broker_ = nullptr;
   std::vector<std::uint8_t> template_jpeg_;  ///< payload-validation template
-  std::uint64_t submitted_ = 0;
-  std::uint64_t finished_ = 0;
-  std::uint64_t lost_handoffs_ = 0;
   std::size_t next_gpu_ = 0;
   bool accepting_ = true;
   HealthGate breaker_;

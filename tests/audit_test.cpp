@@ -54,7 +54,7 @@ TEST_P(AuditPreprocGrid, CleanAfterLoadAndDrain) {
   EXPECT_GT(audit.submitted(), 100u);
   EXPECT_EQ(audit.submitted(), audit.completed() + audit.dropped());
   EXPECT_EQ(audit.in_flight(), 0u);
-  EXPECT_EQ(server.lost_handoffs(), 0u);
+  EXPECT_EQ(server.ledger().counts.handoff_lost, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(PreprocDevices, AuditPreprocGrid,

@@ -391,8 +391,8 @@ TEST(CircuitBreaker, OpensOnDepthFastFailsThenRecloses) {
   EXPECT_EQ(reqs[3]->fail_reason, FailReason::kBreakerOpen);
   EXPECT_TRUE(reqs[4]->failed);
   EXPECT_TRUE(reqs[5]->failed);
-  EXPECT_EQ(server.stats().rejected(), 3u);
-  EXPECT_EQ(server.stats().breaker_opens(), 1u);
+  EXPECT_EQ(server.window().rejected, 3u);
+  EXPECT_EQ(server.window().breaker_opens(), 1u);
 
   sim.run();  // the three admitted requests complete
   for (std::size_t i = 0; i < 3; ++i) EXPECT_FALSE(reqs[i]->failed);
@@ -467,7 +467,7 @@ TEST(CircuitBreaker, RejectionsNeverFeedTheScore) {
                                                       hw::kMediumImage));
     server.submit(reqs.back());
   }
-  ASSERT_EQ(server.stats().rejected(), 21u);  // more than the 20-outcome minimum
+  ASSERT_EQ(server.window().rejected, 21u);  // more than the 20-outcome minimum
   EXPECT_DOUBLE_EQ(server.breaker().score(), 1.0);
   sim.run();
   server.shutdown();
@@ -505,10 +505,10 @@ TEST(CircuitBreaker, OpensOnErrorRate) {
   }
   sim.run();
   EXPECT_EQ(server.breaker().state(), BreakerState::kOpen);
-  EXPECT_GT(server.stats().rejected(), 0u);
+  EXPECT_GT(server.window().rejected, 0u);
   // Breaker rejections must not feed the EWMA (the breaker would never
   // close); only genuine GPU faults count as errors.
-  EXPECT_GT(server.stats().failed(), server.stats().rejected());
+  EXPECT_GT(server.window().failed, server.window().rejected);
   server.shutdown();
 }
 
@@ -542,7 +542,7 @@ TEST(Degradation, FallsBackToCpuAndUndegradesAfterHysteresis) {
 
   for (const auto& req : reqs) EXPECT_FALSE(req->failed);
   // The first two took the CPU fallback; the third went back to the GPU.
-  EXPECT_EQ(server.stats().degraded(), 2u);
+  EXPECT_EQ(server.window().degraded, 2u);
   server.shutdown();
   EXPECT_EQ(server.auditor()->violation_count(), 0u);
 }
@@ -658,6 +658,44 @@ TEST(FaultConservation, FaultedRunsAreDeterministic) {
   EXPECT_EQ(a.dropped, b.dropped);
   EXPECT_EQ(a.client_retries, b.client_retries);
   EXPECT_DOUBLE_EQ(a.p99_latency_s, b.p99_latency_s);
+}
+
+// --- Window scoping -------------------------------------------------------
+
+TEST(LedgerWindow, WarmupFaultEventsStayOutOfTheMeasurementWindow) {
+  // A GPU failure confined to warmup: the degrade policy reroutes to the CPU
+  // pool and holds the dispatched batches, the held backlog trips the
+  // breaker, and its rejections fail-account requests. The window-scoped
+  // result must not see any of it; the registry's cumulative counters must.
+  FaultPlan plan;
+  plan.gpu_failure(0, sim::milliseconds(200), sim::milliseconds(700));
+  metrics::Registry reg;
+  core::ExperimentSpec spec;
+  spec.server.model = models::vit_base();
+  spec.server.preproc = serving::PreprocDevice::kGpu;
+  spec.server.degrade.enabled = true;
+  spec.server.breaker.enabled = true;
+  spec.server.breaker.queue_depth_open = 150;
+  spec.warmup = sim::seconds(2.0);
+  spec.measure = sim::seconds(1.0);
+  spec.faults = &plan;
+  spec.registry = &reg;
+  const auto r = core::run_open_loop(spec, workload::poisson_arrivals(800.0));
+
+  EXPECT_GT(r.completed, 0u);
+  EXPECT_EQ(r.failed, 0u);
+  EXPECT_EQ(r.rejected, 0u);
+  EXPECT_EQ(r.breaker_opens, 0u);
+  EXPECT_EQ(r.degraded, 0u);
+  const auto total = [&reg](const std::string& name, const metrics::Labels& labels = {}) {
+    const auto c = reg.find(name, labels);
+    EXPECT_TRUE(c.has_value()) << name;
+    return c ? c->value : 0.0;
+  };
+  EXPECT_GT(total("serving_requests_failed_total"), 0.0);
+  EXPECT_GT(total("serving_requests_rejected_total"), 0.0);
+  EXPECT_GT(total("serving_breaker_transitions_total", {{"to", "open"}}), 0.0);
+  EXPECT_GT(total("serving_requests_degraded_total"), 0.0);
 }
 
 }  // namespace

@@ -163,7 +163,7 @@ TEST(InferenceServer, SubmitAfterShutdownIsFailAccountedNotThrown) {
   EXPECT_EQ(req->fail_reason, serving::FailReason::kShutdown);
   EXPECT_FALSE(req->dropped);
   EXPECT_EQ(server.in_flight(), 0u);
-  EXPECT_EQ(server.stats().failed(), 1u);
+  EXPECT_EQ(server.window().failed, 1u);
 }
 
 TEST(InferenceServer, ShutdownDrainsInFlightRequests) {
@@ -228,8 +228,8 @@ TEST(InferenceServer, NoDropsUnderLightLoad) {
       server, {.concurrency = 4, .image_source = serving::fixed_image(hw::kMediumImage)}};
   clients.start();
   sim.run_until(sim::seconds(3.0));
-  EXPECT_EQ(server.stats().dropped(), 0u);
-  EXPECT_GT(server.stats().completed(), 100u);
+  EXPECT_EQ(server.window().dropped, 0u);
+  EXPECT_GT(server.window().completed, 100u);
   clients.stop();
   sim.run();
   server.shutdown();
@@ -247,7 +247,7 @@ TEST(InferenceServer, DroppedRequestsSignalCompletionWithFlag) {
   sim.run();
   EXPECT_TRUE(req->done.is_set());
   EXPECT_TRUE(req->dropped);
-  EXPECT_EQ(server.stats().dropped(), 1u);
+  EXPECT_EQ(server.window().dropped, 1u);
   EXPECT_EQ(server.in_flight(), 0u);
   server.shutdown();
 }
@@ -270,11 +270,11 @@ TEST(InferenceServer, TwoModelsShareOneGpu) {
   clients_big.start();
   clients_small.start();
   sim.run_until(sim::seconds(2.0));
-  server_big.stats().begin();
-  server_small.stats().begin();
+  server_big.begin_window();
+  server_small.begin_window();
   sim.run_until(sim::seconds(8.0));
-  const double tput_big = server_big.stats().throughput();
-  const double tput_small = server_small.stats().throughput();
+  const double tput_big = server_big.window().throughput();
+  const double tput_small = server_small.window().throughput();
   // Both tenants make progress on the shared engine...
   EXPECT_GT(tput_big, 100.0);
   EXPECT_GT(tput_small, 100.0);

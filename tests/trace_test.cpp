@@ -2,9 +2,10 @@
 // SpanContext wire format, deterministic sampling, CausalTracer id/arg
 // plumbing, critical-path extraction, cross-broker context propagation
 // (including FileLogBroker crash recovery), and same-seed reproducibility of
-// full pipeline traces.
+// full pipeline traces; and the tools' JSON parser on hostile input.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -120,6 +121,43 @@ TEST(TraceRecorder, EventCapDropsAndCounts) {
   EXPECT_EQ(rec.dropped_events(), 0u);
   rec.span("t", "after-clear", 0, 1);
   EXPECT_EQ(rec.span_count(), 1u);
+}
+
+// --- tools/json_mini: hostile input ------------------------------------------
+
+TEST(JsonMini, CapsNestingDepth) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<std::size_t>(depth), '[') +
+           std::string(static_cast<std::size_t>(depth), ']');
+  };
+  EXPECT_TRUE(jsonmini::Parser{nested(jsonmini::kMaxDepth)}.parse().has_value());
+  for (const int depth : {jsonmini::kMaxDepth + 1, 200000}) {
+    const std::string text = nested(depth);
+    jsonmini::Parser p{text};
+    EXPECT_FALSE(p.parse().has_value()) << depth;
+    EXPECT_NE(p.error().find("nesting deeper than"), std::string::npos) << p.error();
+  }
+  std::string objects;
+  for (int i = 0; i <= jsonmini::kMaxDepth; ++i) objects += "{\"a\":";
+  jsonmini::Parser p{objects};
+  EXPECT_FALSE(p.parse().has_value());
+  EXPECT_NE(p.error().find("nesting deeper than"), std::string::npos) << p.error();
+}
+
+TEST(JsonMini, AcceptsOnlyJsonNumbers) {
+  for (const char* ok : {"0", "-0", "12", "-3.25", "1e3", "1E+2", "2.5e-3", "1e9999"}) {
+    jsonmini::Parser p{ok};
+    EXPECT_TRUE(p.parse().has_value()) << ok << ": " << p.error();
+  }
+  EXPECT_DOUBLE_EQ(parse_json("[-3.25]").array.at(0).number, -3.25);
+  // The exporter writes non-finite values as 1e9999 and null.
+  EXPECT_TRUE(std::isinf(parse_json("1e9999").number));
+  EXPECT_EQ(parse_json("null").type, jsonmini::Value::Type::kNull);
+  for (const char* bad : {"nan", "NaN", "inf", "-inf", "Infinity", "0x1p3", "0x10", "+1", "01",
+                          ".5", "1.", "1e", "-", "[1, nan]"}) {
+    jsonmini::Parser p{bad};
+    EXPECT_FALSE(p.parse().has_value()) << bad;
+  }
 }
 
 // --- SpanContext wire format -------------------------------------------------

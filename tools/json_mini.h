@@ -6,7 +6,9 @@
 // tools/ binaries read servescope-telemetry-v1 files without a JSON library
 // in the container. Not a validator of everything (e.g. \uXXXX escapes are
 // passed through verbatim), but strict enough to reject malformed input
-// with a useful message.
+// with a useful message. Input may be untrusted: nesting deeper than
+// kMaxDepth is a parse error (not a stack overflow), and numbers must match
+// the JSON grammar (no nan, inf, hex or leading '+', which strtod accepts).
 #pragma once
 
 #include <cctype>
@@ -18,6 +20,9 @@
 #include <vector>
 
 namespace jsonmini {
+
+/// Deepest array/object nesting the parser accepts.
+inline constexpr int kMaxDepth = 256;
 
 struct Value {
   enum class Type { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -130,8 +135,18 @@ class Parser {
       return false;
     }
     const char c = text_[pos_];
-    if (c == '{') return parse_object(out);
-    if (c == '[') return parse_array(out);
+    if (c == '{' || c == '[') {
+      // Recursion is bounded so hostile nesting fails instead of
+      // overflowing the stack.
+      if (depth_ >= kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(kMaxDepth));
+        return false;
+      }
+      ++depth_;
+      const bool ok = c == '{' ? parse_object(out) : parse_array(out);
+      --depth_;
+      return ok;
+    }
     if (c == '"') {
       out.type = Value::Type::kString;
       return parse_string(out.str);
@@ -153,18 +168,44 @@ class Parser {
       pos_ += 4;
       return true;
     }
-    // Number.
-    const char* begin = text_.data() + pos_;
-    char* end = nullptr;
-    const double num = std::strtod(begin, &end);
-    if (end == begin) {
+    const std::size_t len = number_length();
+    if (len == 0) {
       fail("expected a JSON value");
       return false;
     }
+    // strtod needs a terminated buffer; the token is known to be a valid
+    // JSON number, so it converts in full.
     out.type = Value::Type::kNumber;
-    out.number = num;
-    pos_ += static_cast<std::size_t>(end - begin);
+    out.number = std::strtod(std::string(text_.substr(pos_, len)).c_str(), nullptr);
+    pos_ += len;
     return true;
+  }
+
+  /// Length of the JSON number token at pos_ (0 if there is none):
+  /// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?
+  [[nodiscard]] std::size_t number_length() const noexcept {
+    std::size_t i = pos_;
+    const auto digit = [this](std::size_t at) {
+      return at < text_.size() && text_[at] >= '0' && text_[at] <= '9';
+    };
+    const auto digits = [&](std::size_t at) {
+      while (digit(at)) ++at;
+      return at;
+    };
+    if (i < text_.size() && text_[i] == '-') ++i;
+    if (!digit(i)) return 0;
+    i = text_[i] == '0' ? i + 1 : digits(i);
+    if (i < text_.size() && text_[i] == '.') {
+      if (!digit(i + 1)) return 0;
+      i = digits(i + 1);
+    }
+    if (i < text_.size() && (text_[i] == 'e' || text_[i] == 'E')) {
+      std::size_t e = i + 1;
+      if (e < text_.size() && (text_[e] == '+' || text_[e] == '-')) ++e;
+      if (!digit(e)) return 0;
+      i = digits(e);
+    }
+    return i - pos_;
   }
 
   bool parse_array(Value& out) {
@@ -224,6 +265,7 @@ class Parser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
   std::string error_;
 };
 
