@@ -1,10 +1,12 @@
 // google-benchmark micro-benchmarks of the discrete-event simulation kernel:
 // raw event throughput, channel hand-offs, task spawn/switch churn, resource
-// cycles, and whole-server simulation speed. Rate counters (events/s,
-// channel_ops/s, task_switches/s) plus allocation counters from the sim
-// frame pool (allocs per simulated request) make regressions in the
-// per-request hot path visible at a glance.
+// cycles, and whole-server simulation speed, bare and audited + traced. Rate
+// counters (events/s, channel_ops/s, task_switches/s) plus allocation
+// counters from the sim frame pool (allocs per simulated request) make
+// regressions in the per-request hot path visible at a glance.
 #include <benchmark/benchmark.h>
+
+#include <cstdint>
 
 #include "core/experiment.h"
 #include "models/model_zoo.h"
@@ -13,6 +15,8 @@
 #include "sim/resource.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
+#include "sim/trace.h"
+#include "trace/causal.h"
 
 using namespace serve;
 
@@ -118,20 +122,29 @@ void BM_ResourceCycle(benchmark::State& state) {
 }
 BENCHMARK(BM_ResourceCycle);
 
-void BM_FullServerSimulation(benchmark::State& state) {
-  // Virtual-time speed of the complete Fig. 5-style experiment; the counters
-  // report simulated requests per wall second and how many allocations the
-  // per-request hot path costs (pool hits are recycled frames, heap allocs
-  // actually reached operator new).
+core::ExperimentSpec full_server_spec() {
+  core::ExperimentSpec spec;
+  spec.server.model = models::vit_base();
+  spec.concurrency = 256;
+  spec.warmup = sim::seconds(0.5);
+  spec.measure = sim::seconds(2.0);
+  return spec;
+}
+
+/// Times `run_once` (one complete experiment per iteration); the counters
+/// report simulated requests per wall second and how many allocations the
+/// per-request hot path costs (pool hits are recycled frames, heap allocs
+/// actually reached operator new).
+template <typename RunOnce>
+void run_server_simulation(benchmark::State& state, RunOnce run_once) {
   std::uint64_t requests = 0;
   const sim::AllocStats before = sim::alloc_stats();
   for (auto _ : state) {
-    core::ExperimentSpec spec;
-    spec.server.model = models::vit_base();
-    spec.concurrency = 256;
-    spec.warmup = sim::seconds(0.5);
-    spec.measure = sim::seconds(2.0);
-    const auto r = core::run_experiment(spec);
+    const core::ExperimentResult r = run_once();
+    if (r.audit_violations != 0) {
+      state.SkipWithError("audit violations in the simulated run");
+      return;
+    }
     requests += r.completed;
     benchmark::DoNotOptimize(r);
   }
@@ -151,7 +164,30 @@ void BM_FullServerSimulation(benchmark::State& state) {
         static_cast<double>(after.frame_allocs - before.frame_allocs);
   }
 }
+
+void BM_FullServerSimulation(benchmark::State& state) {
+  // Virtual-time speed of the complete Fig. 5-style experiment, nothing
+  // attached.
+  run_server_simulation(state, [] { return core::run_experiment(full_server_spec()); });
+}
 BENCHMARK(BM_FullServerSimulation);
+
+void BM_AuditedServerSimulation(benchmark::State& state) {
+  // The same experiment on the instrumented request path: the auditor,
+  // device-occupancy counters, and a causal tracer sampling 1% of requests
+  // by hash. A fresh recorder per iteration keeps every iteration equal.
+  run_server_simulation(state, [] {
+    sim::TraceRecorder trace;
+    trace::CausalTracer tracer{&trace};
+    core::ExperimentSpec spec = full_server_spec();
+    spec.server.audit = true;
+    spec.server.trace_sampler = {.rate = 0.01, .max_sampled = UINT64_MAX};
+    spec.trace = &trace;
+    spec.tracer = &tracer;
+    return core::run_experiment(spec);
+  });
+}
+BENCHMARK(BM_AuditedServerSimulation);
 
 }  // namespace
 

@@ -13,9 +13,10 @@ namespace detail {
 
 inline void attach_counter(sim::Simulator& sim, sim::TraceRecorder& trace, sim::Resource& res,
                            std::string track) {
-  trace.counter(track, 0.0, sim.now());
-  res.set_change_observer([&sim, &trace, track](std::size_t in_use) {
-    trace.counter(track, static_cast<double>(in_use), sim.now());
+  const sim::TrackId id = trace.intern(std::move(track));
+  trace.counter(id, 0.0, sim.now());
+  res.set_change_observer([&sim, &trace, id](std::size_t in_use) {
+    trace.counter(id, static_cast<double>(in_use), sim.now());
   });
 }
 

@@ -21,14 +21,62 @@ std::string format_time(sim::Time t) {
 
 }  // namespace
 
+std::uint8_t RequestAuditor::IdHistory::get(std::uint64_t id) const noexcept {
+  const auto it = pages_.find(id >> kPageIdBits);
+  if (it == pages_.end()) return 0;
+  const std::uint64_t i = id & kPageMask;
+  return static_cast<std::uint8_t>((it->second[i / 32] >> (2 * (i % 32))) & 3u);
+}
+
+void RequestAuditor::IdHistory::set(std::uint64_t id, std::uint8_t bits) {
+  Page& page = pages_.try_emplace(id >> kPageIdBits).first->second;  // zeroed on creation
+  const std::uint64_t i = id & kPageMask;
+  const auto shift = static_cast<unsigned>(2 * (i % 32));
+  std::uint64_t& word = page[i / 32];
+  word = (word & ~(std::uint64_t{3} << shift)) | (std::uint64_t{bits} << shift);
+}
+
+RequestAuditor::Slot* RequestAuditor::live_slot(const Request& req) noexcept {
+  if (req.audit_slot >= slots_.size()) return nullptr;
+  Slot& slot = slots_[req.audit_slot];
+  return slot.owner == &req && slot.id == req.id ? &slot : nullptr;
+}
+
+std::uint32_t RequestAuditor::acquire_slot() {
+  ++live_;
+  if (free_head_ != kNoAuditSlot) {
+    const std::uint32_t index = free_head_;
+    free_head_ = slots_[index].next_free;
+    return index;
+  }
+  slots_.emplace_back();
+  return static_cast<std::uint32_t>(slots_.size() - 1);
+}
+
+void RequestAuditor::release_slot(std::uint32_t index) noexcept {
+  --live_;
+  Slot& slot = slots_[index];
+  slot.owner = nullptr;
+  slot.next_free = free_head_;
+  free_head_ = index;
+}
+
 void RequestAuditor::on_submit(Request& req) {
   ++submitted_;
-  if (done_ids_.count(req.id) != 0 || inflight_.count(req.id) != 0) {
+  const std::uint8_t seen = history_.get(req.id);
+  if (seen != 0) {
     add_violation(req.id, "duplicate-submit",
                   "request id submitted more than once (arrival " + format_time(req.arrival) + ")");
   }
-  InFlight& fl = inflight_[req.id];
-  fl.arrival = req.arrival;
+  // The same object submitted again while in flight keeps its slot, so it
+  // cannot also be reported as leaked.
+  const std::uint32_t index = live_slot(req) != nullptr ? req.audit_slot : acquire_slot();
+  Slot& slot = slots_[index];
+  slot.owner = &req;
+  slot.id = req.id;
+  slot.arrival = req.arrival;
+  slot.ctx = {};
+  slot.charges.clear();
   // Sampling fate: adopt the incoming context when the client pre-filled one
   // (retry chaining / cascade hops keep the original trace's decision so a
   // trace is never truncated mid-tree); otherwise the deterministic sampler
@@ -36,20 +84,23 @@ void RequestAuditor::on_submit(Request& req) {
   bool sampled = false;
   if (causal_ != nullptr && req.trace_ctx.valid()) {
     sampled = req.trace_ctx.sampled;
-    fl.ctx = causal_->child_of(req.trace_ctx);
+    slot.ctx = causal_->child_of(req.trace_ctx);
   } else {
     sampled = (trace_ != nullptr || causal_ != nullptr) && sampler_.sample(req.id);
-    if (causal_ != nullptr) fl.ctx = causal_->begin_trace(sampled);
+    if (causal_ != nullptr) slot.ctx = causal_->begin_trace(sampled);
   }
-  if (causal_ != nullptr) req.trace_ctx = fl.ctx;  // downstream spans attach here
-  fl.traced = sampled && trace_ != nullptr;
+  if (causal_ != nullptr) req.trace_ctx = slot.ctx;  // downstream spans attach here
+  slot.traced = sampled && trace_ != nullptr;
+  if (slot.traced) slot.track = "req." + std::to_string(req.id);
+  history_.set(req.id, static_cast<std::uint8_t>(seen | IdHistory::kInFlight));
+  req.audit_slot = index;
   req.observer = this;
 }
 
 void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time end, sim::Time dt,
                                std::string_view blame) noexcept {
-  auto it = inflight_.find(req.id);
-  if (it == inflight_.end()) {
+  Slot* slot = live_slot(req);
+  if (slot == nullptr) {
     add_violation(req.id, "charge-after-completion",
                   std::string(metrics::stage_name(s)) + " charged at " + format_time(end) +
                       " on a request no longer in flight");
@@ -61,30 +112,28 @@ void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time e
                       format_time(end));
     return;
   }
-  InFlight& fl = it->second;
   const sim::Time begin = std::max<sim::Time>(end - dt, 0);
-  if (fl.charges.size() < kMaxChargesTracked) fl.charges.push_back(Charge{s, begin, end});
-  if (fl.traced && dt > 0) {
+  if (slot->charges.size() < kMaxChargesTracked) slot->charges.push_back(Charge{s, begin, end});
+  if (slot->traced && dt > 0) {
     sim::SpanArgs args;
     if (!blame.empty()) args.emplace_back("blame", std::string(blame));
     if (causal_ != nullptr) {
-      causal_->child_span(fl.ctx, "req." + std::to_string(req.id),
-                          std::string(metrics::stage_name(s)), begin, end, std::move(args));
+      causal_->child_span(slot->ctx, slot->track, std::string(metrics::stage_name(s)), begin, end,
+                          std::move(args));
     } else {
-      trace_->span("req." + std::to_string(req.id), std::string(metrics::stage_name(s)), begin,
-                   end, std::move(args));
+      trace_->span(slot->track, std::string(metrics::stage_name(s)), begin, end,
+                   std::move(args));
     }
   }
 }
 
 void RequestAuditor::on_complete(const Request& req) {
-  auto it = inflight_.find(req.id);
-  if (it == inflight_.end()) {
-    add_violation(req.id,
-                  done_ids_.count(req.id) != 0 ? "double-completion" : "untracked-completion",
-                  done_ids_.count(req.id) != 0
-                      ? "request completed twice (done must be set exactly once)"
-                      : "completion for a request never submitted");
+  Slot* slot = live_slot(req);
+  if (slot == nullptr) {
+    const bool done = (history_.get(req.id) & IdHistory::kDone) != 0;
+    add_violation(req.id, done ? "double-completion" : "untracked-completion",
+                  done ? "request completed twice (done must be set exactly once)"
+                       : "completion for a request never submitted");
     return;
   }
   if (req.dropped) {
@@ -96,8 +145,7 @@ void RequestAuditor::on_complete(const Request& req) {
   }
   breakdown_.add(req.stages);
   last_terminal_ = std::max(last_terminal_, std::max(req.completed, req.arrival));
-  InFlight& fl = it->second;
-  if (fl.traced && causal_ != nullptr && req.completed >= req.arrival) {
+  if (slot->traced && causal_ != nullptr && req.completed >= req.arrival) {
     sim::SpanArgs args;
     if (!opts_.run_label.empty()) args.emplace_back("run", opts_.run_label);
     args.emplace_back("request_id", std::to_string(req.id));
@@ -106,12 +154,12 @@ void RequestAuditor::on_complete(const Request& req) {
                                     ? "failed-" + std::string(fail_reason_name(req.fail_reason))
                                     : std::string("ok"));
     if (req.attempt > 1) args.emplace_back("attempt", std::to_string(req.attempt));
-    causal_->record(fl.ctx, "req." + std::to_string(req.id), "request", req.arrival,
-                    req.completed, std::move(args));
+    causal_->record(slot->ctx, slot->track, "request", req.arrival, req.completed,
+                    std::move(args));
   }
-  check_request(req, fl);
-  done_ids_.insert(req.id);
-  inflight_.erase(it);
+  check_request(req, *slot);
+  history_.set(req.id, IdHistory::kDone);
+  release_slot(req.audit_slot);
 }
 
 void RequestAuditor::on_lost_handoff(const Request& req, std::string_view where) {
@@ -128,7 +176,7 @@ void RequestAuditor::on_breaker_transition(std::string_view to, sim::Time t) {
   if (trace_ != nullptr) trace_->instant("policies", "breaker -> " + std::string(to), t);
 }
 
-void RequestAuditor::check_request(const Request& req, const InFlight& fl) {
+void RequestAuditor::check_request(const Request& req, const Slot& slot) {
   // (4) Monotonicity: arrival <= enqueue_time <= completed.
   if (req.completed < req.arrival) {
     add_violation(req.id, "monotonicity",
@@ -150,20 +198,20 @@ void RequestAuditor::check_request(const Request& req, const InFlight& fl) {
   if (std::abs(delta) > tol) {
     std::ostringstream os;
     os << "sum(stages) " << sum_s << "s vs latency " << latency_s << "s (delta " << delta
-       << "s); " << drift_label(req, fl, delta);
+       << "s); " << drift_label(req, slot, delta);
     add_violation(req.id, "stage-conservation", os.str());
   }
 }
 
-std::string RequestAuditor::drift_label(const Request& req, const InFlight& fl, double delta_s) {
+std::string RequestAuditor::drift_label(const Request& req, const Slot& slot, double delta_s) {
   if (delta_s > 0) {
     // Wall-clock time nobody charged: the stage charged right after the
     // largest uncovered gap failed to account for its wait.
-    if (fl.charges.empty()) return "no stage was ever charged";
-    if (fl.charges.size() >= kMaxChargesTracked) {
+    if (slot.charges.empty()) return "no stage was ever charged";
+    if (slot.charges.size() >= kMaxChargesTracked) {
       return "drifting stage unknown (charge log capped)";
     }
-    std::vector<Charge> sorted = fl.charges;
+    std::vector<Charge> sorted = slot.charges;
     std::sort(sorted.begin(), sorted.end(),
               [](const Charge& a, const Charge& b) { return a.begin < b.begin; });
     sim::Time cursor = req.arrival;
@@ -211,16 +259,17 @@ void RequestAuditor::check_zero(std::string_view what, std::uint64_t value) {
 void RequestAuditor::finalize() {
   if (finalized_) return;
   finalized_ = true;
-  for (const auto& [id, fl] : inflight_) {
-    add_violation(id, "leaked-request",
-                  "submitted at " + format_time(fl.arrival) + " but never completed or dropped");
+  for (const Slot& slot : slots_) {
+    if (slot.owner == nullptr) continue;
+    add_violation(slot.id, "leaked-request",
+                  "submitted at " + format_time(slot.arrival) + " but never completed or dropped");
   }
   if (submitted_ != completed_ + dropped_ + failed_) {
     add_violation(0, "request-conservation",
                   "submitted " + std::to_string(submitted_) + " != completed " +
                       std::to_string(completed_) + " + dropped " + std::to_string(dropped_) +
                       " + failed " + std::to_string(failed_) + " (leaked " +
-                      std::to_string(inflight_.size()) + ")");
+                      std::to_string(live_) + ")");
   }
   // Publish the full-population per-stage means into the trace itself, so
   // tools/trace_analyze can cross-check the sampled critical paths against

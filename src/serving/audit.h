@@ -29,13 +29,21 @@
 // harness). One auditor belongs to one server; when several servers share a
 // platform, each audits only its own requests, but staging-memory hygiene
 // is meaningful only if the sharing servers drain together.
+//
+// Cost: O(1) per hook and no steady-state heap allocation. In-flight state
+// lives in a pooled slot table: the request carries its slot index
+// (`Request::audit_slot`), a completed request's slot goes on a free list
+// and is reused with its buffers' capacity intact. The id history behind
+// the duplicate-submit / double-completion checks is 2 bits per id (in
+// flight, done) in lazily allocated pages. Memory is therefore O(max
+// in-flight) plus 2 bits per id issued.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "metrics/breakdown.h"
@@ -133,7 +141,10 @@ class RequestAuditor final : public ChargeObserver {
   [[nodiscard]] std::uint64_t completed() const noexcept { return completed_; }
   [[nodiscard]] std::uint64_t dropped() const noexcept { return dropped_; }
   [[nodiscard]] std::uint64_t failed() const noexcept { return failed_; }
-  [[nodiscard]] std::uint64_t in_flight() const noexcept { return inflight_.size(); }
+  [[nodiscard]] std::uint64_t in_flight() const noexcept { return live_; }
+  /// Slots ever allocated: the peak number of requests simultaneously in
+  /// flight, since a slot is only added when every existing one is live.
+  [[nodiscard]] std::size_t slot_count() const noexcept { return slots_.size(); }
 
   [[nodiscard]] bool clean() const noexcept { return violation_count_ == 0; }
   [[nodiscard]] std::uint64_t violation_count() const noexcept { return violation_count_; }
@@ -160,21 +171,50 @@ class RequestAuditor final : public ChargeObserver {
     sim::Time begin;
     sim::Time end;
   };
-  struct InFlight {
+  /// Audit state of one in-flight request. `owner == nullptr` marks a free
+  /// slot; `owner` is compared, never dereferenced, so a request destroyed
+  /// while in flight is still reported as leaked.
+  struct Slot {
+    const Request* owner = nullptr;
+    std::uint64_t id = 0;
     sim::Time arrival = 0;
     bool traced = false;
     trace::SpanContext ctx{};  ///< causal identity (zero without a tracer)
+    std::string track;         ///< "req.<id>", built once for traced requests
     std::vector<Charge> charges;
+    std::uint32_t next_free = kNoAuditSlot;
   };
 
+  /// Two bits per request id, in pages allocated on first touch.
+  class IdHistory {
+   public:
+    static constexpr std::uint8_t kInFlight = 1;
+    static constexpr std::uint8_t kDone = 2;
+
+    [[nodiscard]] std::uint8_t get(std::uint64_t id) const noexcept;
+    void set(std::uint64_t id, std::uint8_t bits);
+
+   private:
+    static constexpr unsigned kPageIdBits = 15;  ///< 32768 ids = 8 KiB per page
+    static constexpr std::uint64_t kPageMask = (std::uint64_t{1} << kPageIdBits) - 1;
+    using Page = std::array<std::uint64_t, (std::size_t{1} << kPageIdBits) / 32>;
+    std::unordered_map<std::uint64_t, Page> pages_;
+  };
+
+  /// The live slot `req` owns in this auditor, or nullptr when it has none
+  /// (never submitted here, already completed, or the slot was reused).
+  [[nodiscard]] Slot* live_slot(const Request& req) noexcept;
+  [[nodiscard]] std::uint32_t acquire_slot();
+  void release_slot(std::uint32_t index) noexcept;
+
   void add_violation(std::uint64_t id, std::string check, std::string detail);
-  void check_request(const Request& req, const InFlight& fl);
+  void check_request(const Request& req, const Slot& slot);
 
   /// Names the stage most likely responsible for a conservation mismatch:
   /// leaked time (sum < latency) points at the charge following the largest
   /// uncovered gap; double-charged time points at the largest overlap. The
   /// label is diagnostic only — the mismatch itself is computed exactly.
-  [[nodiscard]] static std::string drift_label(const Request& req, const InFlight& fl,
+  [[nodiscard]] static std::string drift_label(const Request& req, const Slot& slot,
                                                double delta_s);
 
   Options opts_;
@@ -188,8 +228,10 @@ class RequestAuditor final : public ChargeObserver {
   std::uint64_t dropped_ = 0;
   std::uint64_t failed_ = 0;
   bool finalized_ = false;
-  std::unordered_map<std::uint64_t, InFlight> inflight_;
-  std::unordered_set<std::uint64_t> done_ids_;
+  std::vector<Slot> slots_;
+  std::uint32_t free_head_ = kNoAuditSlot;
+  std::uint64_t live_ = 0;
+  IdHistory history_;
   std::vector<Violation> violations_;
   std::uint64_t violation_count_ = 0;
 };

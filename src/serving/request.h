@@ -17,6 +17,9 @@ namespace serve::serving {
 
 struct Request;
 
+/// `Request::audit_slot` value of a request no auditor has registered.
+inline constexpr std::uint32_t kNoAuditSlot = UINT32_MAX;
+
 /// Why a request finished with `failed = true`.
 enum class FailReason : std::uint8_t {
   kNone,           ///< not failed
@@ -70,6 +73,9 @@ struct Request {
   RequestIngress ingress = RequestIngress::kServerDefault;
   /// Which ingress-cache level satisfied this request (kNone = miss/bypass).
   CacheLevel cache_hit = CacheLevel::kNone;
+  /// Slot index of the auditor tracking this request (see RequestAuditor).
+  /// Declared here to fill padding, so the field does not grow Request.
+  std::uint32_t audit_slot = kNoAuditSlot;
   sim::Time arrival;
   sim::Time completed = -1;
   metrics::StageTimes stages{};

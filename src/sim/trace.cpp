@@ -19,9 +19,16 @@ void TraceRecorder::span(std::string track, std::string name, Time begin, Time e
   spans_.push_back(Span{std::move(track), std::move(name), begin, end, std::move(args)});
 }
 
-void TraceRecorder::counter(std::string track, double value, Time t) {
+TrackId TraceRecorder::intern(std::string track) {
+  const auto next = static_cast<TrackId>(track_names_.size());
+  const auto [it, inserted] = track_ids_.try_emplace(track, next);
+  if (inserted) track_names_.push_back(std::move(track));
+  return it->second;
+}
+
+void TraceRecorder::counter(TrackId track, double value, Time t) {
   if (!admit()) return;
-  counters_.push_back(CounterSample{std::move(track), value, t});
+  counters_.push_back(CounterSample{track, value, t});
 }
 
 void TraceRecorder::instant(std::string track, std::string name, Time t) {
@@ -113,8 +120,9 @@ void TraceRecorder::write_chrome_json(std::ostream& os) const {
   }
   for (const auto& c : counters_) {
     sep();
-    os << R"({"ph":"C","pid":1,"tid":)" << tid_of(c.track) << ",\"name\":";
-    write_escaped(os, c.track);
+    const std::string& track = track_names_[static_cast<std::size_t>(c.track)];
+    os << R"({"ph":"C","pid":1,"tid":)" << tid_of(track) << ",\"name\":";
+    write_escaped(os, track);
     os << ",\"ts\":";
     write_number(os, to_microseconds(c.t));
     os << ",\"args\":{\"value\":";

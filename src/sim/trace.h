@@ -8,6 +8,11 @@
 //  - instants: zero-duration markers ("fault pcie_degrade begin", "breaker
 //    open") that line state transitions up against the per-request spans.
 //
+// Counter track names are interned: a sample stores a 32-bit TrackId, not
+// a copy of its name, so a device counter costs 24 bytes per sample. Hot
+// producers (hw::attach_tracer) intern once and record by id; the by-name
+// overload interns on every call. Ids stay valid across clear().
+//
 // Memory is bounded: past `max_events` (spans + counters + instants
 // combined) new events are dropped and counted in `dropped_events()`, so a
 // long recorded run cannot grow the trace without bound. The drop decision
@@ -21,6 +26,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -32,6 +38,9 @@ namespace serve::sim {
 /// the Chrome trace event's "args" object (all values as JSON strings).
 using SpanArgs = std::vector<std::pair<std::string, std::string>>;
 
+/// Interned counter track name (see TraceRecorder::intern).
+enum class TrackId : std::uint32_t {};
+
 class TraceRecorder {
  public:
   /// Default event cap: ~a few hundred MB of JSON worst case, far above any
@@ -42,8 +51,14 @@ class TraceRecorder {
   void span(std::string track, std::string name, Time begin, Time end);
   void span(std::string track, std::string name, Time begin, Time end, SpanArgs args);
 
+  /// Returns the id naming counter track `track`, adding it on first use.
+  [[nodiscard]] TrackId intern(std::string track);
+
   /// Records a counter sample (step function between samples).
-  void counter(std::string track, double value, Time t);
+  void counter(TrackId track, double value, Time t);
+  void counter(std::string track, double value, Time t) {
+    counter(intern(std::move(track)), value, t);
+  }
 
   /// Records an instantaneous marker at time `t` on `track`.
   void instant(std::string track, std::string name, Time t);
@@ -66,6 +81,7 @@ class TraceRecorder {
     return spans_.size() + counters_.size() + instants_.size();
   }
 
+  /// Drops every recorded event; interned track ids stay valid.
   void clear() noexcept {
     spans_.clear();
     counters_.clear();
@@ -88,7 +104,7 @@ class TraceRecorder {
     SpanArgs args;
   };
   struct CounterSample {
-    std::string track;
+    TrackId track;
     double value;
     Time t;
   };
@@ -112,6 +128,8 @@ class TraceRecorder {
   std::vector<Span> spans_;
   std::vector<CounterSample> counters_;
   std::vector<Instant> instants_;
+  std::vector<std::string> track_names_;  ///< indexed by TrackId
+  std::unordered_map<std::string, TrackId> track_ids_;
 };
 
 }  // namespace serve::sim

@@ -26,6 +26,12 @@ bool has_check(const RequestAuditor& a, const std::string& check) {
                      [&](const RequestAuditor::Violation& v) { return v.check == check; });
 }
 
+std::string report_text(const RequestAuditor& a) {
+  std::string out;
+  for (const auto& line : a.report()) out += line + "\n";
+  return out;
+}
+
 // --- end-to-end: healthy servers audit clean ---------------------------------
 
 class AuditPreprocGrid : public ::testing::TestWithParam<serving::PreprocDevice> {};
@@ -103,6 +109,35 @@ TEST(AuditEndToEnd, ChargeAfterCompletionIsFlagged) {
   EXPECT_FALSE(server.auditor()->clean());
   EXPECT_TRUE(has_check(*server.auditor(), "charge-after-completion"));
   server.shutdown();
+}
+
+TEST(AuditEndToEnd, SlotTableIsBoundedByPeakInFlight) {
+  // 100k audited requests through 64 closed-loop clients: completed slots
+  // are reused, so the table never grows past the 64 requests in flight.
+  constexpr int kClients = 64;
+  sim::Simulator sim;
+  hw::Platform platform{sim, {}};
+  serving::ServerConfig cfg;
+  cfg.model = models::tiny_vit();
+  cfg.audit = true;
+  serving::InferenceServer server{platform, cfg};
+  serving::ClosedLoopClients clients{
+      server, {.concurrency = kClients, .image_source = serving::fixed_image(hw::kSmallImage)}};
+  clients.start();
+  const auto& audit = *server.auditor();
+  while (audit.submitted() < 100'000) {
+    sim.run_until(sim.now() + sim::seconds(1.0));
+    ASSERT_LE(audit.slot_count(), static_cast<std::size_t>(kClients));
+  }
+  clients.stop();
+  sim.run();
+  server.shutdown();
+
+  for (const auto& line : audit.report()) ADD_FAILURE() << "audit: " << line;
+  EXPECT_TRUE(audit.clean());
+  EXPECT_EQ(audit.in_flight(), 0u);
+  EXPECT_LE(audit.slot_count(), static_cast<std::size_t>(kClients));
+  EXPECT_GT(audit.slot_count(), 0u);
 }
 
 TEST(AuditEndToEnd, AuditOffMeansNoAuditor) {
@@ -227,6 +262,112 @@ TEST(RequestAuditor, ReportCapsStoredViolationsButCountsAll) {
   const auto lines = audit.report();
   ASSERT_EQ(lines.size(), 3u);
   EXPECT_NE(lines.back().find("3 more"), std::string::npos);
+}
+
+// --- slot reuse: a freed slot must never alias its previous owner ----------
+
+TEST(RequestAuditor, DuplicateIdFromDistinctRequestWhileInFlight) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request first{sim, 12, hw::kMediumImage};
+  serving::Request second{sim, 12, hw::kMediumImage};
+  audit.on_submit(first);
+  audit.on_submit(second);
+  EXPECT_TRUE(has_check(audit, "duplicate-submit"));
+  EXPECT_EQ(audit.in_flight(), 2u);  // each object keeps its own slot
+  first.completed = 0;
+  second.completed = 0;
+  audit.on_complete(first);
+  audit.on_complete(second);
+  audit.finalize();
+  EXPECT_EQ(audit.violation_count(), 1u) << report_text(audit);
+  EXPECT_EQ(audit.completed(), 2u);
+}
+
+TEST(RequestAuditor, DuplicateIdFromDistinctRequestAfterCompletion) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request first{sim, 12, hw::kMediumImage};
+  audit.on_submit(first);
+  first.completed = 0;
+  audit.on_complete(first);
+  ASSERT_TRUE(audit.clean());
+  serving::Request second{sim, 12, hw::kMediumImage};
+  audit.on_submit(second);
+  EXPECT_TRUE(has_check(audit, "duplicate-submit"));
+  second.completed = 0;
+  audit.on_complete(second);
+  audit.finalize();
+  EXPECT_EQ(audit.violation_count(), 1u) << report_text(audit);
+  EXPECT_EQ(audit.in_flight(), 0u);
+}
+
+TEST(RequestAuditor, DetectsUntrackedCompletion) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request stray{sim, 13, hw::kMediumImage};
+  stray.completed = 0;
+  audit.on_complete(stray);
+  EXPECT_TRUE(has_check(audit, "untracked-completion"));
+  EXPECT_EQ(audit.completed(), 0u);
+
+  // A never-submitted object sharing an in-flight request's id does not
+  // complete that request on its behalf.
+  RequestAuditor audit2;
+  serving::Request tracked{sim, 14, hw::kMediumImage};
+  serving::Request impostor{sim, 14, hw::kMediumImage};
+  audit2.on_submit(tracked);
+  impostor.completed = 0;
+  audit2.on_complete(impostor);
+  EXPECT_TRUE(has_check(audit2, "untracked-completion"));
+  EXPECT_EQ(audit2.in_flight(), 1u);
+  EXPECT_EQ(audit2.completed(), 0u);
+}
+
+TEST(RequestAuditor, DoubleCompletionAndLateChargeAfterSlotReuse) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request first{sim, 20, hw::kMediumImage};
+  audit.on_submit(first);
+  first.completed = 0;
+  audit.on_complete(first);
+  serving::Request later{sim, 21, hw::kMediumImage};
+  audit.on_submit(later);
+  ASSERT_EQ(later.audit_slot, first.audit_slot);  // the freed slot was reused
+  EXPECT_EQ(audit.slot_count(), 1u);
+
+  audit.on_complete(first);  // done set twice: must not complete `later`
+  EXPECT_TRUE(has_check(audit, "double-completion"));
+  first.charge(Stage::kPostprocess, 0);  // and must not charge `later`
+  EXPECT_TRUE(has_check(audit, "charge-after-completion"));
+  EXPECT_EQ(audit.in_flight(), 1u);
+  EXPECT_EQ(audit.completed(), 1u);
+
+  later.charge(Stage::kInference, sim::seconds(0.5));
+  later.completed = sim::seconds(0.5);
+  audit.on_complete(later);
+  audit.finalize();
+  EXPECT_EQ(audit.violation_count(), 2u);
+  EXPECT_EQ(audit.completed(), 2u);
+  EXPECT_FALSE(has_check(audit, "stage-conservation"));
+}
+
+TEST(RequestAuditor, ResubmittingTheSameRequestReusesItsSlot) {
+  sim::Simulator sim;
+  RequestAuditor audit;
+  serving::Request req{sim, 30, hw::kMediumImage};
+  audit.on_submit(req);
+  const auto slot = req.audit_slot;
+  audit.on_submit(req);
+  EXPECT_TRUE(has_check(audit, "duplicate-submit"));
+  EXPECT_EQ(req.audit_slot, slot);
+  EXPECT_EQ(audit.slot_count(), 1u);
+  EXPECT_EQ(audit.in_flight(), 1u);
+  req.completed = 0;
+  audit.on_complete(req);
+  audit.finalize();
+  EXPECT_FALSE(has_check(audit, "leaked-request"));
+  EXPECT_TRUE(has_check(audit, "request-conservation"));  // two submits, one completion
 }
 
 TEST(RequestAuditor, FinalizeIsIdempotent) {

@@ -20,6 +20,7 @@
 #include "core/face_pipeline.h"
 #include "core/video_pipeline.h"
 #include "hw/image_spec.h"
+#include "hw/tracing.h"
 #include "metrics/breakdown.h"
 #include "serving/audit.h"
 #include "serving/request.h"
@@ -121,6 +122,93 @@ TEST(TraceRecorder, EventCapDropsAndCounts) {
   EXPECT_EQ(rec.dropped_events(), 0u);
   rec.span("t", "after-clear", 0, 1);
   EXPECT_EQ(rec.span_count(), 1u);
+}
+
+// --- TraceRecorder: interned counter tracks ----------------------------------
+
+TEST(TraceRecorder, CountersByNameAndByIdExportTheSameJson) {
+  const std::string golden =
+      "{\"traceEvents\":[\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"batch x2\",\"ts\":0,\"dur\":2},\n"
+      "{\"ph\":\"C\",\"pid\":1,\"tid\":2,\"name\":\"cpu.cores\",\"ts\":0,"
+      "\"args\":{\"value\":0}},\n"
+      "{\"ph\":\"C\",\"pid\":1,\"tid\":1,\"name\":\"gpu0.compute\",\"ts\":1,"
+      "\"args\":{\"value\":1}},\n"
+      "{\"ph\":\"C\",\"pid\":1,\"tid\":2,\"name\":\"cpu.cores\",\"ts\":1.5,"
+      "\"args\":{\"value\":2.5}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":3,\"name\":\"breaker -> open\",\"ts\":1.75,\"s\":\"t\"},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":2,\"name\":\"thread_name\",\"args\":{\"name\":\"cpu.cores\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"gpu0.compute\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":3,\"name\":\"thread_name\",\"args\":{\"name\":\"policies\"}}\n"
+      "]}\n";
+
+  sim::TraceRecorder by_name;
+  by_name.span("gpu0.compute", "batch x2", 0, 2000);
+  by_name.counter("cpu.cores", 0.0, 0);
+  by_name.counter("gpu0.compute", 1.0, 1000);
+  by_name.counter("cpu.cores", 2.5, 1500);
+  by_name.instant("policies", "breaker -> open", 1750);
+  EXPECT_EQ(to_json(by_name), golden);
+
+  // Intern order differs from first-use order, and one interned track is
+  // never sampled: tids still follow first appearance in the event stream.
+  sim::TraceRecorder by_id;
+  (void)by_id.intern("never.sampled");
+  const sim::TrackId gpu = by_id.intern("gpu0.compute");
+  const sim::TrackId cores = by_id.intern("cpu.cores");
+  EXPECT_EQ(by_id.intern("cpu.cores"), cores);
+  by_id.span("gpu0.compute", "batch x2", 0, 2000);
+  by_id.counter(cores, 0.0, 0);
+  by_id.counter(gpu, 1.0, 1000);
+  by_id.counter(cores, 2.5, 1500);
+  by_id.instant("policies", "breaker -> open", 1750);
+  EXPECT_EQ(to_json(by_id), golden);
+}
+
+TEST(TraceRecorder, AttachedDeviceCountersSurviveClear) {
+  sim::Simulator sim;
+  hw::Platform platform{sim, {}};
+  sim::TraceRecorder rec;
+  hw::attach_tracer(platform, rec);
+  ASSERT_GT(rec.counter_count(), 0u);
+  rec.clear();
+  {
+    auto token = platform.host_link().try_acquire();
+    ASSERT_TRUE(token.holds());
+  }
+  ASSERT_EQ(rec.counter_count(), 2u);  // acquire + release
+  const jsonmini::Value doc = parse_json(to_json(rec));
+  std::map<double, std::string> thread_names;
+  std::vector<const jsonmini::Value*> samples;
+  for (const jsonmini::Value& e : doc.find("traceEvents")->array) {
+    if (e.str_or("ph", "") == "M") {
+      thread_names[e.num_or("tid", 0)] = e.find("args")->str_or("name", "");
+    } else if (e.str_or("ph", "") == "C") {
+      samples.push_back(&e);
+    }
+  }
+  ASSERT_EQ(samples.size(), 2u);
+  for (const jsonmini::Value* e : samples) {
+    EXPECT_EQ(e->str_or("name", ""), "pcie.host");
+    EXPECT_EQ(thread_names[e->num_or("tid", 0)], "pcie.host");
+  }
+  EXPECT_EQ(samples[0]->find("args")->num_or("value", -1), 1.0);
+  EXPECT_EQ(samples[1]->find("args")->num_or("value", -1), 0.0);
+}
+
+TEST(TraceRecorder, CounterSamplesAreAdmittedOncePerCall) {
+  sim::TraceRecorder rec;
+  rec.set_max_events(2);
+  const sim::TrackId c = rec.intern("c");
+  rec.counter("c", 0.0, 0);
+  rec.counter(c, 1.0, 1);
+  rec.counter("c", 2.0, 2);  // over the cap
+  rec.counter(c, 3.0, 3);    // over the cap
+  rec.counter("d", 4.0, 4);  // over the cap
+  EXPECT_EQ(rec.event_count(), 2u);
+  EXPECT_EQ(rec.counter_count(), 2u);
+  EXPECT_EQ(rec.dropped_events(), 3u);
 }
 
 // --- tools/json_mini: hostile input ------------------------------------------

@@ -9,6 +9,10 @@
 // path), not a few percent of jitter. Benchmarks present on only one side
 // are warned about but never fail the check.
 //
+// Counters named `*allocs_per_req` are hard ceilings instead: allocation
+// counts do not jitter, so a benchmark fails when one exceeds its baseline
+// by more than kAllocSlack, whatever the tolerance.
+//
 // The parser below handles exactly the subset of JSON that google-benchmark
 // emits (objects/arrays/strings/numbers/bools, no escapes beyond \" \\ \/
 // \n \t), which keeps this tool dependency-free.
@@ -25,9 +29,14 @@
 
 namespace {
 
+/// Absolute slack on `*allocs_per_req` ceilings (covers float rounding of
+/// per-request averages, not real extra allocations).
+constexpr double kAllocSlack = 0.01;
+
 struct Bench {
   double real_time = 0.0;
   std::string time_unit = "ns";
+  std::map<std::string, double> alloc_ceilings;  ///< `*allocs_per_req` counters
 };
 
 double unit_to_ns(const std::string& unit) {
@@ -40,7 +49,7 @@ double unit_to_ns(const std::string& unit) {
 
 /// Minimal recursive-descent scanner over the benchmark JSON. We only need
 /// the objects inside the top-level "benchmarks" array, and within each the
-/// "name", "real_time", and "time_unit" fields.
+/// "name", "real_time", "time_unit" and `*allocs_per_req` fields.
 class Scanner {
  public:
   explicit Scanner(std::string text) : text_(std::move(text)) {}
@@ -143,6 +152,8 @@ class Scanner {
         have_time = true;
       } else if (*key == "time_unit") {
         b.time_unit = value;
+      } else if (key->ends_with("allocs_per_req")) {
+        b.alloc_ceilings[*key] = std::strtod(value.c_str(), nullptr);
       }
     }
     if (name.empty() || !have_time) return std::nullopt;
@@ -276,6 +287,19 @@ int main(int argc, char** argv) {
                   name.c_str(), "-", "-", "-");
       continue;
     }
+    for (const auto& [counter, ceiling] : base.alloc_ceilings) {
+      const std::string row = name + "/" + counter;
+      const auto cur = it->second.alloc_ceilings.find(counter);
+      if (cur == it->second.alloc_ceilings.end()) {
+        std::printf("%-44s %12s %12s %8s  WARN: missing from current run\n", row.c_str(), "-",
+                    "-", "-");
+        continue;
+      }
+      const bool bad = cur->second > ceiling + kAllocSlack;
+      std::printf("%-44s %12.4f %12.4f %8s%s\n", row.c_str(), ceiling, cur->second, "ceiling",
+                  bad ? "  REGRESSION" : "");
+      if (bad) ++regressions;
+    }
     const double base_ns = base.real_time * unit_to_ns(base.time_unit);
     const double cur_ns = it->second.real_time * unit_to_ns(it->second.time_unit);
     if (base_ns <= 0.0) continue;
@@ -293,7 +317,9 @@ int main(int argc, char** argv) {
     }
   }
   if (regressions > 0) {
-    std::fprintf(stderr, "bench_check: %d benchmark(s) regressed by more than %.0f%%\n",
+    std::fprintf(stderr,
+                 "bench_check: %d regression(s): real_time over the %.0f%% tolerance or an "
+                 "allocs_per_req counter over its ceiling\n",
                  regressions, tolerance * 100.0);
     return 1;
   }
