@@ -182,8 +182,13 @@ class Reporter {
       return false;
     }
     fn(out);
+    out.flush();  // buffered bytes can still fail (e.g. a full disk)
+    if (!out) {
+      std::fprintf(stderr, "error: cannot write telemetry output %s\n", path.c_str());
+      return false;
+    }
     std::fprintf(stderr, "# telemetry: wrote %s\n", path.c_str());
-    return out.good();
+    return true;
   }
 
   metrics::TelemetryExport export_;

@@ -274,10 +274,12 @@ bool finish_harness(const HarnessOptions& opts, const sim::TraceRecorder& trace,
   bool trace_ok = true;
   if (opts.tracing()) {
     std::ofstream out{opts.trace_out};
+    if (out) trace.write_chrome_json(out);
+    out.flush();  // the last buffered bytes can still fail (e.g. a full disk)
     if (out) {
-      trace.write_chrome_json(out);
       std::cerr << "# trace: " << opts.trace_out << " (" << trace.span_count() << " spans, "
-                << trace.counter_count() << " counter samples";
+                << trace.counter_count() << " counter samples, " << trace.memory_bytes() / 1024
+                << " KiB held";
       if (trace.dropped_events() > 0) {
         std::cerr << ", " << trace.dropped_events() << " events dropped at the "
                   << trace.max_events() << "-event cap";
@@ -285,7 +287,7 @@ bool finish_harness(const HarnessOptions& opts, const sim::TraceRecorder& trace,
       std::cerr << ")\n";
     } else {
       // The sweep already ran; losing the trace should not look like a crash.
-      std::cerr << "error: cannot open trace output " << opts.trace_out << '\n';
+      std::cerr << "error: cannot write trace output " << opts.trace_out << '\n';
       trace_ok = false;
     }
   }

@@ -123,6 +123,42 @@ TEST(GpuMemoryStager, Errors) {
   EXPECT_THROW(stager.stage(-1), std::invalid_argument);
 }
 
+TEST(GpuMemoryStager, StaleHandleThrowsAfterItsSlotIsReused) {
+  hw::GpuMemoryStager stager{1000};
+  const auto a = stager.stage(300);
+  EXPECT_EQ(stager.claim(a), 0);
+  const auto b = stager.stage(500);  // takes a's freed slot
+  EXPECT_NE(a, b);
+  EXPECT_NE(b, 0u);
+  EXPECT_THROW(stager.claim(a), std::logic_error);
+  EXPECT_THROW(stager.release(a), std::logic_error);
+  // The failed calls left the live buffer untouched.
+  EXPECT_EQ(stager.staged_count(), 1u);
+  EXPECT_EQ(stager.resident_bytes(), 500);
+  stager.release(b);
+  EXPECT_THROW(stager.release(b), std::logic_error);  // double release
+  EXPECT_EQ(stager.staged_count(), 0u);
+  EXPECT_EQ(stager.resident_bytes(), 0);
+}
+
+TEST(GpuMemoryStager, EvictionOrderFollowsStagingOrderAcrossSlotReuse) {
+  hw::GpuMemoryStager stager{300};
+  const auto a = stager.stage(100);
+  const auto b = stager.stage(100);
+  const auto c = stager.stage(100);
+  stager.release(b);                 // frees a middle LRU entry
+  const auto d = stager.stage(100);  // reuses b's slot, newest in LRU order
+  const auto e = stager.stage(100);  // evicts a (oldest), not d
+  EXPECT_EQ(stager.evictions(), 1u);
+  EXPECT_EQ(stager.claim(a), 100);
+  stager.set_budget(100);  // evicts c then d; e survives
+  EXPECT_EQ(stager.evictions(), 3u);
+  EXPECT_EQ(stager.claim(d), 100);
+  EXPECT_EQ(stager.claim(c), 100);
+  EXPECT_EQ(stager.claim(e), 0);
+  EXPECT_EQ(stager.reloaded_bytes(), 300);
+}
+
 TEST(Platform, ConstructionAndAccessors) {
   sim::Simulator sim;
   hw::Platform p{sim, {.gpu_count = 3}};
