@@ -139,7 +139,7 @@ std::unique_ptr<RunBundle> run(const std::string& label, const models::ModelDesc
   spec.registry = &b->registry;
   spec.recorder = &b->recorder;
   spec.alerts = &b->alerts;
-  g_harness.apply(spec, b->trace);
+  g_harness.apply(spec.server, spec, b->trace);
 
   b->r = core::run_open_loop(spec, workload::poisson_arrivals(rate));
   g_violations += core::report_audit(b->r, label);

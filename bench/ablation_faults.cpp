@@ -45,7 +45,7 @@ std::uint64_t g_violations = 0;
 
 Row run(const std::string& label, ExperimentSpec spec, double rate) {
   spec.server.audit = true;  // conservation is checked in every scenario
-  if (g_harness.tracing()) spec.trace = &g_trace;
+  g_harness.apply(spec.server, spec, g_trace);
   Row row{core::run_open_loop(spec, workload::poisson_arrivals(rate))};
   g_violations += core::report_audit(row.r, label);
   return row;

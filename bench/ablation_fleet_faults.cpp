@@ -62,17 +62,9 @@ FleetSpec base_spec() {
 }
 
 core::FleetResult run(const std::string& label, FleetSpec spec) {
-  if (g_harness.tracing()) {
-    spec.trace = &g_trace;
-    spec.tracer = &g_tracer;
-  }
+  g_harness.apply(spec.server, spec, g_trace, &g_tracer);
   auto r = core::run_fleet(spec);
-  if (r.audit_violations > 0) {
-    std::fprintf(stderr, "AUDIT [%s]: %llu violation(s)\n", label.c_str(),
-                 static_cast<unsigned long long>(r.audit_violations));
-    for (const auto& line : r.audit_report) std::fprintf(stderr, "  %s\n", line.c_str());
-  }
-  g_violations += r.audit_violations;
+  g_violations += core::report_audit(r, label);
   if (!r.conserved()) {
     std::fprintf(stderr, "CONSERVATION [%s]: issued=%llu completed=%llu failed=%llu\n",
                  label.c_str(), static_cast<unsigned long long>(r.issued),
@@ -88,7 +80,6 @@ core::FleetResult run(const std::string& label, FleetSpec spec) {
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation", "Fleet failure domains: crash / gray / partition (audited)");
   if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
-  g_tracer.set_recorder(&g_trace);
 
   metrics::Table table({"scenario", "goodput_img_s", "p99_ms", "failed", "ejections", "hedges",
                         "node0_dispatch_share"});

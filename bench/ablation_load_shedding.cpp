@@ -34,7 +34,7 @@ Point run(sim::Time deadline, double rate) {
   spec.warmup = sim::seconds(3.0);
   spec.measure = sim::seconds(12.0);
   spec.seed = 11;
-  g_harness.apply(spec, g_trace);
+  g_harness.apply(spec.server, spec, g_trace);
   const core::ExperimentResult r = core::run_open_loop(spec, workload::poisson_arrivals(rate));
   g_violations += core::report_audit(r, "shed_deadline_ns=" + std::to_string(deadline));
   // Fraction of finished (completed or shed) requests that were shed.

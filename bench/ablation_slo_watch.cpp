@@ -127,6 +127,7 @@ std::unique_ptr<RunBundle> run(const std::string& label, const sim::FaultPlan* f
   spec.alerts = &b->alerts;
   spec.trace = &b->trace;
   spec.tracer = &b->tracer;
+  if (g_harness.trace_max_events > 0) b->trace.set_max_events(g_harness.trace_max_events);
 
   b->r = core::run_open_loop(spec, workload::poisson_arrivals(kRate));
   g_violations += core::report_audit(b->r, label);

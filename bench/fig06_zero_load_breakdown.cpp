@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
     spec.server.trace_run_label = label;
     spec.image = row.image;
     spec.warmup = sim::seconds(0.5);
-    harness.apply(spec, trace, &tracer);
+    harness.apply(spec.server, spec, trace, &tracer);
     const auto r = core::run_zero_load(spec);
     violations += core::report_audit(r, label);
     const double pre = r.stage_share(Stage::kPreprocess);

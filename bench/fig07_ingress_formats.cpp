@@ -120,11 +120,8 @@ int main(int argc, char** argv) {
     // Tracing every run would overlay a dozen experiments on one virtual
     // timeline; capture spans (with the ingress-cache-hit blame) only for
     // the hottest cache row.
-    if (trace_row) {
-      harness.apply(spec, trace, &tracer);
-    } else if (harness.auditing()) {
-      spec.server.audit = true;
-    }
+    if (harness.auditing()) spec.server.audit = true;
+    if (trace_row) harness.apply(spec.server, spec, trace, &tracer);
     const auto r = core::run_experiment(spec);
     violations += core::report_audit(r, "cache/skew=" + fmt1(skew) + "/mb=" +
                                             std::to_string(budget_mb) +

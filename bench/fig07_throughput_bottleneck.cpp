@@ -52,11 +52,8 @@ int main(int argc, char** argv) {
         spec.measure = sim::seconds(6.0);
         // Tracing every run would overlay 27 experiments on one virtual
         // timeline; restrict span capture to the ViT-Base rows.
-        if (model == &models::vit_base()) {
-          harness.apply(spec, trace);
-        } else if (harness.auditing()) {
-          spec.server.audit = true;
-        }
+        if (harness.auditing()) spec.server.audit = true;
+        if (model == &models::vit_base()) harness.apply(spec.server, spec, trace);
         const auto r = core::run_experiment(spec);
         violations += core::report_audit(
             r, std::string(model->name) + "/" + size_name + "/mode" + std::to_string(i));

@@ -34,80 +34,37 @@ std::uint64_t total_evictions(hw::Platform& platform) {
   return n;
 }
 
-/// Per-request spans come from the auditor; stream them into spec.trace
-/// alongside the device counters attach_tracer already records. With a
-/// causal tracer the auditor also originates SpanContexts and the recorder's
-/// memory-bound accounting is surfaced through the telemetry registry.
-void wire_audit_trace(const ExperimentSpec& spec, serving::InferenceServer& server) {
-  if (spec.trace != nullptr && server.auditor() != nullptr) {
-    server.auditor()->set_trace(spec.trace);
-    if (spec.tracer != nullptr) server.auditor()->set_causal_tracer(spec.tracer);
-  }
-  if (spec.trace != nullptr && spec.registry != nullptr) {
-    sim::TraceRecorder* rec = spec.trace;
-    spec.registry->counter_fn("trace_events_recorded_total", {},
-                              [rec] { return static_cast<double>(rec->event_count()); });
-    spec.registry->counter_fn("trace_events_dropped_total", {},
-                              [rec] { return static_cast<double>(rec->dropped_events()); });
-  }
-  if (spec.alerts != nullptr) {
-    if (spec.trace != nullptr) spec.alerts->set_trace(spec.trace);
-    // Triggered capture only makes sense when requests are being sampled at
-    // all: the auditor owns the sampler that originates SpanContexts.
-    if (server.auditor() != nullptr && spec.tracer != nullptr) {
-      spec.alerts->set_triggered_sampler(&server.auditor()->sampler());
+/// Staging-budget shrink transitions: a GPU-memory-shrink window scales the
+/// targeted GPUs' staging budgets and the ingress cache's byte budgets.
+void schedule_memory_shrinks(const sim::FaultPlan& faults, sim::Simulator& sim,
+                             hw::Platform& platform, serving::InferenceServer& server) {
+  faults.schedule_transitions(sim, [&platform, &server](const sim::FaultWindow& w, bool begin) {
+    if (w.kind != sim::FaultKind::kGpuMemoryShrink) return;
+    for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
+      if (w.target != sim::FaultWindow::kAllTargets && static_cast<int>(g) != w.target) {
+        continue;
+      }
+      auto& gpu = platform.gpu(g);
+      const std::int64_t full = gpu.calib().staging_budget_bytes;
+      const auto shrunk = std::max<std::int64_t>(
+          1, static_cast<std::int64_t>(static_cast<double>(full) * w.magnitude));
+      gpu.stager().set_budget(begin ? shrunk : full);
     }
-  }
+    // Host memory pressure hits the ingress cache too: the same shrink
+    // window scales its byte budgets, evicting LRU entries immediately.
+    if (auto* cache = server.ingress_cache()) {
+      cache->set_budget_scale(begin ? w.magnitude : 1.0);
+    }
+  });
 }
 
-/// Fault-injection wiring owned by the runner: the optional result broker
-/// (shares the fault plan so outages hit it), staging-budget shrink
-/// transitions, and fault-window spans on the trace.
-struct FaultHarness {
-  std::optional<broker::SimBroker<std::uint64_t>> result_broker;
-
-  void install(const ExperimentSpec& spec, sim::Simulator& sim, hw::Platform& platform,
-               serving::InferenceServer& server) {
-    if (spec.server.broker_publish.publish_results) {
-      result_broker.emplace(sim, broker::redis_profile(spec.calib.broker), spec.faults,
-                            spec.registry);
-      server.set_result_broker(&*result_broker);
-    }
-    if (spec.faults == nullptr || spec.faults->empty()) return;
-    if (spec.trace != nullptr) spec.faults->annotate(*spec.trace);
-    if (auto* audit = server.auditor()) {
-      for (const auto& w : spec.faults->windows()) {
-        audit->on_fault_window(sim::fault_kind_name(w.kind), w.begin, w.end);
-      }
-    }
-    spec.faults->schedule_transitions(
-        sim, [&platform, &server](const sim::FaultWindow& w, bool begin) {
-          if (w.kind != sim::FaultKind::kGpuMemoryShrink) return;
-          for (std::size_t g = 0; g < platform.gpu_count(); ++g) {
-            if (w.target != sim::FaultWindow::kAllTargets && static_cast<int>(g) != w.target) {
-              continue;
-            }
-            auto& gpu = platform.gpu(g);
-            const std::int64_t full = gpu.calib().staging_budget_bytes;
-            const auto shrunk = std::max<std::int64_t>(
-                1, static_cast<std::int64_t>(static_cast<double>(full) * w.magnitude));
-            gpu.stager().set_budget(begin ? shrunk : full);
-          }
-          // Host memory pressure hits the ingress cache too: the same shrink
-          // window scales its byte budgets, evicting LRU entries immediately.
-          if (auto* cache = server.ingress_cache()) {
-            cache->set_budget_scale(begin ? w.magnitude : 1.0);
-          }
-        });
-  }
-};
-
 /// One run for closed- and open-loop clients alike: builds the platform,
-/// server, trace/audit wiring and fault harness, then the clients that
+/// server, observer wiring and fault wiring, then the clients that
 /// `make_clients(server, image_source)` returns, and runs the
 /// warmup/measure/drain skeleton.
 template <typename MakeClients>
 ExperimentResult run_with_clients(const ExperimentSpec& spec, MakeClients make_clients) {
+  ObserverWiring observers{spec, spec.alerts};
   sim::Simulator sim;
   hw::Platform platform{sim,
                         {.calib = spec.calib,
@@ -116,13 +73,20 @@ ExperimentResult run_with_clients(const ExperimentSpec& spec, MakeClients make_c
                          .registry = spec.registry}};
   if (spec.trace != nullptr) hw::attach_tracer(platform, *spec.trace);
   serving::InferenceServer server{platform, spec.server};
-  wire_audit_trace(spec, server);
-  FaultHarness harness;
-  harness.install(spec, sim, platform, server);
+  observers.count_trace_events();
+  observers.bind({&server}, spec.faults);
+  // The optional result broker shares the fault plan, so outages hit it.
+  std::optional<broker::SimBroker<std::uint64_t>> result_broker;
+  if (spec.server.broker_publish.publish_results) {
+    result_broker.emplace(sim, broker::redis_profile(spec.calib.broker), spec.faults,
+                          spec.registry);
+    server.set_result_broker(&*result_broker);
+  }
+  if (spec.faults != nullptr) schedule_memory_shrinks(*spec.faults, sim, platform, server);
   auto clients = make_clients(
       server, spec.image_source ? spec.image_source : serving::fixed_image(spec.image));
 
-  if (spec.recorder != nullptr) spec.recorder->start(sim);
+  observers.start(sim);
   clients.start();
 
   // Warmup: fill queues and reach steady state, then reset all statistics.
@@ -162,9 +126,7 @@ ExperimentResult run_with_clients(const ExperimentSpec& spec, MakeClients make_c
   r.client_retries = clients.retries();
   r.client_timeouts = clients.timeouts();
 
-  // Stop sampling at the window edge: the drain below runs the simulator
-  // dry, and a still-armed recorder would re-schedule itself forever.
-  if (spec.recorder != nullptr) spec.recorder->stop();
+  observers.window_end();
 
   // Drain: stop the clients, let in-flight requests complete, close the
   // server so scheduler processes exit cleanly.
@@ -173,17 +135,7 @@ ExperimentResult run_with_clients(const ExperimentSpec& spec, MakeClients make_c
   server.shutdown();
   sim.run();
 
-  if (auto* audit = server.auditor()) {
-    r.audit_violations = audit->violation_count();
-    r.audit_report = audit->report();
-  }
-  // The triggered-capture binding points into the auditor, which dies with
-  // the server when this frame unwinds; the engine must not outlive it armed.
-  if (spec.alerts != nullptr) spec.alerts->release_triggered_sampler();
-  // Callback instruments capture the platform/server/clients by reference;
-  // convert them to plain values while everything is still alive so the
-  // registry can be read (and exported) after this stack frame unwinds.
-  if (spec.registry != nullptr) spec.registry->freeze_callbacks();
+  observers.teardown(r);
   return r;
 }
 
@@ -217,15 +169,15 @@ ExperimentResult run_zero_load(ExperimentSpec spec) {
   return run_experiment(spec);
 }
 
-void HarnessOptions::apply(ExperimentSpec& spec, sim::TraceRecorder& trace,
-                           trace::CausalTracer* tracer) const {
-  if (auditing()) spec.server.audit = true;
+void HarnessOptions::apply(serving::ServerConfig& server, Observers& observers,
+                           sim::TraceRecorder& trace, trace::CausalTracer* tracer) const {
+  if (auditing()) server.audit = true;
   if (tracing()) {
-    spec.trace = &trace;
+    observers.trace = &trace;
     if (trace_max_events > 0) trace.set_max_events(trace_max_events);
     if (tracer != nullptr) {
       tracer->set_recorder(&trace);
-      spec.tracer = tracer;
+      observers.tracer = tracer;
     }
   }
 }
@@ -262,7 +214,7 @@ HarnessOptions parse_harness_options(int argc, const char* const* argv) {
   return opts;
 }
 
-std::uint64_t report_audit(const ExperimentResult& r, const std::string& label) {
+std::uint64_t report_audit(const AuditVerdict& r, const std::string& label) {
   if (r.audit_violations == 0) return 0;
   std::cerr << "AUDIT FAILED [" << label << "]: " << r.audit_violations << " violation(s)\n";
   for (const auto& line : r.audit_report) std::cerr << "  " << line << "\n";

@@ -8,24 +8,19 @@
 #include <string>
 #include <vector>
 
+#include "core/observers.h"
 #include "hw/devices.h"
 #include "hw/energy.h"
 #include "metrics/breakdown.h"
-#include "metrics/flight_recorder.h"
-#include "metrics/registry.h"
-#include "obs/alert_engine.h"
 #include "serving/client.h"
 #include "serving/config.h"
-#include "serving/server.h"
-#include "sim/fault_plan.h"
-#include "sim/simulator.h"
-#include "sim/trace.h"
-#include "trace/causal.h"
 
 namespace serve::core {
 
-/// Inputs for a single serving experiment.
-struct ExperimentSpec {
+/// Inputs for a single serving experiment. The trace also gets the devices'
+/// occupancy counters; the registry gets every component's instruments plus
+/// trace_events_*_total.
+struct ExperimentSpec : Observers {
   serving::ServerConfig server{};
   int gpu_count = 1;
   hw::Calibration calib = hw::default_calibration();
@@ -40,44 +35,20 @@ struct ExperimentSpec {
   sim::Time measure = sim::seconds(10.0);
   std::uint64_t seed = 42;
 
-  /// Optional: record device-occupancy counters for chrome://tracing.
-  sim::TraceRecorder* trace = nullptr;
-
-  /// Optional causal tracer (shared across rows writing the same trace):
-  /// sampled requests then carry SpanContexts, spans get trace/span/parent
-  /// ids + blame args, and tools/trace_analyze can rebuild the trees.
-  /// Requires `trace`; its recorder should be `trace`.
-  trace::CausalTracer* tracer = nullptr;
-
   /// Optional deterministic fault-injection schedule (must outlive the run).
   /// Wired into the platform (PCIe/preproc/GPU-failure queries), the result
   /// broker (outages), and the runner (staging-budget shrink transitions,
   /// fault spans on the trace's "faults" track).
   const sim::FaultPlan* faults = nullptr;
 
-  /// Optional telemetry registry: the platform, server, brokers, and clients
-  /// register their instruments here. Cumulative from simulation start; the
-  /// server's serving_* counters sample its serving::Ledger, whose window
-  /// differences fill ExperimentResult. The runner freezes callback
-  /// instruments before tearing the run down, so the registry may safely
-  /// outlive it.
-  metrics::Registry* registry = nullptr;
-
-  /// Optional flight recorder over `registry` (requires it). The runner
-  /// starts it when clients start and stops it at the end of the
-  /// measurement window, before the drain.
-  metrics::FlightRecorder* recorder = nullptr;
-
-  /// Optional SLO watch plane over `registry` + `recorder` (requires both;
-  /// the caller attaches it to the recorder). The runner binds the trace
-  /// ("alerts" instant events) and — when auditing with a causal tracer —
-  /// the auditor's sampler for triggered capture, then releases the sampler
-  /// binding before the server is torn down.
+  /// Optional SLO watch plane over `registry` (requires `recorder`; the
+  /// caller attaches it to the recorder). The runner points it at the trace
+  /// ("alerts" instant events) and the auditor's sampler (triggered capture).
   obs::AlertEngine* alerts = nullptr;
 };
 
 /// Outputs of a serving experiment (one point of a paper figure).
-struct ExperimentResult {
+struct ExperimentResult : AuditVerdict {
   double throughput_rps = 0.0;   ///< completed requests / measurement second
   double mean_latency_s = 0.0;
   double p50_latency_s = 0.0;
@@ -106,12 +77,6 @@ struct ExperimentResult {
   std::uint64_t broker_failovers = 0; ///< result publishes that fell back to fused
   std::uint64_t client_retries = 0;   ///< client-side re-submissions
   std::uint64_t client_timeouts = 0;  ///< client attempts abandoned at deadline
-
-  /// Lifecycle-audit verdict (ServerConfig::audit): total violations across
-  /// the whole run (warmup + measure + drain) and the formatted report.
-  /// Always 0 / empty when auditing is off.
-  std::uint64_t audit_violations = 0;
-  std::vector<std::string> audit_report{};
 
   [[nodiscard]] double stage_share(metrics::Stage s) const noexcept {
     return breakdown.share(s);
@@ -150,11 +115,11 @@ struct HarnessOptions {
   [[nodiscard]] bool tracing() const noexcept { return !trace_out.empty(); }
   [[nodiscard]] bool auditing() const noexcept { return audit || tracing(); }
 
-  /// Enables ServerConfig::audit and points spec.trace at `trace` as
-  /// requested. Call once per experiment row. With a `tracer`, also binds it
-  /// to `trace` and hands it to the run (spec.tracer), turning the flat
-  /// per-request spans into causal traces.
-  void apply(ExperimentSpec& spec, sim::TraceRecorder& trace,
+  /// Enables `server.audit` and points `observers.trace` at `trace` (capped
+  /// at trace_max_events) as requested; call once per ExperimentSpec or
+  /// FleetSpec. With a `tracer`, also binds it to `trace` and hands it to
+  /// the run, turning the flat per-request spans into causal traces.
+  void apply(serving::ServerConfig& server, Observers& observers, sim::TraceRecorder& trace,
              trace::CausalTracer* tracer = nullptr) const;
 };
 
@@ -162,9 +127,9 @@ struct HarnessOptions {
 /// std::invalid_argument on an unknown flag or a missing value.
 [[nodiscard]] HarnessOptions parse_harness_options(int argc, const char* const* argv);
 
-/// Prints `r`'s audit report to stderr (labelled) when it has violations.
+/// Prints a run's audit report to stderr (labelled) when it has violations.
 /// Returns the violation count so callers can accumulate an exit status.
-std::uint64_t report_audit(const ExperimentResult& r, const std::string& label);
+std::uint64_t report_audit(const AuditVerdict& r, const std::string& label);
 
 /// Writes the trace file (if requested) and prints the final audit verdict.
 /// Returns true when no violations were observed and the trace (if any)

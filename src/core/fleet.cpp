@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <utility>
 
 #include "metrics/histogram.h"
@@ -53,6 +54,19 @@ struct Logical {
 };
 using LogicalPtr = std::shared_ptr<Logical>;
 
+/// The run-wide counts the registry exports, in registration order.
+const std::tuple<const char*, metrics::Labels, std::uint64_t FleetCounts::*> kCountInstruments[] = {
+    {"fleet_requests_total", {{"outcome", "ok"}}, &FleetCounts::completed},
+    {"fleet_requests_total", {{"outcome", "fail"}}, &FleetCounts::failed},
+    {"fleet_probes_total", {}, &FleetCounts::probes},
+    {"fleet_probe_failures_total", {}, &FleetCounts::probe_failures},
+    {"fleet_hedges_total", {}, &FleetCounts::hedges},
+    {"fleet_hedge_wins_total", {}, &FleetCounts::hedge_wins},
+    {"fleet_hedge_losses_total", {}, &FleetCounts::hedge_losses},
+    {"fleet_hedges_denied_total", {}, &FleetCounts::hedges_denied},
+    {"fleet_cancelled_total", {}, &FleetCounts::cancelled},
+};
+
 struct FleetBalancer {
   struct Node {
     Node(sim::Simulator& sim, const FleetSpec& spec, int gpus)
@@ -96,12 +110,6 @@ struct FleetBalancer {
         hedge_tokens(spec_.server.balancer.hedge.budget) {
     for (int gpus : spec.gpus_per_node) {
       nodes.push_back(std::make_unique<Node>(sim, spec, gpus));
-    }
-    for (auto& n : nodes) {
-      if (auto* audit = n->server->auditor()) {
-        if (spec.trace != nullptr) audit->set_trace(spec.trace);
-        if (spec.tracer != nullptr) audit->set_causal_tracer(spec.tracer);
-      }
     }
   }
 
@@ -187,7 +195,7 @@ struct FleetBalancer {
   /// deterministic per-request deadline, first response wins.
   sim::Task<void> serve_logical() {
     auto lg = std::make_shared<Logical>(sim, next_logical_id_++, sim.now());
-    ++issued;
+    ++counts.issued;
     if (spec.tracer != nullptr && sampler.sample(lg->id)) {
       lg->traced = true;
       lg->ctx = spec.tracer->begin_trace(true);
@@ -201,13 +209,13 @@ struct FleetBalancer {
           const int second = pick_node(primary);
           if (second >= 0) {
             hedge_tokens -= 1.0;
-            ++hedges;
+            ++counts.hedges;
             lg->hedged = true;
             lg->hedge_time = sim.now();
             launch(lg, second, true);
           }
         } else {
-          ++hedges_denied;
+          ++counts.hedges_denied;
         }
       }
     }
@@ -308,7 +316,7 @@ struct FleetBalancer {
     if (trial) node.health.end_trial();
     const Time now = sim.now();
     if (neutral) {
-      ++cancelled;  // a hedge loser, drop-accounted on its node; not the node's fault
+      ++counts.cancelled;  // a hedge loser, drop-accounted on its node; not the node's fault
     } else {
       node.health.on_outcome(success, now);
       sync_node_state(n);
@@ -327,7 +335,7 @@ struct FleetBalancer {
 
   void decide(const LogicalPtr& lg, bool success, bool by_hedge, Time now) {
     if (success) {
-      ++completed;
+      ++counts.completed;
       // Run-wide completion-charged latency sum: the λ·W side of the fleet
       // Little's-law audit, paired against the per-node outstanding
       // integrals (the L side). Charged at every success, not just inside
@@ -340,14 +348,14 @@ struct FleetBalancer {
         latency.add(sim::to_seconds(now - lg->start));
       }
     } else {
-      ++failed;
+      ++counts.failed;
       const std::string_view kind = lg->fail_kind;
-      if (kind == "crash") ++crash_failed;
-      else if (kind == "gray") ++gray_failed;
+      if (kind == "crash") ++counts.crash_failed;
+      else if (kind == "gray") ++counts.gray_failed;
     }
     if (lg->hedged) {
-      if (by_hedge) ++hedge_wins;
-      else ++hedge_losses;
+      if (by_hedge) ++counts.hedge_wins;
+      else ++counts.hedge_losses;
       // First response wins; cancel the sibling still in flight so its node
       // drops it at the next dispatch point (drop-accounted, conserved).
       for (auto& r : lg->attempts) {
@@ -380,7 +388,7 @@ struct FleetBalancer {
     for (;;) {
       co_await sim.wait(cfg.health.probe_interval);
       if (stopped) co_return;
-      ++probes;
+      ++counts.probes;
       const Time t0 = sim.now();
       const double link =
           spec.faults != nullptr ? spec.faults->partition_delay_s(n, t0) : 0.0;
@@ -389,7 +397,7 @@ struct FleetBalancer {
       const bool ok = !crashed && sim::seconds(rtt_s) <= cfg.health.probe_timeout;
       co_await sim.wait(ok ? std::max<Time>(sim::seconds(rtt_s), 1)
                            : cfg.health.probe_timeout);
-      if (!ok) ++probe_failures;
+      if (!ok) ++counts.probe_failures;
       node.health.on_probe(ok, sim.now());
       sync_node_state(n);
       if (spec.trace != nullptr && !ok) {
@@ -471,22 +479,9 @@ struct FleetBalancer {
       reg->counter_fn("fleet_node_rejoins_total", labels,
                       [n] { return static_cast<double>(n->health.recoveries()); });
     }
-    reg->counter_fn("fleet_requests_total", {{"outcome", "ok"}},
-                    [this] { return static_cast<double>(completed); });
-    reg->counter_fn("fleet_requests_total", {{"outcome", "fail"}},
-                    [this] { return static_cast<double>(failed); });
-    reg->counter_fn("fleet_probes_total", {}, [this] { return static_cast<double>(probes); });
-    reg->counter_fn("fleet_probe_failures_total", {},
-                    [this] { return static_cast<double>(probe_failures); });
-    reg->counter_fn("fleet_hedges_total", {}, [this] { return static_cast<double>(hedges); });
-    reg->counter_fn("fleet_hedge_wins_total", {},
-                    [this] { return static_cast<double>(hedge_wins); });
-    reg->counter_fn("fleet_hedge_losses_total", {},
-                    [this] { return static_cast<double>(hedge_losses); });
-    reg->counter_fn("fleet_hedges_denied_total", {},
-                    [this] { return static_cast<double>(hedges_denied); });
-    reg->counter_fn("fleet_cancelled_total", {},
-                    [this] { return static_cast<double>(cancelled); });
+    for (const auto& [name, labels, member] : kCountInstruments) {
+      reg->counter_fn(name, labels, [this, m = member] { return static_cast<double>(counts.*m); });
+    }
     reg->counter_fn("fleet_latency_seconds_total", {}, [this] { return latency_sum_s; });
     reg->gauge_fn("fleet_hedge_tokens", {}, [this] { return hedge_tokens; });
   }
@@ -506,12 +501,7 @@ struct FleetBalancer {
   metrics::Histogram latency;
   double hedge_tokens;
 
-  // Run-wide logical accounting (see FleetResult).
-  std::uint64_t issued = 0, completed = 0, failed = 0;
-  std::uint64_t crash_failed = 0, gray_failed = 0;
-  std::uint64_t hedges = 0, hedge_wins = 0, hedge_losses = 0, hedges_denied = 0;
-  std::uint64_t cancelled = 0;
-  std::uint64_t probes = 0, probe_failures = 0;
+  FleetCounts counts;  ///< run-wide logical accounting; FleetResult inherits it
   std::uint64_t window_completed = 0;
   double latency_sum_s = 0.0;  ///< completion-charged; fleet_latency_seconds_total
 };
@@ -523,17 +513,15 @@ FleetResult run_fleet(const FleetSpec& spec) {
   if (spec.rate_rps <= 0.0 && spec.concurrency <= 0) {
     throw std::invalid_argument("run_fleet: need closed-loop clients or an offered rate");
   }
+  ObserverWiring observers{spec};
   sim::Simulator sim;
   FleetBalancer fleet{sim, spec};
   fleet.register_instruments();
+  std::vector<serving::InferenceServer*> servers;
+  for (auto& n : fleet.nodes) servers.push_back(n->server.get());
+  observers.bind(servers, spec.faults);
 
   if (spec.faults != nullptr && !spec.faults->empty()) {
-    if (spec.trace != nullptr) spec.faults->annotate(*spec.trace);
-    if (auto* audit = fleet.nodes.front()->server->auditor()) {
-      for (const auto& w : spec.faults->windows()) {
-        audit->on_fault_window(sim::fault_kind_name(w.kind), w.begin, w.end);
-      }
-    }
     spec.faults->schedule_transitions(
         sim, [&fleet](const sim::FaultWindow& w, bool begin) { fleet.on_fault_edge(w, begin); });
   }
@@ -548,14 +536,12 @@ FleetResult run_fleet(const FleetSpec& spec) {
     for (int i = 0; i < spec.concurrency; ++i) sim.spawn(fleet.client());
   }
 
-  if (spec.recorder != nullptr) spec.recorder->start(sim);
+  observers.start(sim);
   sim.run_until(spec.warmup);
   for (auto& n : fleet.nodes) n->server->begin_window();
   fleet.measuring = true;
   sim.run_until(spec.warmup + spec.measure);
-  // Stop at the window edge: the drain runs the simulator dry, and a live
-  // recorder would re-schedule its tick forever.
-  if (spec.recorder != nullptr) spec.recorder->stop();
+  observers.window_end();
 
   FleetResult r;
   for (auto& n : fleet.nodes) {
@@ -575,27 +561,12 @@ FleetResult run_fleet(const FleetSpec& spec) {
   for (auto& n : fleet.nodes) n->server->shutdown();
   sim.run();
 
-  r.issued = fleet.issued;
-  r.completed = fleet.completed;
-  r.failed = fleet.failed;
-  r.crash_failed = fleet.crash_failed;
-  r.gray_failed = fleet.gray_failed;
-  r.hedges = fleet.hedges;
-  r.hedge_wins = fleet.hedge_wins;
-  r.hedge_losses = fleet.hedge_losses;
-  r.hedges_denied = fleet.hedges_denied;
-  r.cancelled = fleet.cancelled;
-  r.probes = fleet.probes;
-  r.probe_failures = fleet.probe_failures;
+  static_cast<FleetCounts&>(r) = fleet.counts;
   for (auto& n : fleet.nodes) {
     r.ejections += n->health.trips();
     r.rejoins += n->health.recoveries();
-    if (auto* audit = n->server->auditor()) {
-      r.audit_violations += audit->violation_count();
-      for (auto& line : audit->report()) r.audit_report.push_back(std::move(line));
-    }
   }
-  if (spec.registry != nullptr) spec.registry->freeze_callbacks();
+  observers.teardown(r);
   return r;
 }
 

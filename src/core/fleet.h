@@ -38,7 +38,11 @@ namespace serve::core {
 using serving::BalancerPolicy;
 using serving::balancer_policy_name;
 
-struct FleetSpec {
+/// A fleet run. The trace also gets probe, health and hedge markers, causal
+/// traces cross nodes, and the registry gets the fleet-level instruments, so
+/// the recorder (and an obs::AlertEngine on it) follows each node's health
+/// and queue as it follows a single server.
+struct FleetSpec : Observers {
   serving::ServerConfig server{};       ///< endpoint deployed on every node
   std::vector<int> gpus_per_node{1, 1}; ///< one entry per node (heterogeneous ok)
   hw::Calibration calib = hw::default_calibration();
@@ -59,26 +63,12 @@ struct FleetSpec {
   /// Arm every node's RequestAuditor and aggregate violations (overrides
   /// server.audit).
   bool audit = false;
-  sim::TraceRecorder* trace = nullptr;      ///< optional probe/hedge/fault spans
-  trace::CausalTracer* tracer = nullptr;    ///< optional cross-node causal traces
-  metrics::Registry* registry = nullptr;    ///< optional fleet-level instruments
-  /// Optional flight recorder over `registry` (requires it): started before
-  /// warmup, stopped at the measurement-window edge. Gives fleet runs the
-  /// same per-node health/queue trajectories single-server runs record —
-  /// and an obs::AlertEngine attached to it per-node alert evaluation.
-  metrics::FlightRecorder* recorder = nullptr;
 };
 
-struct FleetResult {
-  // Window-scoped performance (the measurement window only).
-  double throughput_rps = 0.0;  ///< logical goodput: first-wins successes / s
-  double mean_latency_s = 0.0;
-  double p99_latency_s = 0.0;
-  std::vector<double> node_throughput_rps;       ///< node-side completions / s
-  std::vector<std::uint64_t> node_dispatches;    ///< balancer sends per node
-
-  // Run-wide logical accounting (warmup + window + drain): every logical
-  // request reaches exactly one terminal state.
+/// Run-wide logical accounting (warmup + window + drain): every logical
+/// request reaches exactly one terminal state. The balancer owns the one
+/// copy; FleetResult inherits it.
+struct FleetCounts {
   std::uint64_t issued = 0;
   std::uint64_t completed = 0;
   std::uint64_t failed = 0;
@@ -95,11 +85,24 @@ struct FleetResult {
   // Health checking (run-wide).
   std::uint64_t probes = 0;
   std::uint64_t probe_failures = 0;
+
+  /// Every logical request issued reached exactly one terminal state.
+  [[nodiscard]] bool conserved() const noexcept { return issued == completed + failed; }
+};
+
+/// A fleet run's outcome: the balancer's run-wide counts, the nodes' audit
+/// verdict, and the measurement-window performance.
+struct FleetResult : FleetCounts, AuditVerdict {
+  // Window-scoped performance (the measurement window only).
+  double throughput_rps = 0.0;  ///< logical goodput: first-wins successes / s
+  double mean_latency_s = 0.0;
+  double p99_latency_s = 0.0;
+  std::vector<double> node_throughput_rps;       ///< node-side completions / s
+  std::vector<std::uint64_t> node_dispatches;    ///< balancer sends per node
+
+  // Health-gate transitions summed over the nodes (run-wide).
   std::uint64_t ejections = 0;
   std::uint64_t rejoins = 0;
-
-  std::uint64_t audit_violations = 0;
-  std::vector<std::string> audit_report{};
 
   /// Nodes that completed nothing during the measurement window.
   [[nodiscard]] int dead_nodes() const noexcept {
@@ -120,9 +123,6 @@ struct FleetResult {
     }
     return lo <= 0.0 ? std::numeric_limits<double>::infinity() : hi / lo;
   }
-
-  /// Every logical request issued reached exactly one terminal state.
-  [[nodiscard]] bool conserved() const noexcept { return issued == completed + failed; }
 
   /// Deterministic run fingerprint: same seed + same spec must reproduce it
   /// byte-identically.

@@ -1,0 +1,135 @@
+// Observability attachment shared by run_experiment / run_open_loop and
+// run_fleet: the observer pointers both specs carry, and the one wiring path
+// that checks, binds and tears them down.
+#pragma once
+
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "metrics/flight_recorder.h"
+#include "metrics/registry.h"
+#include "obs/alert_engine.h"
+#include "serving/server.h"
+#include "sim/fault_plan.h"
+#include "sim/simulator.h"
+#include "sim/trace.h"
+#include "trace/causal.h"
+
+namespace serve::core {
+
+/// Optional observers a run can attach; each must outlive the run. The
+/// runners check the rules below before simulating and throw
+/// std::invalid_argument naming the broken one.
+struct Observers {
+  /// Chrome-trace recorder: fault-window markers, plus (when auditing) the
+  /// per-request stage spans and one span per fault window.
+  sim::TraceRecorder* trace = nullptr;
+  /// Causal tracer: sampled requests carry SpanContexts, spans get causal ids
+  /// and blame args (tools/trace_analyze). Requires `trace`, recording into it.
+  trace::CausalTracer* tracer = nullptr;
+  /// Telemetry registry, cumulative from simulation start. Callback
+  /// instruments are frozen before teardown, so it may outlive the run.
+  metrics::Registry* registry = nullptr;
+  /// Flight recorder; must sample `registry`. Runs from before the warmup to
+  /// the end of the measurement window.
+  metrics::FlightRecorder* recorder = nullptr;
+};
+
+/// Lifecycle-audit verdict over a run's auditors (warmup + measure + drain).
+struct AuditVerdict {
+  std::uint64_t audit_violations = 0;
+  std::vector<std::string> audit_report{};
+};
+
+/// A runner's wiring of one Observers set, in run order: construct (checks
+/// the rules), bind, start, window_end, teardown.
+class ObserverWiring {
+ public:
+  /// Throws std::invalid_argument naming the first broken rule. `alerts`
+  /// (single-server runs only) must watch `registry` and requires `recorder`.
+  explicit ObserverWiring(const Observers& o, obs::AlertEngine* alerts = nullptr)
+      : obs_(o), alerts_(alerts) {
+    require(o.tracer == nullptr || o.trace != nullptr, "tracer requires trace");
+    require(o.tracer == nullptr || o.tracer->recorder() == o.trace,
+            "tracer must record into trace");
+    require(o.recorder == nullptr || &o.recorder->registry() == o.registry,
+            "recorder must sample registry");
+    require(alerts == nullptr || o.recorder != nullptr, "alerts requires recorder");
+    require(alerts == nullptr || &alerts->registry() == o.registry, "alerts must watch registry");
+  }
+
+  /// Binds each server's auditor to the trace and tracer, the alert engine to
+  /// the trace and (with a tracer) the first auditor's sampler. Writes each
+  /// fault window to the trace once, up front (the trace orders by time): its
+  /// edges as "faults"-track instants ("gpu-failure[0] open" / "... close")
+  /// and, when auditing, a span that lines up with the request spans.
+  void bind(const std::vector<serving::InferenceServer*>& servers, const sim::FaultPlan* faults) {
+    for (serving::InferenceServer* server : servers) {
+      if (serving::RequestAuditor* audit = server->auditor()) {
+        audit->set_trace(obs_.trace);
+        audit->set_causal_tracer(obs_.tracer);
+        auditors_.push_back(audit);
+      }
+    }
+    if (alerts_ != nullptr) {
+      if (obs_.trace != nullptr) alerts_->set_trace(obs_.trace);
+      // Triggered capture needs sampled requests: the auditor owns the sampler.
+      if (obs_.tracer != nullptr && !auditors_.empty()) {
+        alerts_->set_triggered_sampler(&auditors_.front()->sampler());
+      }
+    }
+    if (obs_.trace == nullptr || faults == nullptr) return;
+    for (const sim::FaultWindow& w : faults->windows()) {
+      const std::string kind{sim::fault_kind_name(w.kind)};
+      std::string edge = kind;
+      if (w.target != sim::FaultWindow::kAllTargets) edge += "[" + std::to_string(w.target) + "]";
+      obs_.trace->instant("faults", edge + " open", w.begin);
+      obs_.trace->instant("faults", edge + " close", w.end);
+      if (!auditors_.empty() && w.end > w.begin) obs_.trace->span("faults", kind, w.begin, w.end);
+    }
+  }
+
+  /// Exports the trace's own event and drop counts as trace_events_*_total.
+  void count_trace_events() const {
+    if (obs_.trace == nullptr || obs_.registry == nullptr) return;
+    const sim::TraceRecorder* rec = obs_.trace;
+    obs_.registry->counter_fn("trace_events_recorded_total", {},
+                              [rec] { return static_cast<double>(rec->event_count()); });
+    obs_.registry->counter_fn("trace_events_dropped_total", {},
+                              [rec] { return static_cast<double>(rec->dropped_events()); });
+  }
+
+  void start(sim::Simulator& sim) const {
+    if (obs_.recorder != nullptr) obs_.recorder->start(sim);
+  }
+  /// The drain runs the simulator dry; a live recorder would tick forever.
+  void window_end() const {
+    if (obs_.recorder != nullptr) obs_.recorder->stop();
+  }
+
+  /// After the drain, while the servers live: collects the auditors' verdict,
+  /// releases the triggered sampler (it points into an auditor), then freezes
+  /// the registry's callback instruments.
+  void teardown(AuditVerdict& verdict) const {
+    for (const serving::RequestAuditor* audit : auditors_) {
+      verdict.audit_violations += audit->violation_count();
+      for (std::string& line : audit->report()) verdict.audit_report.push_back(std::move(line));
+    }
+    if (alerts_ != nullptr) alerts_->release_triggered_sampler();
+    if (obs_.registry != nullptr) obs_.registry->freeze_callbacks();
+  }
+
+ private:
+  static void require(bool ok, const char* rule) {
+    if (!ok) throw std::invalid_argument(std::string("observers: ") + rule);
+  }
+
+  Observers obs_;
+  obs::AlertEngine* alerts_;
+  std::vector<serving::RequestAuditor*> auditors_;
+};
+
+}  // namespace serve::core

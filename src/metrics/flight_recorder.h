@@ -53,6 +53,8 @@ class FlightRecorder {
   void stop() noexcept { running_ = false; }
 
   [[nodiscard]] bool running() const noexcept { return running_; }
+  /// The registry this recorder samples.
+  [[nodiscard]] const Registry& registry() const noexcept { return registry_; }
   [[nodiscard]] sim::Time period() const noexcept { return opts_.period; }
   [[nodiscard]] std::uint64_t ticks() const noexcept { return ticks_; }
   /// Virtual time of tick 0; tick k sampled at start_time() + k * period().

@@ -184,6 +184,8 @@ class AlertEngine {
   /// directly.
   void evaluate(sim::Time now, std::uint64_t tick);
 
+  /// The registry whose instruments the rules watch.
+  [[nodiscard]] const metrics::Registry& registry() const noexcept { return registry_; }
   [[nodiscard]] const std::vector<AlertEvent>& events() const noexcept { return events_; }
   [[nodiscard]] std::size_t active_alerts() const noexcept { return active_; }
   [[nodiscard]] std::uint64_t fired_total() const noexcept { return fired_total_; }

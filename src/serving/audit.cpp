@@ -168,10 +168,6 @@ void RequestAuditor::on_lost_handoff(const Request& req, std::string_view where)
                     " queue hand-off and had to be drop-accounted");
 }
 
-void RequestAuditor::on_fault_window(std::string_view name, sim::Time begin, sim::Time end) {
-  if (trace_ != nullptr && end > begin) trace_->span("faults", std::string(name), begin, end);
-}
-
 void RequestAuditor::on_breaker_transition(std::string_view to, sim::Time t) {
   if (trace_ != nullptr) trace_->instant("policies", "breaker -> " + std::string(to), t);
 }

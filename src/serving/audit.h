@@ -113,10 +113,6 @@ class RequestAuditor final : public ChargeObserver {
   /// silently before the drop-accounting fix). Always a violation.
   void on_lost_handoff(const Request& req, std::string_view where);
 
-  /// Records an injected fault episode as a span on the "faults" trace
-  /// track, so fault windows line up visually with request-latency spans.
-  void on_fault_window(std::string_view name, sim::Time begin, sim::Time end);
-
   /// Records a circuit-breaker state transition ("closed" / "open" /
   /// "half-open") as an instant marker on the "policies" trace track.
   void on_breaker_transition(std::string_view to, sim::Time t);

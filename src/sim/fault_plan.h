@@ -30,13 +30,11 @@
 #include <functional>
 #include <limits>
 #include <stdexcept>
-#include <string>
 #include <string_view>
 #include <vector>
 
 #include "sim/simulator.h"
 #include "sim/time.h"
-#include "sim/trace.h"
 
 namespace serve::sim {
 
@@ -250,19 +248,6 @@ class FaultPlan {
       const Time end = w.end < sim.now() ? sim.now() : w.end;
       sim.schedule_at(begin, [cb, w] { cb(w, true); });
       sim.schedule_at(end, [cb, w] { cb(w, false); });
-    }
-  }
-
-  /// Emits every window's open/close as instant markers on the trace's
-  /// "faults" track ("gpu-failure open" / "gpu-failure close"), so Perfetto
-  /// lines fault edges up against the per-request spans. Edges are recorded
-  /// directly (not scheduled) — the trace orders by timestamp, not insertion.
-  void annotate(TraceRecorder& trace) const {
-    for (const FaultWindow& w : windows_) {
-      std::string base{fault_kind_name(w.kind)};
-      if (w.target != FaultWindow::kAllTargets) base += "[" + std::to_string(w.target) + "]";
-      trace.instant("faults", base + " open", w.begin);
-      trace.instant("faults", base + " close", w.end);
     }
   }
 

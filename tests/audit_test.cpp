@@ -466,7 +466,7 @@ TEST(ExperimentHarness, ParsesAuditAndTraceFlags) {
 
   sim::TraceRecorder trace;
   core::ExperimentSpec spec;
-  b.apply(spec, trace);
+  b.apply(spec.server, spec, trace);
   EXPECT_TRUE(spec.server.audit);
   EXPECT_EQ(spec.trace, &trace);
 }

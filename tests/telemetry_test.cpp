@@ -385,8 +385,9 @@ TEST(TraceInstantTest, FaultWindowsAnnotateTrace) {
             .begin = sim::seconds(1.0),
             .end = sim::seconds(2.0)});
   sim::TraceRecorder trace;
-  plan.annotate(trace);
+  core::ObserverWiring{{.trace = &trace}}.bind({}, &plan);
   EXPECT_EQ(trace.instant_count(), 2u);
+  EXPECT_EQ(trace.span_count(), 0u);  // the window span comes with auditing
   std::ostringstream out;
   trace.write_chrome_json(out);
   const std::string text = out.str();
