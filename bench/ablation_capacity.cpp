@@ -26,7 +26,7 @@
 //
 // The faulted ViT run is the Reporter's export (--json-out): its "capacity"
 // section carries the binding-segment flip (compute -> preproc -> compute)
-// that tools/capacity and tools/report render in CI.
+// that `servescope capacity` and `servescope report` render in CI.
 #include <chrono>
 #include <cmath>
 #include <cstdio>

@@ -117,7 +117,7 @@ int main(int argc, char** argv) {
   a_h.server.balancer.policy = BalancerPolicy::kPowerOfTwo;
   a_h.server.balancer.health.enabled = true;
   // Export the fleet instruments (per-node health score/state, ejection and
-  // hedge counters) so tools/report renders them from the JSON output.
+  // hedge counters) so `servescope report` renders them from the JSON output.
   metrics::Registry registry;
   a_h.registry = &registry;
   const auto a_health = run("A/health", a_h);

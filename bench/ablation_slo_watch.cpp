@@ -14,7 +14,7 @@
 //   3. faulted repeat: the same seed must reproduce a byte-identical alert
 //      log — alerting is part of the determinism contract, not best-effort.
 //
-// The run also exercises tools/diff_report's attribution story: the
+// The run also exercises `servescope diff`'s attribution story: the
 // fault-free export (--baseline-json-out) vs the faulted export (--json-out)
 // must attribute the p99 shift to the faulted transfer stage. CI diffs the
 // two and greps the attribution line.
@@ -216,7 +216,7 @@ int main(int argc, char** argv) {
   }
 
   // The faulted run is the Reporter's export (--json-out); the fault-free
-  // run goes to --baseline-json-out so diff_report can attribute the delta.
+  // run goes to --baseline-json-out so `servescope diff` can attribute the delta.
   rep.context("rate_rps", std::to_string(kRate));
   rep.context("slo_s", std::to_string(kSloSeconds));
   rep.benchmark("slo_watch/run", fault->r.mean_latency_s * 1e3,

@@ -8,7 +8,7 @@
 // Reporter is the one emit path all harnesses share: it renders the same
 // banner/table/check output the benches have always printed, and mirrors
 // everything into a metrics::TelemetryExport so any bench can additionally
-// write machine-readable JSON (bench_check-compatible), CSV, or Prometheus
+// write machine-readable JSON (bench-check-compatible), CSV, or Prometheus
 // text via the common --json-out/--csv-out/--prom-out flags.
 #pragma once
 
@@ -70,7 +70,7 @@ class Reporter {
     print_banner(figure, title);
     export_.set_context("figure", std::move(figure));
     export_.set_context("title", std::move(title));
-    // Recorded so tools/bench_check can refuse debug-build baselines: a
+    // Recorded so `servescope bench-check` can refuse debug-build baselines: a
     // debug number sneaking into a committed BENCH_*.json makes every later
     // Release run look like a huge improvement and masks real regressions.
 #ifdef NDEBUG

@@ -242,7 +242,7 @@ BENCHMARK(BM_Idct8x8Scaled);
 }  // namespace
 
 // Not BENCHMARK_MAIN(): the app-level build type goes into the JSON context
-// so tools/bench_check can refuse debug-build numbers (google-benchmark's own
+// so `servescope bench-check` can refuse debug-build numbers (google-benchmark's own
 // "library_build_type" describes the system library, not this binary).
 int main(int argc, char** argv) {
 #ifdef NDEBUG

@@ -17,7 +17,7 @@
 //
 // Run with --audit to prove cache-hit requests keep a conserved (skipped,
 // not dropped) preprocess stage; --trace-out additionally records the
-// "ingress-cache-hit" blame spans tools/trace_analyze surfaces on critical
+// "ingress-cache-hit" blame spans `servescope traces` surfaces on critical
 // paths.
 #include <cstdio>
 #include <string>

@@ -28,7 +28,7 @@ struct Observers {
   /// per-request stage spans and one span per fault window.
   sim::TraceRecorder* trace = nullptr;
   /// Causal tracer: sampled requests carry SpanContexts, spans get causal ids
-  /// and blame args (tools/trace_analyze). Requires `trace`, recording into it.
+  /// and blame args (`servescope traces`). Requires `trace`, recording into it.
   trace::CausalTracer* tracer = nullptr;
   /// Telemetry registry, cumulative from simulation start. Callback
   /// instruments are frozen before teardown, so it may outlive the run.

@@ -4,8 +4,8 @@
 // Three formats from one in-memory document:
 //
 //   - JSON ("servescope-telemetry-v1"): a superset of the google-benchmark
-//     schema `tools/bench_check` consumes — a top-level "benchmarks" array
-//     whose entries carry "name"/"real_time"/"time_unit" (bench_check
+//     schema `servescope bench-check` consumes — a top-level "benchmarks"
+//     array whose entries carry "name"/"real_time"/"time_unit" (bench-check
 //     ignores every other field), plus "checks", "instruments" (with
 //     cumulative `le` histogram buckets) and "series" sections;
 //   - CSV: long-form rows `record,name,labels,x,value` — `sample` rows carry
@@ -43,8 +43,8 @@ struct BenchmarkRow {
   std::string name;
   double real_time = 0.0;
   std::string time_unit = "ms";
-  /// Extra numeric fields appended to the JSON entry (bench_check ignores
-  /// them; tools/report and humans read them).
+  /// Extra numeric fields appended to the JSON entry (`servescope
+  /// bench-check` ignores them; `servescope diff` and humans read them).
   std::vector<std::pair<std::string, double>> extras;
 };
 
@@ -103,7 +103,8 @@ class TelemetryExport {
   void capture_series(const FlightRecorder& recorder);
 
   /// Attaches a capacity-plane snapshot; emitted as the JSON "capacity"
-  /// section (bench_check ignores it, tools/capacity and tools/report read it).
+  /// section (`servescope bench-check` ignores it; `servescope capacity` and
+  /// `servescope report` render it).
   void set_capacity(CapacitySnapshot snapshot) {
     capacity_ = std::move(snapshot);
     have_capacity_ = true;

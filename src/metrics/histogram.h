@@ -73,7 +73,7 @@ class Histogram {
   [[nodiscard]] std::vector<Bucket> nonzero_buckets() const;
 
   /// Samples with value <= `value`, interpolating linearly within the
-  /// straddling bucket (the same convention tools/report uses for SLO
+  /// straddling bucket (the same convention `servescope report` uses for SLO
   /// attainment). Allocation-free — the alert engine calls this every
   /// recorder tick.
   [[nodiscard]] double count_at_or_below(double value) const noexcept;

@@ -268,7 +268,7 @@ void RequestAuditor::finalize() {
                       std::to_string(live_) + ")");
   }
   // Publish the full-population per-stage means into the trace itself, so
-  // tools/trace_analyze can cross-check the sampled critical paths against
+  // `servescope traces` can cross-check the sampled critical paths against
   // the exhaustive auditor accounting without a side channel.
   if (trace_ != nullptr && breakdown_.count() > 0) {
     sim::SpanArgs args;

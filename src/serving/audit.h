@@ -23,7 +23,7 @@
 // trace/span/parent ids and blame annotations, the request originates (or
 // adopts, for chained retries and cascade hops) a trace::SpanContext, and a
 // root "request" span is recorded at completion — the input to
-// tools/trace_analyze's critical-path extraction.
+// `servescope traces`' critical-path extraction.
 //
 // Enable with ServerConfig::audit (or --audit / --trace-out in the bench
 // harness). One auditor belongs to one server; when several servers share a
@@ -125,7 +125,7 @@ class RequestAuditor final : public ChargeObserver {
   /// Request-count conservation + leak detection. Idempotent; further
   /// terminal checks are pointless after this. With a trace attached, also
   /// emits an "audit.breakdown" metadata instant (per-stage mean seconds
-  /// over every terminal request) that trace_analyze cross-checks against
+  /// over every terminal request) that `servescope traces` cross-checks against
   /// the aggregate critical-path attribution.
   void finalize();
 

@@ -5,7 +5,7 @@
 // records spans carrying their causal identity as Chrome trace args
 // ("trace_id" / "span_id" / "parent_span_id", plus optional blame
 // annotations). The flat track/name layout Perfetto renders is unchanged;
-// the args are what tools/trace_analyze uses to rebuild the trees.
+// the args are what `servescope traces` uses to rebuild the trees.
 //
 // One CausalTracer is shared by every component writing into the same
 // TraceRecorder (auditor, brokers, pipelines, multiple experiment rows), so

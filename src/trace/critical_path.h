@@ -8,8 +8,8 @@
 // the root's start. The result is an exact tiling of the trace's end-to-end
 // extent: per-span "self time on the path" sums to the root duration, and
 // aggregating by span name yields the per-stage shares that must agree with
-// the RequestAuditor's Fig. 6 breakdown (the cross-check trace_analyze
-// enforces).
+// the RequestAuditor's Fig. 6 breakdown (the cross-check `servescope
+// traces` enforces).
 #pragma once
 
 #include <cstdint>

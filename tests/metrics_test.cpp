@@ -40,7 +40,7 @@ TEST(StatAccumulator, BasicMoments) {
 TEST(Histogram, EmptyHistogramQuantilesAreExactlyZero) {
   // Documented contract: with count() == 0 every quantile — including
   // p999() — returns exactly 0.0. Consumers distinguish "no samples" from
-  // "all zero" via count(); tools/report prints "no completed requests".
+  // "all zero" via count(); `servescope report` prints "no completed requests".
   Histogram h;
   EXPECT_EQ(h.count(), 0u);
   for (double q : {0.0, 0.5, 0.95, 0.99, 0.999, 1.0}) {

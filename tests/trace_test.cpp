@@ -53,8 +53,8 @@ jsonmini::Value parse_json(const std::string& text) {
   return v.value_or(jsonmini::Value{});
 }
 
-/// Rebuilds SpanRecords from an exported trace the same way trace_analyze
-/// does — the tests assert on the reconstructed trees, not the raw text.
+/// Rebuilds SpanRecords from an exported trace the same way `servescope
+/// traces` does — the tests assert on the reconstructed trees, not the raw text.
 std::vector<SpanRecord> spans_from_json(const std::string& text) {
   const jsonmini::Value doc = parse_json(text);
   const jsonmini::Value* events = doc.find("traceEvents");

@@ -1,14 +1,15 @@
-# Proves bench_check gates allocation counters as hard ceilings, using the
-# committed BENCH_sim.json: the baseline compared with itself passes, and a
-# copy whose heap_allocs_per_req rose by 0.5 must make bench_check exit
-# non-zero.
+# Proves `servescope bench-check` gates allocation counters as hard ceilings,
+# using the committed BENCH_sim.json: the baseline compared with itself
+# passes, and a copy whose heap_allocs_per_req rose by 0.5 must make it exit
+# non-zero. A candidate truncated inside its second benchmark object must be
+# rejected as malformed (exit 2), not read as "benchmarks missing".
 #
-#   cmake -DBENCH_CHECK=<bench_check> -DBASELINE=<BENCH_sim.json> \
+#   cmake -DSERVESCOPE=<servescope> -DBASELINE=<BENCH_sim.json> \
 #         -DWORK_DIR=<dir> -P bench_check_ceiling_test.cmake
-execute_process(COMMAND "${BENCH_CHECK}" "${BASELINE}" "${BASELINE}"
+execute_process(COMMAND "${SERVESCOPE}" bench-check "${BASELINE}" "${BASELINE}"
                 RESULT_VARIABLE rc OUTPUT_QUIET)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "bench_check rejected ${BASELINE} against itself (exit ${rc})")
+  message(FATAL_ERROR "bench-check rejected ${BASELINE} against itself (exit ${rc})")
 endif()
 
 file(READ "${BASELINE}" text)
@@ -19,8 +20,29 @@ if(doctored STREQUAL text)
 endif()
 set(raised "${WORK_DIR}/BENCH_sim.raised_allocs.json")
 file(WRITE "${raised}" "${doctored}")
-execute_process(COMMAND "${BENCH_CHECK}" "${BASELINE}" "${raised}"
+execute_process(COMMAND "${SERVESCOPE}" bench-check "${BASELINE}" "${raised}"
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
 if(rc EQUAL 0)
-  message(FATAL_ERROR "bench_check accepted a raised heap_allocs_per_req:\n${out}")
+  message(FATAL_ERROR "bench-check accepted a raised heap_allocs_per_req:\n${out}")
+endif()
+
+# Cut the file just after the second benchmark's "name" key.
+string(FIND "${text}" "\"benchmarks\"" at)
+string(SUBSTRING "${text}" ${at} -1 rest)
+foreach(i RANGE 1 2)
+  string(FIND "${rest}" "\"name\"" name_at)
+  if(name_at EQUAL -1)
+    message(FATAL_ERROR "fewer than two benchmark objects in ${BASELINE}")
+  endif()
+  math(EXPR at "${at} + ${name_at} + 6")
+  math(EXPR skip "${name_at} + 6")
+  string(SUBSTRING "${rest}" ${skip} -1 rest)
+endforeach()
+string(SUBSTRING "${text}" 0 ${at} truncated)
+set(cut "${WORK_DIR}/BENCH_sim.truncated.json")
+file(WRITE "${cut}" "${truncated}")
+execute_process(COMMAND "${SERVESCOPE}" bench-check "${BASELINE}" "${cut}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "bench-check on a truncated candidate: expected exit 2, got ${rc}:\n${out}")
 endif()
