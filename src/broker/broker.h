@@ -79,7 +79,8 @@ class SimBroker {
         profile_(std::move(profile)),
         faults_(faults),
         io_(sim, static_cast<std::size_t>(profile_.io_threads), profile_.name + ".io"),
-        topic_(sim, std::numeric_limits<std::size_t>::max(), profile_.name + ".topic") {
+        topic_(sim, std::numeric_limits<std::size_t>::max(), profile_.name + ".topic"),
+        track_(profile_.name + ".broker") {
     if (registry != nullptr) {
       const metrics::Labels labels{{"broker", profile_.name}};
       published_m_ = registry->counter("broker_published_total", labels);
@@ -105,13 +106,11 @@ class SimBroker {
   /// the message becomes visible to consumers. Returns false (message not
   /// accepted) when a broker-outage fault window is active — the service
   /// time is still paid, as a real client pays for a timed-out round trip.
-  sim::Task<bool> publish(T msg) { return publish(std::move(msg), trace::SpanContext{}); }
-
-  /// Publish with causal context propagation: the publish span (IO queue +
-  /// service time, and the rejection verdict during an outage) is recorded
-  /// as a child of `ctx`, and its context travels with the message so the
-  /// delivery span can parent under it at consume time.
-  sim::Task<bool> publish(T msg, trace::SpanContext ctx) {
+  /// Given a causal context, the publish span (IO queue + service time, and
+  /// the rejection verdict during an outage) is recorded as a child of `ctx`,
+  /// and its context travels with the message so the delivery span can
+  /// parent under it at consume time.
+  sim::Task<bool> publish(T msg, trace::SpanContext ctx = {}) {
     const sim::Time t0 = sim_.now();
     auto io = co_await io_.acquire();
     co_await sim_.wait(sim::seconds(profile_.publish_service_s));
@@ -119,20 +118,12 @@ class SimBroker {
     if (outage_now()) {
       ++publish_failures_;
       failures_m_.inc();
-      if (tracer_ != nullptr && ctx.valid()) {
-        tracer_->child_span(ctx, profile_.name + ".broker", "broker", t0, sim_.now(),
-                            {{"op", "publish"}, {"outcome", "rejected"}});
-      }
+      hop(ctx, t0, {{"op", "publish"}, {"outcome", "rejected"}});
       co_return false;
     }
     ++published_;
     published_m_.inc();
-    trace::SpanContext pub_ctx = ctx;
-    if (tracer_ != nullptr && ctx.valid()) {
-      pub_ctx = tracer_->child_span(ctx, profile_.name + ".broker", "broker", t0, sim_.now(),
-                                    {{"op", "publish"}});
-    }
-    topic_.try_put(Envelope{std::move(msg), pub_ctx, sim_.now()});
+    topic_.try_put(Envelope{std::move(msg), hop(ctx, t0, {{"op", "publish"}}), sim_.now()});
     co_return true;
   }
 
@@ -156,12 +147,8 @@ class SimBroker {
     co_await sim_.wait(sim::seconds(profile_.consume_latency_s));
     ++consumed_;
     consumed_m_.inc();
-    Delivery d{std::move(env->payload), env->ctx};
-    if (tracer_ != nullptr && env->ctx.valid()) {
-      d.ctx = tracer_->child_span(env->ctx, profile_.name + ".broker", "broker",
-                                  env->visible_at, sim_.now(), {{"op", "deliver"}});
-    }
-    co_return d;
+    co_return Delivery{std::move(env->payload),
+                       hop(env->ctx, env->visible_at, {{"op", "deliver"}})};
   }
 
   /// Records publish/delivery spans through `tracer` (nullptr disables).
@@ -185,6 +172,13 @@ class SimBroker {
     sim::Time visible_at = 0;
   };
 
+  /// Records a "broker" span from `begin` to now under `parent` and returns
+  /// its context; without a tracer or a parent context, returns `parent`.
+  trace::SpanContext hop(const trace::SpanContext& parent, sim::Time begin, sim::TraceArgs args) {
+    if (tracer_ == nullptr || !parent.valid()) return parent;
+    return tracer_->child_span(parent, track_, "broker", begin, sim_.now(), args);
+  }
+
   [[nodiscard]] bool outage_now() const noexcept {
     return faults_ != nullptr && faults_->active(sim::FaultKind::kBrokerOutage,
                                                  sim::FaultWindow::kAllTargets, sim_.now());
@@ -201,6 +195,7 @@ class SimBroker {
   trace::CausalTracer* tracer_ = nullptr;
   sim::Resource io_;
   sim::Channel<Envelope> topic_;
+  const std::string track_;  ///< "<name>.broker", the publish/delivery span track
   std::uint64_t published_ = 0;
   std::uint64_t consumed_ = 0;
   std::uint64_t publish_failures_ = 0;

@@ -94,11 +94,10 @@ struct Pipeline {
   /// Records a span under `parent` on the frame's trace track. No-op without
   /// a tracer; the tracer itself no-ops unsampled contexts (ids still
   /// allocated, keeping id assignment scheduling-independent).
-  void span(const trace::SpanContext& parent, std::uint64_t frame_id, std::string name,
-            Time begin, Time end, sim::SpanArgs args = {}) {
+  void span(const trace::SpanContext& parent, std::uint64_t frame_id, std::string_view name,
+            Time begin, Time end, sim::TraceArgs args = {}) {
     if (spec.tracer != nullptr && parent.valid()) {
-      spec.tracer->child_span(parent, "frame." + std::to_string(frame_id), std::move(name),
-                              begin, end, std::move(args));
+      spec.tracer->child_span(parent, sim::TraceName("frame.", frame_id), name, begin, end, args);
     }
   }
 
@@ -118,13 +117,14 @@ struct Pipeline {
       latency.add(sim::to_seconds(latency_ns));
       breakdown.add(frame.stages);
     }
-    if (spec.tracer != nullptr && frame.ctx.valid()) {
-      sim::SpanArgs args;
-      if (!spec.trace_label.empty()) args.emplace_back("run", spec.trace_label);
-      args.emplace_back("frame_id", std::to_string(frame.id));
-      args.emplace_back("faces", std::to_string(frame.faces));
-      spec.tracer->record(frame.ctx, "frame." + std::to_string(frame.id), "frame",
-                          frame.arrival, sim.now(), std::move(args));
+    if (spec.tracer != nullptr && frame.ctx.sampled) {
+      sim::TraceArg args[3];
+      std::size_t n = 0;
+      if (!spec.trace_label.empty()) args[n++] = {"run", spec.trace_label};
+      args[n++] = {"frame_id", frame.id};
+      args[n++] = {"faces", static_cast<std::uint64_t>(frame.faces)};
+      spec.tracer->record(frame.ctx, sim::TraceName("frame.", frame.id), "frame", frame.arrival,
+                          sim.now(), {args, n});
     }
     frame.done.set();
   }
@@ -213,7 +213,7 @@ sim::Process detection_loop(Pipeline& p) {
         co_await p.sim.wait(seconds(idt));
         id_total += p.sim.now() - t0;
         p.span(frame->ctx, frame->id, "inference", t0, p.sim.now(),
-               {{"model", "identification"}, {"face", std::to_string(i)}});
+               {{"model", "identification"}, {"face", static_cast<std::uint64_t>(i)}});
       }
       p.finalize(*frame, id_total);
       continue;
@@ -272,9 +272,8 @@ sim::Process identification_loop(Pipeline& p) {
     co_await p.sim.wait(seconds(idt));
     const Time span = p.sim.now() - t0;
     engine.release();
-    const std::string id_blame = "id-batch-formation batch=" +
-                                 std::to_string(p.id_batcher.batches_formed()) +
-                                 " size=" + std::to_string(batch.size());
+    const sim::TraceName id_blame("id-batch-formation batch=", p.id_batcher.batches_formed(),
+                                  " size=", batch.size());
     for (auto& face : batch) {
       Frame& f = *face.frame;
       // Per-face wait from broker delivery to batch dispatch (batch
@@ -284,7 +283,8 @@ sim::Process identification_loop(Pipeline& p) {
         p.span(face.ctx, f.id, "queue", face.delivered, t0, {{"blame", id_blame}});
       }
       p.span(face.ctx, f.id, "inference", t0, p.sim.now(),
-             {{"model", "identification"}, {"face", std::to_string(face.face_index)}});
+             {{"model", "identification"},
+              {"face", static_cast<std::uint64_t>(face.face_index)}});
       if (--f.remaining == 0) p.finalize(f, span);
     }
   }

@@ -46,8 +46,7 @@ struct Logical {
   int inflight = 0;           ///< attempts launched but not yet finished
   bool hedged = false;
   Time hedge_time = 0;
-  bool traced = false;
-  trace::SpanContext ctx{};   ///< root context; node auditors adopt it
+  trace::SpanContext ctx{};   ///< root context when traced; node auditors adopt it
   const char* fail_kind = ""; ///< "crash" / "gray" / "node-error"
   std::vector<serving::RequestPtr> attempts;
   sim::Event decided;
@@ -196,10 +195,7 @@ struct FleetBalancer {
   sim::Task<void> serve_logical() {
     auto lg = std::make_shared<Logical>(sim, next_logical_id_++, sim.now());
     ++counts.issued;
-    if (spec.tracer != nullptr && sampler.sample(lg->id)) {
-      lg->traced = true;
-      lg->ctx = spec.tracer->begin_trace(true);
-    }
+    if (spec.tracer != nullptr && sampler.sample(lg->id)) lg->ctx = spec.tracer->begin_trace(true);
     const int primary = pick_node(-1);
     launch(lg, primary, false);
     if (cfg.hedge.enabled) {
@@ -254,7 +250,7 @@ struct FleetBalancer {
       fail_kind = "gray";
     } else {
       auto req = std::make_shared<serving::Request>(sim, next_request_id_++, spec.image);
-      if (lg->traced) req->trace_ctx = lg->ctx;  // node auditor adopts -> cross-node trace
+      if (lg->ctx.valid()) req->trace_ctx = lg->ctx;  // node auditor adopts -> cross-node trace
       lg->attempts.push_back(req);
       node.wire.push_back(req);
       node.server->submit(req);
@@ -364,17 +360,16 @@ struct FleetBalancer {
           r->cancel_reason = "hedge-cancelled";
         }
       }
-      if (lg->traced) {
+      if (lg->ctx.valid()) {
         (void)spec.tracer->child_span(lg->ctx, "fleet.balancer",
                                       by_hedge ? "hedge-win" : "hedge-loss", lg->hedge_time,
                                       now, {{"blame", "hedge-deadline"}});
       }
     }
-    if (lg->traced) {
-      spec.tracer->record(
-          lg->ctx, "fleet.balancer", "fleet-request", lg->start, now,
-          {{"policy", std::string(balancer_policy_name(cfg.policy))},
-           {"outcome", success ? std::string("ok") : std::string(lg->fail_kind)}});
+    if (lg->ctx.valid()) {
+      spec.tracer->record(lg->ctx, "fleet.balancer", "fleet-request", lg->start, now,
+                          {{"policy", balancer_policy_name(cfg.policy)},
+                           {"outcome", success ? std::string_view("ok") : lg->fail_kind}});
     }
     lg->decided.set();
   }
@@ -401,8 +396,9 @@ struct FleetBalancer {
       node.health.on_probe(ok, sim.now());
       sync_node_state(n);
       if (spec.trace != nullptr && !ok) {
-        spec.trace->span("fleet.probes", "probe-fail node" + std::to_string(n), t0, sim.now(),
-                         {{"blame", crashed ? "node-crash" : "probe-timeout"}});
+        spec.trace->span("fleet.probes",
+                         sim::TraceName("probe-fail node", static_cast<std::uint64_t>(n)), t0,
+                         sim.now(), {{"blame", crashed ? "node-crash" : "probe-timeout"}});
       }
     }
   }
@@ -416,7 +412,9 @@ struct FleetBalancer {
       const char* name = s == HealthGate::State::kClosed  ? "rejoined"
                          : s == HealthGate::State::kOpen  ? "ejected"
                                                           : "half-open";
-      spec.trace->instant("fleet.health", "node" + std::to_string(n) + " " + name, sim.now());
+      spec.trace->instant("fleet.health",
+                          sim::TraceName("node", static_cast<std::uint64_t>(n), " ", name),
+                          sim.now());
     }
   }
 

@@ -83,11 +83,13 @@ class ObserverWiring {
     }
     if (obs_.trace == nullptr || faults == nullptr) return;
     for (const sim::FaultWindow& w : faults->windows()) {
-      const std::string kind{sim::fault_kind_name(w.kind)};
-      std::string edge = kind;
-      if (w.target != sim::FaultWindow::kAllTargets) edge += "[" + std::to_string(w.target) + "]";
-      obs_.trace->instant("faults", edge + " open", w.begin);
-      obs_.trace->instant("faults", edge + " close", w.end);
+      const std::string_view kind = sim::fault_kind_name(w.kind);
+      const sim::TraceName edge =
+          w.target == sim::FaultWindow::kAllTargets
+              ? sim::TraceName(kind)
+              : sim::TraceName(kind, "[", static_cast<std::uint64_t>(w.target), "]");
+      obs_.trace->instant("faults", sim::TraceName(edge, " open"), w.begin);
+      obs_.trace->instant("faults", sim::TraceName(edge, " close"), w.end);
       if (!auditors_.empty() && w.end > w.begin) obs_.trace->span("faults", kind, w.begin, w.end);
     }
   }

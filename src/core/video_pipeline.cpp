@@ -74,10 +74,10 @@ struct Pipeline {
 
   /// Records a span under the clip's context (no-op without a tracer; the
   /// tracer itself skips unsampled contexts).
-  void span(const Clip& clip, std::string name, Time begin, Time end, sim::SpanArgs args = {}) {
+  void span(const Clip& clip, std::string_view name, Time begin, Time end,
+            sim::TraceArgs args = {}) {
     if (spec.tracer != nullptr && clip.ctx.valid()) {
-      spec.tracer->child_span(clip.ctx, "clip." + std::to_string(clip.id), std::move(name),
-                              begin, end, std::move(args));
+      spec.tracer->child_span(clip.ctx, sim::TraceName("clip.", clip.id), name, begin, end, args);
     }
   }
 
@@ -92,12 +92,13 @@ struct Pipeline {
       latency.add(sim::to_seconds(lat));
       breakdown.add(clip.stages);
     }
-    if (spec.tracer != nullptr && clip.ctx.valid()) {
-      sim::SpanArgs args;
-      if (!spec.trace_label.empty()) args.emplace_back("run", spec.trace_label);
-      args.emplace_back("clip_id", std::to_string(clip.id));
-      spec.tracer->record(clip.ctx, "clip." + std::to_string(clip.id), "clip", clip.arrival,
-                          sim.now(), std::move(args));
+    if (spec.tracer != nullptr && clip.ctx.sampled) {
+      sim::TraceArg args[2];
+      std::size_t n = 0;
+      if (!spec.trace_label.empty()) args[n++] = {"run", spec.trace_label};
+      args[n++] = {"clip_id", clip.id};
+      spec.tracer->record(clip.ctx, sim::TraceName("clip.", clip.id), "clip", clip.arrival,
+                          sim.now(), {args, n});
     }
     clip.done.set();
   }
@@ -226,13 +227,12 @@ sim::Process classify_loop(Pipeline& p) {
     co_await p.sim.wait(seconds(ct));
     engine.release();
     const Time span = p.sim.now() - t0;
-    const std::string batch_blame =
-        "classify-batch-formation batch=" + std::to_string(p.frame_batcher.batches_formed()) +
-        " size=" + std::to_string(b);
+    const sim::TraceName batch_blame("classify-batch-formation batch=",
+                                     p.frame_batcher.batches_formed(), " size=", batch.size());
     for (auto& f : batch) {
       if (c0 > t0) p.span(*f.clip, "queue", t0, c0, {{"blame", batch_blame}});
       p.span(*f.clip, "inference", c0, p.sim.now(),
-             {{"frame", std::to_string(f.index)}});
+             {{"frame", static_cast<std::uint64_t>(f.index)}});
       if (--f.clip->remaining == 0) p.finalize(*f.clip, span);
     }
   }

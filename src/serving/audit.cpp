@@ -1,7 +1,6 @@
 #include "serving/audit.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <sstream>
 
@@ -91,7 +90,6 @@ void RequestAuditor::on_submit(Request& req) {
   }
   if (causal_ != nullptr) req.trace_ctx = slot.ctx;  // downstream spans attach here
   slot.traced = sampled && trace_ != nullptr;
-  if (slot.traced) slot.track = "req." + std::to_string(req.id);
   history_.set(req.id, static_cast<std::uint8_t>(seen | IdHistory::kInFlight));
   req.audit_slot = index;
   req.observer = this;
@@ -115,14 +113,13 @@ void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time e
   const sim::Time begin = std::max<sim::Time>(end - dt, 0);
   if (slot->charges.size() < kMaxChargesTracked) slot->charges.push_back(Charge{s, begin, end});
   if (slot->traced && dt > 0) {
-    sim::SpanArgs args;
-    if (!blame.empty()) args.emplace_back("blame", std::string(blame));
+    const sim::TraceName track("req.", slot->id);
+    const sim::TraceArg blame_arg{"blame", blame};
+    const sim::TraceArgs args{&blame_arg, blame.empty() ? 0u : 1u};
     if (causal_ != nullptr) {
-      causal_->child_span(slot->ctx, slot->track, std::string(metrics::stage_name(s)), begin, end,
-                          std::move(args));
+      causal_->child_span(slot->ctx, track, metrics::stage_name(s), begin, end, args);
     } else {
-      trace_->span(slot->track, std::string(metrics::stage_name(s)), begin, end,
-                   std::move(args));
+      trace_->span(track, metrics::stage_name(s), begin, end, args);
     }
   }
 }
@@ -146,16 +143,15 @@ void RequestAuditor::on_complete(const Request& req) {
   breakdown_.add(req.stages);
   last_terminal_ = std::max(last_terminal_, std::max(req.completed, req.arrival));
   if (slot->traced && causal_ != nullptr && req.completed >= req.arrival) {
-    sim::SpanArgs args;
-    if (!opts_.run_label.empty()) args.emplace_back("run", opts_.run_label);
-    args.emplace_back("request_id", std::to_string(req.id));
-    args.emplace_back("result", req.dropped ? std::string("dropped")
-                                : req.failed
-                                    ? "failed-" + std::string(fail_reason_name(req.fail_reason))
-                                    : std::string("ok"));
-    if (req.attempt > 1) args.emplace_back("attempt", std::to_string(req.attempt));
-    causal_->record(slot->ctx, slot->track, "request", req.arrival, req.completed,
-                    std::move(args));
+    const sim::TraceName failed("failed-", fail_reason_name(req.fail_reason));
+    sim::TraceArg args[4];
+    std::size_t n = 0;
+    if (!opts_.run_label.empty()) args[n++] = {"run", opts_.run_label};
+    args[n++] = {"request_id", req.id};
+    args[n++] = {"result", req.dropped ? "dropped" : req.failed ? std::string_view(failed) : "ok"};
+    if (req.attempt > 1) args[n++] = {"attempt", static_cast<std::uint64_t>(req.attempt)};
+    causal_->record(slot->ctx, sim::TraceName("req.", req.id), "request", req.arrival,
+                    req.completed, {args, n});
   }
   check_request(req, *slot);
   history_.set(req.id, IdHistory::kDone);
@@ -169,7 +165,7 @@ void RequestAuditor::on_lost_handoff(const Request& req, std::string_view where)
 }
 
 void RequestAuditor::on_breaker_transition(std::string_view to, sim::Time t) {
-  if (trace_ != nullptr) trace_->instant("policies", "breaker -> " + std::string(to), t);
+  if (trace_ != nullptr) trace_->instant("policies", sim::TraceName("breaker -> ", to), t);
 }
 
 void RequestAuditor::check_request(const Request& req, const Slot& slot) {
@@ -271,16 +267,20 @@ void RequestAuditor::finalize() {
   // `servescope traces` can cross-check the sampled critical paths against
   // the exhaustive auditor accounting without a side channel.
   if (trace_ != nullptr && breakdown_.count() > 0) {
-    sim::SpanArgs args;
-    if (!opts_.run_label.empty()) args.emplace_back("run", opts_.run_label);
-    args.emplace_back("count", std::to_string(breakdown_.count()));
-    args.emplace_back("mean_total_s", metrics::format_double(breakdown_.mean_total()));
+    sim::TraceName keys[metrics::kStageCount];
+    std::string means[1 + metrics::kStageCount] = {metrics::format_double(breakdown_.mean_total())};
+    sim::TraceArg args[3 + metrics::kStageCount];
+    std::size_t n = 0;
+    if (!opts_.run_label.empty()) args[n++] = {"run", opts_.run_label};
+    args[n++] = {"count", breakdown_.count()};
+    args[n++] = {"mean_total_s", means[0]};
     for (std::size_t i = 0; i < metrics::kStageCount; ++i) {
       const auto s = static_cast<metrics::Stage>(i);
-      args.emplace_back("stage_" + std::string(metrics::stage_name(s)),
-                        metrics::format_double(breakdown_.mean(s)));
+      keys[i] = sim::TraceName("stage_", metrics::stage_name(s));
+      means[i + 1] = metrics::format_double(breakdown_.mean(s));
+      args[n++] = {keys[i], means[i + 1]};
     }
-    trace_->instant("meta", "audit.breakdown", last_terminal_, std::move(args));
+    trace_->instant("meta", "audit.breakdown", last_terminal_, {args, n});
   }
 }
 

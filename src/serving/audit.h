@@ -16,7 +16,8 @@
 // The auditor also doubles as the per-request span source for
 // sim::TraceRecorder: each stage charge of a *sampled* request becomes a
 // named span on a "req.<id>" track, so latency breakdowns are visually
-// debuggable in Perfetto (chrome://tracing). Sampling is deterministic
+// debuggable in Perfetto (chrome://tracing); recording one allocates nothing
+// (the track name is formatted on the stack). Sampling is deterministic
 // (trace::TraceSampler — hash of the request id by default, stride and the
 // legacy first-N available via Options::sampler), so same-seed runs trace
 // the same requests. With a CausalTracer attached the same spans also carry
@@ -176,7 +177,6 @@ class RequestAuditor final : public ChargeObserver {
     sim::Time arrival = 0;
     bool traced = false;
     trace::SpanContext ctx{};  ///< causal identity (zero without a tracer)
-    std::string track;         ///< "req.<id>", built once for traced requests
     std::vector<Charge> charges;
     std::uint32_t next_free = kNoAuditSlot;
   };

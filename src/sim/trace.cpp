@@ -5,7 +5,6 @@
 #include <cmath>
 #include <cstdio>
 #include <ostream>
-#include <stdexcept>
 
 namespace serve::sim {
 
@@ -152,17 +151,6 @@ std::uint32_t TraceRecorder::intern_id(std::string_view s) {
   return id;
 }
 
-void TraceRecorder::span(std::string track, std::string name, Time begin, Time end) {
-  span(std::move(track), std::move(name), begin, end, SpanArgs{});
-}
-
-void TraceRecorder::span(std::string track, std::string name, Time begin, Time end,
-                         SpanArgs args) {
-  if (end < begin) throw std::invalid_argument("TraceRecorder::span: end before begin");
-  if (!admit()) return;
-  record_event(spans_, track, name, begin, end, args);
-}
-
 void TraceRecorder::counter(TrackId track, double value, Time t) {
   if (!admit()) return;
   std::uint8_t buf[2 * kMaxVarintBytes + 1 + sizeof(double)];
@@ -181,21 +169,12 @@ void TraceRecorder::counter(TrackId track, double value, Time t) {
   ++counters_.count;
 }
 
-void TraceRecorder::instant(std::string track, std::string name, Time t) {
-  instant(std::move(track), std::move(name), t, SpanArgs{});
-}
-
-void TraceRecorder::instant(std::string track, std::string name, Time t, SpanArgs args) {
-  if (!admit()) return;
-  record_event(instants_, track, name, t, std::nullopt, args);
-}
-
 // Record: varint track id, varint name id, zigzag time delta, [varint
 // duration, spans only], varint arg count, then per arg a varint key id and
-// the value as varint length + bytes.
+// the value as varint length + bytes (an integer as its decimal digits).
 void TraceRecorder::record_event(ChunkStream& stream, std::string_view track,
                                  std::string_view name, Time t, std::optional<Time> end,
-                                 const SpanArgs& args) {
+                                 TraceArgs args) {
   std::uint8_t buf[5 * kMaxVarintBytes];
   std::uint8_t* p = put_varint(buf, intern_id(track));
   p = put_varint(p, intern_id(name));
@@ -204,7 +183,10 @@ void TraceRecorder::record_event(ChunkStream& stream, std::string_view track,
   if (end) p = put_varint(p, static_cast<std::uint64_t>(*end) - static_cast<std::uint64_t>(t));
   p = put_varint(p, args.size());
   stream.append(buf, static_cast<std::size_t>(p - buf));
-  for (const auto& [key, value] : args) {
+  for (const auto& [key, typed] : args) {
+    const auto* n = std::get_if<std::uint64_t>(&typed);
+    const TraceName digits = n != nullptr ? TraceName(*n) : TraceName();
+    const std::string_view value = n != nullptr ? digits : std::get<std::string_view>(typed);
     p = put_varint(buf, intern_id(key));
     p = put_varint(p, value.size());
     stream.append(buf, static_cast<std::size_t>(p - buf));

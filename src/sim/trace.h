@@ -1,12 +1,16 @@
 // Virtual-time trace recording with Chrome trace-event export.
 //
-// Records three kinds of events:
-//  - spans: named intervals on a named track ("gpu0.compute: batch x64"),
-//    optionally carrying string args (trace/span ids, blame annotations);
-//  - counters: numeric time series ("cpu.cores in_use") rendered as stacked
-//    charts by chrome://tracing / Perfetto;
-//  - instants: zero-duration markers ("fault pcie_degrade begin", "breaker
+// Records three kinds of events, one call each:
+//  - span(): named intervals on a named track ("gpu0.compute: batch x64"),
+//    optionally carrying args (trace/span ids, blame annotations);
+//  - counter(): numeric time series ("cpu.cores in_use") on a track
+//    interned once, rendered as stacked charts by chrome://tracing;
+//  - instant(): zero-duration markers ("fault pcie_degrade begin", "breaker
 //    open") that line state transitions up against the per-request spans.
+// Tracks, names and args are views read during the call, so recording
+// allocates nothing beyond the store: an arg value is an integer (stored as
+// its decimal digits) or a string_view, and a numbered track ("req.42") is
+// formatted on the caller's stack by TraceName.
 //
 // Storage is compact. Every track name, span/instant name and arg key is
 // interned once; an event is a few varints in an append-only byte stream
@@ -18,11 +22,7 @@
 // sample takes about 5 bytes. Spans and instants store ids, time deltas and
 // their arg values. write_chrome_json decodes in recording order, so the
 // export is exactly what storing every event verbatim would produce.
-// memory_bytes() reports what the store holds.
-//
-// Hot producers (hw::attach_tracer) intern a counter track once and record
-// by id; the by-name overload interns on every call. Ids stay valid across
-// clear().
+// memory_bytes() reports what the store holds. Ids stay valid across clear().
 //
 // Memory is bounded: past `max_events` (spans + counters + instants
 // combined) new events are dropped and counted in `dropped_events()`, so a
@@ -34,25 +34,67 @@
 // serving pipeline's device occupancy over virtual time.
 #pragma once
 
+#include <array>
+#include <charconv>
 #include <cstdint>
 #include <cstring>
 #include <deque>
+#include <initializer_list>
 #include <iosfwd>
 #include <memory>
 #include <optional>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
+#include <variant>
 #include <vector>
 
 #include "sim/time.h"
 
 namespace serve::sim {
 
-/// Ordered key/value annotations attached to a span or instant; exported as
-/// the Chrome trace event's "args" object (all values as JSON strings).
-using SpanArgs = std::vector<std::pair<std::string, std::string>>;
+/// One key/value annotation on a span or instant, exported in the Chrome
+/// trace event's "args" object as a JSON string (integers in decimal).
+struct TraceArg {
+  std::string_view key;
+  std::variant<std::uint64_t, std::string_view> value;
+};
+
+/// A non-owning list of TraceArgs: a braced list at the call site
+/// (`{{"blame", why}, {"face", i}}`) or `{array, count}`; only a parameter.
+class TraceArgs : public std::span<const TraceArg> {
+ public:
+  using std::span<const TraceArg>::span;
+  TraceArgs(std::initializer_list<TraceArg> args) noexcept : span(args.begin(), args.size()) {}
+};
+
+/// A track or event name joined from string pieces and unsigned integers
+/// ("req." + 42 -> "req.42") in a buffer on the caller's stack, so naming a
+/// per-request track allocates nothing. Throws std::length_error past kCapacity.
+class TraceName {
+ public:
+  static constexpr std::size_t kCapacity = 96;
+
+  template <typename... Parts>
+  explicit TraceName(const Parts&... parts) { (append(parts), ...); }
+  operator std::string_view() const noexcept { return {buf_.data(), size_}; }
+
+ private:
+  void append(std::string_view piece) {
+    if (piece.size() > kCapacity - size_) throw std::length_error("TraceName: name too long");
+    size_ += piece.copy(buf_.data() + size_, piece.size());
+  }
+  void append(std::uint64_t n) {
+    const auto res = std::to_chars(buf_.data() + size_, buf_.data() + kCapacity, n);
+    if (res.ec != std::errc()) throw std::length_error("TraceName: name too long");
+    size_ = static_cast<std::size_t>(res.ptr - buf_.data());
+  }
+
+  std::array<char, kCapacity> buf_{};
+  std::size_t size_ = 0;
+};
 
 /// Interned counter track name (see TraceRecorder::intern).
 enum class TrackId : std::uint32_t {};
@@ -72,23 +114,24 @@ class TraceRecorder {
   static constexpr std::size_t kChunkBytes = 64 * 1024;
 
   /// Records a completed span [begin, end] on `track`.
-  void span(std::string track, std::string name, Time begin, Time end);
-  void span(std::string track, std::string name, Time begin, Time end, SpanArgs args);
+  void span(std::string_view track, std::string_view name, Time begin, Time end,
+            TraceArgs args = {}) {
+    if (end < begin) throw std::invalid_argument("TraceRecorder::span: end before begin");
+    if (admit()) record_event(spans_, track, name, begin, end, args);
+  }
 
   /// Returns the id naming counter track `track`, adding it on first use.
-  [[nodiscard]] TrackId intern(std::string track) {
+  [[nodiscard]] TrackId intern(std::string_view track) {
     return static_cast<TrackId>(intern_id(track));
   }
 
   /// Records a counter sample (step function between samples).
   void counter(TrackId track, double value, Time t);
-  void counter(std::string track, double value, Time t) {
-    counter(intern(std::move(track)), value, t);
-  }
 
   /// Records an instantaneous marker at time `t` on `track`.
-  void instant(std::string track, std::string name, Time t);
-  void instant(std::string track, std::string name, Time t, SpanArgs args);
+  void instant(std::string_view track, std::string_view name, Time t, TraceArgs args = {}) {
+    if (admit()) record_event(instants_, track, name, t, std::nullopt, args);
+  }
 
   [[nodiscard]] std::size_t span_count() const noexcept { return spans_.count; }
   [[nodiscard]] std::size_t counter_count() const noexcept { return counters_.count; }
@@ -159,7 +202,7 @@ class TraceRecorder {
   std::uint32_t intern_id(std::string_view s);
   /// Appends a span record (with `end`) or an instant record (without).
   void record_event(ChunkStream& stream, std::string_view track, std::string_view name,
-                    Time t, std::optional<Time> end, const SpanArgs& args);
+                    Time t, std::optional<Time> end, TraceArgs args);
 
   std::size_t max_events_ = kDefaultMaxEvents;
   std::uint64_t dropped_ = 0;

@@ -13,8 +13,12 @@
 // per row.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <string>
+#include <stdexcept>
+#include <string_view>
 
 #include "sim/time.h"
 #include "sim/trace.h"
@@ -43,25 +47,38 @@ class CausalTracer {
     return SpanContext{parent.trace_id, next_span_id_++, parent.span_id, parent.sampled};
   }
 
-  /// Records a completed span for an already-allocated context. No-op when
-  /// the context is unsampled or no recorder is attached.
-  void record(const SpanContext& ctx, std::string track, std::string name, sim::Time begin,
-              sim::Time end, sim::SpanArgs args = {});
+  static constexpr std::size_t kMaxArgs = 8;  ///< caller args next to the causal ids
+
+  /// Records a completed span for an already-allocated context, its ids ahead
+  /// of `args`. No-op (nothing formatted) when the context is unsampled or no
+  /// recorder is attached; throws std::length_error past kMaxArgs args.
+  void record(const SpanContext& ctx, std::string_view track, std::string_view name,
+              sim::Time begin, sim::Time end, sim::TraceArgs args = {}) {
+    if (rec_ == nullptr || !ctx.sampled || !ctx.valid()) return;
+    if (args.size() > kMaxArgs) throw std::length_error("CausalTracer::record: too many args");
+    std::array<sim::TraceArg, 3 + kMaxArgs> full{{{"trace_id", ctx.trace_id},
+                                                  {"span_id", ctx.span_id},
+                                                  {"parent_span_id", ctx.parent_span_id}}};
+    const std::size_t ids = ctx.parent_span_id != 0 ? 3 : 2;  // a root has no parent id
+    std::copy(args.begin(), args.end(), full.data() + ids);
+    rec_->span(track, name, begin, end, {full.data(), ids + args.size()});
+  }
 
   /// Allocates a child of `parent` and records it in one step; returns the
   /// child's context (ids are allocated even when unsampled, keeping id
   /// assignment independent of the sampling decision).
-  SpanContext child_span(const SpanContext& parent, std::string track, std::string name,
-                         sim::Time begin, sim::Time end, sim::SpanArgs args = {});
-
-  [[nodiscard]] std::uint64_t traces_started() const noexcept { return next_trace_id_ - 1; }
-  [[nodiscard]] std::uint64_t spans_recorded() const noexcept { return spans_recorded_; }
+  SpanContext child_span(const SpanContext& parent, std::string_view track,
+                         std::string_view name, sim::Time begin, sim::Time end,
+                         sim::TraceArgs args = {}) {
+    const SpanContext ctx = child_of(parent);
+    record(ctx, track, name, begin, end, args);
+    return ctx;
+  }
 
  private:
   sim::TraceRecorder* rec_ = nullptr;
   std::uint64_t next_trace_id_ = 1;
   std::uint64_t next_span_id_ = 1;
-  std::uint64_t spans_recorded_ = 0;
 };
 
 }  // namespace serve::trace

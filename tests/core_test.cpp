@@ -155,7 +155,7 @@ TEST(Fleet, RejectsEmptyFleet) {
 TEST(Trace, RecordsAndExportsChromeJson) {
   sim::TraceRecorder trace;
   trace.span("gpu0.compute", "batch x32", sim::milliseconds(1), sim::milliseconds(3));
-  trace.counter("cpu.cores", 7.0, sim::milliseconds(2));
+  trace.counter(trace.intern("cpu.cores"), 7.0, sim::milliseconds(2));
   std::ostringstream os;
   trace.write_chrome_json(os);
   const std::string json = os.str();
@@ -186,7 +186,7 @@ TEST(Trace, ExperimentEmitsUtilizationCounters) {
 
 TEST(Trace, ClearResets) {
   sim::TraceRecorder trace;
-  trace.counter("x", 1.0, 0);
+  trace.counter(trace.intern("x"), 1.0, 0);
   EXPECT_FALSE(trace.empty());
   trace.clear();
   EXPECT_TRUE(trace.empty());

@@ -1,8 +1,8 @@
 // TraceRecorder storage tests: the compact chunked store must export exactly
 // what a plain event-vector recorder would (round-trip against a reference
-// encoder on hostile sequences), a fixed audited run must hash to the value
-// recorded before the store was introduced, and the store must state and
-// bound its own memory cost.
+// encoder on hostile sequences), fixed runs of every span producer (audited
+// server, face and video pipelines, fleet) must hash to pinned values, and
+// the store must state and bound its own memory cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +12,16 @@
 #include <cstdio>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/experiment.h"
+#include "core/face_pipeline.h"
+#include "core/fleet.h"
+#include "core/video_pipeline.h"
 #include "models/model_zoo.h"
 #include "sim/fault_plan.h"
 #include "sim/rng.h"
@@ -27,6 +31,9 @@
 using namespace serve;
 
 namespace {
+
+/// The reference recorder's own owned-string args (every value a string).
+using RefArgs = std::vector<std::pair<std::string, std::string>>;
 
 std::string to_json(const sim::TraceRecorder& rec) {
   std::ostringstream os;
@@ -52,14 +59,13 @@ class ReferenceRecorder {
   void set_max_events(std::size_t cap) { max_events_ = cap; }
 
   void span(const std::string& track, const std::string& name, sim::Time begin, sim::Time end,
-            sim::SpanArgs args) {
+            RefArgs args) {
     if (admit()) spans_.push_back({track, name, begin, end, std::move(args)});
   }
   void counter(const std::string& track, double value, sim::Time t) {
     if (admit()) counters_.push_back({track, value, t});
   }
-  void instant(const std::string& track, const std::string& name, sim::Time t,
-               sim::SpanArgs args) {
+  void instant(const std::string& track, const std::string& name, sim::Time t, RefArgs args) {
     if (admit()) instants_.push_back({track, name, t, std::move(args)});
   }
   void clear() {
@@ -120,7 +126,7 @@ class ReferenceRecorder {
     std::string name;
     sim::Time begin;
     sim::Time end;
-    sim::SpanArgs args;
+    RefArgs args;
   };
   struct Sample {
     std::string track;
@@ -131,7 +137,7 @@ class ReferenceRecorder {
     std::string track;
     std::string name;
     sim::Time t;
-    sim::SpanArgs args;
+    RefArgs args;
   };
 
   bool admit() {
@@ -173,7 +179,7 @@ class ReferenceRecorder {
     return std::string(buf, res.ptr);
   }
 
-  static std::string args(const sim::SpanArgs& kv) {
+  static std::string args(const RefArgs& kv) {
     if (kv.empty()) return "";
     std::string out = ",\"args\":{";
     for (std::size_t i = 0; i < kv.size(); ++i) {
@@ -218,11 +224,7 @@ class PairedRecorders {
         const std::string& track = tracks_[static_cast<std::size_t>(rng_.uniform_int(0, 299))];
         const double v = value();
         const sim::Time t = time();
-        if (pick == 0) {
-          store.counter(track, v, t);  // by name
-        } else {
-          store.counter(store.intern(track), v, t);
-        }
+        store.counter(store.intern(track), v, t);
         ref.counter(track, v, t);
       } else if (pick < 9) {
         const std::string& track = names_[static_cast<std::size_t>(rng_.uniform_int(0, 7))];
@@ -230,12 +232,12 @@ class PairedRecorders {
         const sim::Time begin = time() / 4;  // keeps end - begin in range
         const sim::Time end = begin + rng_.uniform_int(0, 3) * rng_.uniform_int(0, 5'000'000);
         store.span(track, name, begin, end, args());
-        ref.span(track, name, begin, end, args_again());
+        ref.span(track, name, begin, end, ref_args_);
       } else {
         const std::string& track = names_[static_cast<std::size_t>(rng_.uniform_int(0, 7))];
         const sim::Time t = time();
         store.instant(track, "marker " + std::to_string(k), t, args());
-        ref.instant(track, "marker " + std::to_string(k), t, args_again());
+        ref.instant(track, "marker " + std::to_string(k), t, ref_args_);
       }
     }
   }
@@ -291,26 +293,42 @@ class PairedRecorders {
     return rng_.uniform(-1e6, 1e6);
   }
 
-  /// Random args; args_again() replays the last draw for the reference.
-  sim::SpanArgs args() {
-    last_args_.clear();
+  /// Random typed args for the store; ref_args_ holds the same draw as the
+  /// reference records it (integers as their decimal strings).
+  sim::TraceArgs args() {
+    ref_args_.clear();
+    store_args_.clear();
+    std::vector<std::optional<std::uint64_t>> ints;
     const auto n = rng_.uniform_int(0, 3);
     for (std::int64_t i = 0; i < n; ++i) {
       const std::string& key = names_[static_cast<std::size_t>(rng_.uniform_int(0, 7))];
-      std::string value = rng_.uniform_int(0, 30) == 0
-                              ? std::string(static_cast<std::size_t>(rng_.uniform_int(0, 70'000)),
-                                            'v')  // may straddle several chunks
-                              : std::to_string(rng_());
-      last_args_.emplace_back(key, std::move(value));
+      const auto kind = rng_.uniform_int(0, 30);
+      if (kind == 0) {  // may straddle several chunks
+        const auto len = static_cast<std::size_t>(rng_.uniform_int(0, 70'000));
+        ref_args_.emplace_back(key, std::string(len, 'v'));
+        ints.emplace_back();
+      } else if (kind < 15) {
+        ref_args_.emplace_back(key, std::to_string(rng_()));
+        ints.emplace_back();
+      } else {
+        const std::uint64_t v =
+            kind < 20 ? rng_() : static_cast<std::uint64_t>(rng_.uniform_int(0, 200));
+        ref_args_.emplace_back(key, std::to_string(v));
+        ints.emplace_back(v);
+      }
     }
-    return last_args_;
+    for (std::size_t i = 0; i < ref_args_.size(); ++i) {
+      const auto& [key, value] = ref_args_[i];
+      store_args_.push_back(ints[i] ? sim::TraceArg{key, *ints[i]} : sim::TraceArg{key, value});
+    }
+    return {store_args_.data(), store_args_.size()};
   }
-  sim::SpanArgs args_again() const { return last_args_; }
 
   sim::Rng rng_;
   std::vector<std::string> tracks_;
   std::vector<std::string> names_;
-  sim::SpanArgs last_args_;
+  RefArgs ref_args_;
+  std::vector<sim::TraceArg> store_args_;
   sim::Time now_ = 0;
 };
 
@@ -391,6 +409,95 @@ TEST(TraceStore, AuditedRunExportMatchesGoldenHash) {
   const std::string json = audited_run_export();
   EXPECT_EQ(json.size(), 1549629u);
   EXPECT_EQ(fnv1a(json), 0xf12dc5b715cf3634ULL);
+}
+
+/// Every frame traced through the Kafka broker: detection spans, broker
+/// publish/deliver spans across the hop, frame roots with "run"/"faces"
+/// args and batched identification spans with "face" args.
+std::string face_pipeline_export() {
+  sim::TraceRecorder rec;
+  trace::CausalTracer tracer{&rec};
+  core::FacePipelineSpec spec;
+  spec.broker = core::BrokerKind::kKafka;
+  spec.stochastic_faces = true;
+  spec.warmup = sim::seconds(0.2);
+  spec.measure = sim::seconds(1.0);
+  spec.tracer = &tracer;
+  spec.trace_sampler.rate = 1.0;
+  spec.trace_label = "face";
+  (void)core::run_face_pipeline(spec);
+  return to_json(rec);
+}
+
+/// Every clip traced through CPU decode: ingest, decode and per-frame
+/// classification spans with "op"/"frame"/"blame" args under clip roots.
+std::string video_pipeline_export() {
+  sim::TraceRecorder rec;
+  trace::CausalTracer tracer{&rec};
+  core::VideoPipelineSpec spec;
+  spec.decode = core::VideoDecodeDevice::kCpu;
+  spec.warmup = sim::seconds(0.2);
+  spec.measure = sim::seconds(1.0);
+  spec.tracer = &tracer;
+  spec.trace_sampler.rate = 1.0;
+  spec.trace_label = "video";
+  (void)core::run_video_pipeline(spec);
+  return to_json(rec);
+}
+
+/// An audited two-node p2c fleet with health checks and hedging through a
+/// node crash: fleet-request roots, hedge-win/hedge-loss spans on
+/// "fleet.balancer", probe-fail spans on "fleet.probes", ejection and rejoin
+/// instants on "fleet.health", per-node request spans and fault markers.
+std::string fleet_export() {
+  sim::TraceRecorder rec;
+  trace::CausalTracer tracer{&rec};
+  core::FleetSpec spec;
+  spec.server.model = models::vit_base();
+  spec.server.preproc = serving::PreprocDevice::kGpu;
+  spec.server.balancer.policy = core::BalancerPolicy::kPowerOfTwo;
+  spec.server.balancer.health.enabled = true;
+  spec.server.balancer.hedge.enabled = true;
+  spec.server.balancer.hedge.deadline = sim::milliseconds(20);
+  spec.server.trace_sampler.rate = 0.25;
+  spec.gpus_per_node = {1, 1};
+  spec.concurrency = 64;
+  spec.warmup = sim::seconds(0.2);
+  spec.measure = sim::seconds(1.5);
+  spec.audit = true;
+  sim::FaultPlan faults;
+  faults.node_crash(1, sim::seconds(0.5), sim::seconds(1.2));
+  spec.faults = &faults;
+  spec.trace = &rec;
+  spec.tracer = &tracer;
+  (void)core::run_fleet(spec);
+  return to_json(rec);
+}
+
+// Pinned from the export of the string-argument span API; a change means a
+// span producer no longer records the same events.
+TEST(TraceStore, FacePipelineExportMatchesGoldenHash) {
+  const std::string json = face_pipeline_export();
+  EXPECT_NE(json.find(R"("name":"kafka.broker")"), std::string::npos);
+  EXPECT_NE(json.find(R"("faces":)"), std::string::npos);
+  EXPECT_EQ(json.size(), 216744u);
+  EXPECT_EQ(fnv1a(json), 0x48e242c4d095e265ULL);
+}
+
+TEST(TraceStore, VideoPipelineExportMatchesGoldenHash) {
+  const std::string json = video_pipeline_export();
+  EXPECT_NE(json.find(R"("frame":)"), std::string::npos);
+  EXPECT_EQ(json.size(), 66533u);
+  EXPECT_EQ(fnv1a(json), 0xbd39194e86975f1dULL);
+}
+
+TEST(TraceStore, FleetExportMatchesGoldenHash) {
+  const std::string json = fleet_export();
+  EXPECT_NE(json.find(R"("name":"hedge-)"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"probe-fail node1")"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"node1 ejected")"), std::string::npos);
+  EXPECT_EQ(json.size(), 1313644u);
+  EXPECT_EQ(fnv1a(json), 0x052a666e1aaf9f28ULL);
 }
 
 TEST(TraceStore, CounterOnlyRunHoldsAtMostEightBytesPerSample) {

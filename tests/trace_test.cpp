@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -112,7 +114,7 @@ TEST(TraceRecorder, EventCapDropsAndCounts) {
   sim::TraceRecorder rec;
   rec.set_max_events(2);
   rec.span("t", "a", 0, 1);
-  rec.counter("c", 1.0, 0);
+  rec.counter(rec.intern("c"), 1.0, 0);
   rec.span("t", "b", 0, 1);  // over the cap
   rec.instant("t", "i", 0);  // over the cap
   EXPECT_EQ(rec.event_count(), 2u);
@@ -126,7 +128,7 @@ TEST(TraceRecorder, EventCapDropsAndCounts) {
 
 // --- TraceRecorder: interned counter tracks ----------------------------------
 
-TEST(TraceRecorder, CountersByNameAndByIdExportTheSameJson) {
+TEST(TraceRecorder, InternedCountersExportInFirstAppearanceOrder) {
   const std::string golden =
       "{\"traceEvents\":[\n"
       "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"batch x2\",\"ts\":0,\"dur\":2},\n"
@@ -142,14 +144,6 @@ TEST(TraceRecorder, CountersByNameAndByIdExportTheSameJson) {
       "\"args\":{\"name\":\"gpu0.compute\"}},\n"
       "{\"ph\":\"M\",\"pid\":1,\"tid\":3,\"name\":\"thread_name\",\"args\":{\"name\":\"policies\"}}\n"
       "]}\n";
-
-  sim::TraceRecorder by_name;
-  by_name.span("gpu0.compute", "batch x2", 0, 2000);
-  by_name.counter("cpu.cores", 0.0, 0);
-  by_name.counter("gpu0.compute", 1.0, 1000);
-  by_name.counter("cpu.cores", 2.5, 1500);
-  by_name.instant("policies", "breaker -> open", 1750);
-  EXPECT_EQ(to_json(by_name), golden);
 
   // Intern order differs from first-use order, and one interned track is
   // never sampled: tids still follow first appearance in the event stream.
@@ -201,14 +195,26 @@ TEST(TraceRecorder, CounterSamplesAreAdmittedOncePerCall) {
   sim::TraceRecorder rec;
   rec.set_max_events(2);
   const sim::TrackId c = rec.intern("c");
-  rec.counter("c", 0.0, 0);
+  rec.counter(c, 0.0, 0);
   rec.counter(c, 1.0, 1);
-  rec.counter("c", 2.0, 2);  // over the cap
-  rec.counter(c, 3.0, 3);    // over the cap
-  rec.counter("d", 4.0, 4);  // over the cap
+  rec.counter(c, 2.0, 2);                // over the cap
+  rec.counter(c, 3.0, 3);                // over the cap
+  rec.counter(rec.intern("d"), 4.0, 4);  // over the cap
   EXPECT_EQ(rec.event_count(), 2u);
   EXPECT_EQ(rec.counter_count(), 2u);
   EXPECT_EQ(rec.dropped_events(), 3u);
+}
+
+TEST(TraceName, JoinsPiecesAndIntegersOnTheStack) {
+  using Name = sim::TraceName;
+  EXPECT_EQ(std::string_view(Name("req.", std::uint64_t{42})), "req.42");
+  EXPECT_EQ(std::string_view(Name("node", std::uint64_t{0}, " ", "ejected")), "node0 ejected");
+  EXPECT_EQ(std::string_view(Name("x", UINT64_MAX)), "x18446744073709551615");
+  EXPECT_EQ(std::string_view(Name()), "");
+  const std::string longest(Name::kCapacity, 'a');
+  EXPECT_EQ(std::string_view(Name(longest)), longest);
+  EXPECT_THROW(Name(longest, "b"), std::length_error);
+  EXPECT_THROW(Name(longest.substr(1), std::uint64_t{10}), std::length_error);
 }
 
 // --- tools/json_mini: hostile input ------------------------------------------
@@ -352,7 +358,19 @@ TEST(CausalTracer, UnsampledContextsAllocateIdsButRecordNothing) {
   EXPECT_NE(child.span_id, 0u);  // id assignment independent of sampling
   tracer.record(root, "trk", "root", 0, 10);
   EXPECT_EQ(rec.span_count(), 0u);
-  EXPECT_EQ(tracer.spans_recorded(), 0u);
+}
+
+TEST(CausalTracer, RejectsMoreArgsThanItCanPrependIdsTo) {
+  sim::TraceRecorder rec;
+  trace::CausalTracer tracer{&rec};
+  const SpanContext root = tracer.begin_trace(true);
+  std::vector<sim::TraceArg> args(trace::CausalTracer::kMaxArgs, sim::TraceArg{"k", "v"});
+  tracer.record(root, "trk", "most", 0, 1, {args.data(), args.size()});
+  EXPECT_EQ(rec.span_count(), 1u);
+  args.push_back({"k", "v"});
+  EXPECT_THROW(tracer.record(root, "trk", "too-many", 0, 1, {args.data(), args.size()}),
+               std::length_error);
+  EXPECT_EQ(rec.span_count(), 1u);
 }
 
 // --- RequestAuditor integration ----------------------------------------------
