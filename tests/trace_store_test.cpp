@@ -1,8 +1,9 @@
 // TraceRecorder storage tests: the compact chunked store must export exactly
 // what a plain event-vector recorder would (round-trip against a reference
 // encoder on hostile sequences), fixed runs of every span producer (audited
-// server, face and video pipelines, fleet) must hash to pinned values, and
-// the store must state and bound its own memory cost.
+// server, face and video pipelines, fleet, and every request route through the
+// server) must hash to pinned values, and the store must state and bound its
+// own memory cost.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +14,7 @@
 #include <limits>
 #include <map>
 #include <optional>
+#include <ostream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -27,6 +29,9 @@
 #include "sim/rng.h"
 #include "sim/trace.h"
 #include "trace/causal.h"
+#include "workload/arrivals.h"
+#include "workload/corpus.h"
+#include "workload/popularity.h"
 
 using namespace serve;
 
@@ -499,6 +504,173 @@ TEST(TraceStore, FleetExportMatchesGoldenHash) {
   EXPECT_EQ(json.size(), 1313644u);
   EXPECT_EQ(fnv1a(json), 0x052a666e1aaf9f28ULL);
 }
+
+// --- Request-route matrix -----------------------------------------------------
+
+/// One route through InferenceServer: a short fully traced audited run whose
+/// Chrome export pins every charge, blame and transfer of that route.
+struct RouteCase {
+  const char* name;
+  void (*configure)(core::ExperimentSpec&, sim::FaultPlan&);
+  /// Proves the run took the route it is named after.
+  bool (*covers)(const core::ExperimentResult&);
+  std::size_t bytes;
+  std::uint64_t hash;
+  /// Open-loop Poisson offered load; 0 runs the closed-loop clients.
+  double poisson_rps = 0.0;
+};
+
+void PrintTo(const RouteCase& c, std::ostream* os) { *os << c.name; }
+
+template <serving::PreprocDevice D, serving::PipelineMode M, serving::IngressFormat F>
+void plain_route(core::ExperimentSpec& spec, sim::FaultPlan&) {
+  spec.server.preproc = D;
+  spec.server.mode = M;
+  spec.server.ingress = F;
+}
+
+template <serving::PreprocDevice D>
+void zipf_cache(core::ExperimentSpec& spec, sim::FaultPlan&) {
+  // A tensor level of a few entries over a large image level: popular
+  // payloads hit as tensors, the rest fall back to image-level hits.
+  constexpr int kDistinct = 64;
+  spec.server.preproc = D;
+  spec.server.ingress_cache.enabled = true;
+  spec.server.ingress_cache.image_budget_bytes = 64LL << 20;
+  spec.server.ingress_cache.tensor_budget_bytes = 4LL << 20;
+  spec.image_source =
+      workload::popular_corpus_source(workload::make_spec_corpus(hw::kMediumImage, kDistinct),
+                                      workload::PopularityModel::zipf(kDistinct, 1.1));
+}
+
+void gpu_failure_window(core::ExperimentSpec&, sim::FaultPlan& faults) {
+  faults.gpu_failure(0, sim::seconds(0.15), sim::seconds(0.25));
+}
+
+void broker_outage(core::ExperimentSpec& spec, sim::FaultPlan& faults) {
+  spec.server.broker_publish.publish_results = true;
+  faults.broker_outage(sim::seconds(0.15), sim::seconds(0.2));
+}
+
+bool completes(const core::ExperimentResult& r) { return r.completed > 0; }
+
+constexpr auto kGpu = serving::PreprocDevice::kGpu;
+constexpr auto kCpu = serving::PreprocDevice::kCpu;
+constexpr auto kE2E = serving::PipelineMode::kEndToEnd;
+constexpr auto kPre = serving::PipelineMode::kPreprocessOnly;
+constexpr auto kInf = serving::PipelineMode::kInferenceOnly;
+constexpr auto kJpeg = serving::IngressFormat::kCompressedImage;
+constexpr auto kTensor = serving::IngressFormat::kRawTensor;
+
+bool has_both_hit_levels(const core::ExperimentResult& r) {
+  return r.cache_tensor_hits > 0 && r.cache_image_hits > 0;
+}
+
+const RouteCase kRouteCases[] = {
+    {"gpu_e2e_jpeg", plain_route<kGpu, kE2E, kJpeg>, completes,
+     2816246u, 0x1048894ab0c8eaf5ULL},
+    {"gpu_e2e_tensor", plain_route<kGpu, kE2E, kTensor>, completes,
+     4213070u, 0x3ec28d93f4ffafd1ULL},
+    {"gpu_preproc_only_jpeg", plain_route<kGpu, kPre, kJpeg>, completes,
+     2242715u, 0xdc04a04fe3d0e4acULL},
+    {"gpu_preproc_only_tensor", plain_route<kGpu, kPre, kTensor>, completes,
+     15385517u, 0x9bd159b7bd487c0fULL},
+    {"cpu_e2e_jpeg", plain_route<kCpu, kE2E, kJpeg>, completes,
+     1369756u, 0x22af195b7b5ee15dULL},
+    {"cpu_e2e_tensor", plain_route<kCpu, kE2E, kTensor>, completes,
+     2382924u, 0x18ca4288ee924d77ULL},
+    {"cpu_preproc_only_jpeg", plain_route<kCpu, kPre, kJpeg>, completes,
+     1910559u, 0x77de67d8b2e412e5ULL},
+    {"cpu_preproc_only_tensor", plain_route<kCpu, kPre, kTensor>, completes,
+     15385352u, 0xd56f7cc7a455ffb5ULL},
+    // Inference-only ignores the preprocessing device: both runs are the same.
+    {"gpu_inference_only", plain_route<kGpu, kInf, kJpeg>, completes,
+     4212903u, 0x4f486a311e0ce4a0ULL},
+    {"cpu_inference_only", plain_route<kCpu, kInf, kJpeg>, completes,
+     4212903u, 0x4f486a311e0ce4a0ULL},
+    {"gpu_zipf_cache", zipf_cache<kGpu>, has_both_hit_levels,
+     3677538u, 0xfd18e4c23318e598ULL},
+    {"cpu_zipf_cache", zipf_cache<kCpu>, has_both_hit_levels,
+     2430744u, 0xc43740782d6100cdULL},
+    {"gpu_failure_degrade",
+     [](core::ExperimentSpec& spec, sim::FaultPlan& faults) {
+       spec.server.degrade.enabled = true;
+       gpu_failure_window(spec, faults);
+     },
+     [](const core::ExperimentResult& r) { return r.degraded > 0; },
+     2080845u, 0x131fd4f1bb80e368ULL},
+    {"gpu_failure_no_policy", gpu_failure_window,
+     [](const core::ExperimentResult& r) { return r.failed > 0; },
+     6134471u, 0xb52732cb2556982fULL},
+    {"staging_shrink_reload",
+     [](core::ExperimentSpec&, sim::FaultPlan& faults) {
+       faults.gpu_memory_shrink(0, sim::seconds(0.15), sim::seconds(0.3), 0.001);
+     },
+     [](const core::ExperimentResult& r) { return r.gpu_evictions > 0; },
+     2364655u, 0x335c52d7b3109dacULL},
+    {"corrupt_payloads",
+     [](core::ExperimentSpec& spec, sim::FaultPlan& faults) {
+       spec.server.validate_payloads = true;
+       faults.set_payload_corruption(0.2, 11);
+     },
+     [](const core::ExperimentResult& r) { return r.failed > 0; },
+     2939832u, 0x8fa717e5e96bd9bfULL},
+    {"broker_outage_blind_repoll", broker_outage, completes,
+     2581443u, 0x8407298bb47850beULL},
+    {"broker_outage_retry",
+     [](core::ExperimentSpec& spec, sim::FaultPlan& faults) {
+       spec.server.broker_publish.retry_enabled = true;
+       broker_outage(spec, faults);
+     },
+     [](const core::ExperimentResult& r) { return r.broker_failovers > 0; },
+     2801918u, 0x88302fa5ac12e89eULL},
+    {"shed_deadline_breaker",
+     [](core::ExperimentSpec& spec, sim::FaultPlan&) {
+       spec.server.shed_deadline = sim::milliseconds(15);
+       spec.server.breaker.enabled = true;
+       spec.server.breaker.queue_depth_open = 64;
+       spec.server.breaker.open_duration = sim::milliseconds(20);
+     },
+     [](const core::ExperimentResult& r) { return r.dropped > 0 && r.rejected > 0; },
+     2907351u, 0x065856406057db76ULL, 8000.0},
+};
+
+class RouteMatrix : public ::testing::TestWithParam<RouteCase> {};
+
+// Pinned before the request route was folded into one decision; a change
+// means some route no longer charges, blames or transfers the same way.
+TEST_P(RouteMatrix, ExportMatchesGoldenHash) {
+  const RouteCase& c = GetParam();
+  core::ExperimentSpec spec;
+  spec.server.model = models::resnet50();
+  spec.server.audit = true;
+  spec.server.trace_sampler.mode = trace::SampleMode::kHash;
+  spec.server.trace_sampler.rate = 1.0;
+  spec.server.trace_sampler.max_sampled = 1u << 20;
+  spec.concurrency = 16;
+  spec.warmup = sim::seconds(0.1);
+  spec.measure = sim::seconds(0.3);
+  spec.seed = 7;
+  sim::FaultPlan faults;
+  c.configure(spec, faults);
+  spec.faults = &faults;
+  sim::TraceRecorder rec;
+  trace::CausalTracer tracer{&rec};
+  spec.trace = &rec;
+  spec.tracer = &tracer;
+  const auto r = c.poisson_rps > 0.0
+                     ? core::run_open_loop(spec, workload::poisson_arrivals(c.poisson_rps))
+                     : core::run_experiment(spec);
+  EXPECT_EQ(r.audit_violations, 0u) << (r.audit_report.empty() ? "" : r.audit_report.front());
+  EXPECT_TRUE(c.covers(r));
+  EXPECT_EQ(rec.dropped_events(), 0u);
+  const std::string json = to_json(rec);
+  EXPECT_EQ(json.size(), c.bytes);
+  EXPECT_EQ(fnv1a(json), c.hash) << std::hex << "0x" << fnv1a(json);
+}
+
+INSTANTIATE_TEST_SUITE_P(Routes, RouteMatrix, ::testing::ValuesIn(kRouteCases),
+                         [](const auto& tc) { return std::string(tc.param.name); });
 
 TEST(TraceStore, CounterOnlyRunHoldsAtMostEightBytesPerSample) {
   core::ExperimentSpec spec;
