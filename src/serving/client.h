@@ -12,28 +12,23 @@
 #include <functional>
 
 #include "hw/image_spec.h"
-#include "serving/ingress.h"
 #include "serving/server.h"
 #include "sim/rng.h"
 #include "sim/task.h"
 
 namespace serve::serving {
 
-/// What a client attaches to one generated request: the image geometry, an
-/// optional stable content identity (zero = unique payload, never matched by
-/// the ingress cache), and an optional per-request wire-format override.
-/// Implicitly constructible from a bare hw::ImageSpec so plain image sources
-/// keep working unchanged.
+/// What a client attaches to one generated request: the image geometry and
+/// an optional stable content identity (zero = unique payload, never matched
+/// by the ingress cache). Implicitly constructible from a bare hw::ImageSpec
+/// so plain image sources keep working unchanged.
 struct RequestDesc {
   hw::ImageSpec image{};
   std::uint64_t content_hash = 0;
-  RequestIngress ingress = RequestIngress::kServerDefault;
 
   RequestDesc() = default;
   RequestDesc(hw::ImageSpec img) : image(img) {}  // NOLINT(google-explicit-constructor)
-  RequestDesc(hw::ImageSpec img, std::uint64_t hash,
-              RequestIngress ing = RequestIngress::kServerDefault)
-      : image(img), content_hash(hash), ingress(ing) {}
+  RequestDesc(hw::ImageSpec img, std::uint64_t hash) : image(img), content_hash(hash) {}
 };
 
 /// Produces the payload description attached to each generated request.
@@ -71,7 +66,6 @@ class RetryingSubmitter {
     for (int attempt = 1;; ++attempt) {
       auto req = std::make_shared<Request>(sim, next_id++, desc.image);
       req->content_hash = desc.content_hash;
-      req->ingress = desc.ingress;
       req->attempt = attempt;
       // Retry chaining: hand the previous attempt's context to the server so
       // the auditor parents this attempt under the same causal trace instead

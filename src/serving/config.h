@@ -145,11 +145,12 @@ struct ServerConfig {
   PreprocDevice preproc = PreprocDevice::kGpu;
   PipelineMode mode = PipelineMode::kEndToEnd;
 
-  /// Default wire format for requests that don't pick one themselves
-  /// (RequestIngress::kServerDefault). kRawTensor means clients preprocess
-  /// on their side and ship the fp32 network input: no server preprocess,
-  /// but PCIe/host-fabric cost scales with tensor bytes (224² fp32 is ~5x a
-  /// medium JPEG — the paper's F7 crossover).
+  /// What every client of this deployment puts on the wire. kRawTensor
+  /// means clients preprocess on their side and ship the fp32 network
+  /// input: no server preprocess, but PCIe/host-fabric cost scales with
+  /// tensor bytes (224² fp32 is ~5x a medium JPEG — the paper's F7
+  /// crossover). kInferenceOnly mode implies a client tensor whatever this
+  /// says.
   IngressFormat ingress = IngressFormat::kCompressedImage;
 
   /// Ingress-format cache (only consulted on the compressed-image path).

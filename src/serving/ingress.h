@@ -13,7 +13,7 @@
 
 namespace serve::serving {
 
-/// What a client puts on the wire for one request.
+/// What clients put on the wire (a deployment choice: ServerConfig::ingress).
 enum class IngressFormat : std::uint8_t {
   kCompressedImage,  ///< JPEG bytes; the server decodes + resizes + normalizes
   kRawTensor,        ///< client-side-preprocessed fp32 tensor; PCIe cost scales
@@ -23,13 +23,6 @@ enum class IngressFormat : std::uint8_t {
 [[nodiscard]] constexpr std::string_view ingress_format_name(IngressFormat f) noexcept {
   return f == IngressFormat::kCompressedImage ? "jpeg" : "tensor";
 }
-
-/// Per-request ingress selection: clients may override the server default.
-enum class RequestIngress : std::uint8_t {
-  kServerDefault,    ///< use ServerConfig::ingress
-  kCompressedImage,
-  kRawTensor,
-};
 
 /// Which ingress-cache level satisfied a request (kNone = miss or bypass).
 /// A tensor-level hit skips decode + resize + normalize entirely; an

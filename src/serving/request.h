@@ -69,8 +69,6 @@ struct Request {
   /// Stable hash of the payload bytes (workload::CorpusEntry::content_hash).
   /// Zero means "unique payload": the ingress cache never matches it.
   std::uint64_t content_hash = 0;
-  /// Wire format for this request; kServerDefault defers to ServerConfig.
-  RequestIngress ingress = RequestIngress::kServerDefault;
   /// Which ingress-cache level satisfied this request (kNone = miss/bypass).
   CacheLevel cache_hit = CacheLevel::kNone;
   /// Slot index of the auditor tracking this request (see RequestAuditor).

@@ -350,66 +350,23 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
     req->charge(Stage::kIngest, seconds(cpu.ingest_seconds()));
   }
 
-  const IngressFormat fmt = resolve_ingress(*req);
+  // The route is decided once from the deployment (see server.h): a client
+  // tensor skips the cache and all server preprocessing; everything else
+  // probes the cache, then preprocesses on the CPU pool (CPU deployments, or
+  // a degraded GPU) or rides the batched GPU pipeline.
+  const bool client_tensor = config_.mode == PipelineMode::kInferenceOnly ||
+                             config_.ingress == IngressFormat::kRawTensor;
 
   // Payload validation: corrupted requests (a seeded per-id draw from the
   // fault plan) decode a byte-mutated template through the real JPEG
   // decoder; streams the codec rejects fail here, at ingest. Raw-tensor
   // requests carry no JPEG stream to validate.
-  if (config_.validate_payloads && fmt == IngressFormat::kCompressedImage &&
+  if (config_.validate_payloads && config_.ingress == IngressFormat::kCompressedImage &&
       platform_.faults() != nullptr && platform_.faults()->corrupts_payload(req->id)) {
     if (!corrupted_payload_decodes(platform_.faults()->corruption_stream(req->id))) {
       fail_request(g, std::move(req), FailReason::kCorruptPayload);
       co_return;
     }
-  }
-
-  if (config_.mode == PipelineMode::kInferenceOnly) {
-    // The client ships the preprocessed fp32 tensor (~5x the compressed
-    // JPEG for the medium image — the Fig. 7 TinyViT data-transfer outlier).
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
-    const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
-    }
-    {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
-    co_return;
-  }
-
-  if (fmt == IngressFormat::kRawTensor) {
-    // Client-side preprocessing: the fp32 network input crosses the host
-    // fabric at tensor size (~5x a medium JPEG — the paper's F7 ingress
-    // trade), but no server preprocess stage runs at all. On a GPU-preproc
-    // deployment it continues straight over PCIe and is staged on-device;
-    // on a CPU-preproc deployment it lands in the same host-side tensor
-    // buffer CPU preprocessing fills, and rides the batched staging path to
-    // the device at dispatch like every other host tensor.
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-      co_return;
-    }
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
-    const bool device_direct = config_.preproc == PreprocDevice::kGpu;
-    const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
-    }
-    if (device_direct) {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    if (device_direct) req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
-    co_return;
   }
 
   // Content-addressed ingress cache: probe with the request's stable payload
@@ -419,7 +376,7 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
   // *conserved* as a tiny preprocess span in the auditor breakdown and the
   // critical-path analyzer — not silently dropped.
   CacheLevel hit = CacheLevel::kNone;
-  if (ingress_cache_ != nullptr && req->content_hash != 0) {
+  if (!client_tensor && ingress_cache_ != nullptr && req->content_hash != 0) {
     hit = ingress_cache_->lookup(req->content_hash, config_.model.input_side);
     req->cache_hit = hit;
     const double probe = ingress_cache_->options().lookup_s;
@@ -432,116 +389,88 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
     }
   }
 
-  if (config_.preproc == PreprocDevice::kCpu) {
-    // CPU preprocessing path: decode on a tuned worker pool; the resulting
-    // tensor is buffered in host memory until batch dispatch (the paper's
-    // "CPU preprocessing benefits from a larger main memory" observation).
-    // A tensor-level cache hit skips the worker pool entirely (the cached
-    // tensor is already host-resident); an image-level hit skips decode.
-    if (hit != CacheLevel::kTensor) {
-      const Time t0 = sim.now();
-      auto worker = co_await cpu.preproc_workers().acquire();
-      req->charge(Stage::kQueue, sim.now() - t0, "preproc-worker");
-      const double p = cpu.preprocess_seconds(req->image, config_.model.input_side,
-                                              hit == CacheLevel::kImage);
-      co_await sim.wait(seconds(p));
-      worker.release();
-      req->charge(Stage::kPreprocess, seconds(p));
-      if (ingress_cache_ != nullptr && req->content_hash != 0) {
-        ingress_cache_->insert(req->content_hash, req->image.decoded_bytes(),
-                               config_.model.input_side);
-      }
-    }
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-    } else {
-      enqueue_inference(g, std::move(req));
-    }
-    co_return;
-  }
-
   // Graceful degradation: when this GPU's preprocessing pipeline is in (or
   // recently left) a failure window, fall back to the CPU pool and ship the
   // preprocessed tensor instead — slower, but the request survives.
-  if (gpu_degraded(g)) {
-    ++ledger_.counts.degraded;
-    if (hit != CacheLevel::kTensor) {
-      const Time q0 = sim.now();
-      auto worker = co_await cpu.preproc_workers().acquire();
-      req->charge(Stage::kQueue, sim.now() - q0, "preproc-worker;degraded");
-      const double p = cpu.preprocess_seconds(req->image, config_.model.input_side,
-                                              hit == CacheLevel::kImage);
-      co_await sim.wait(seconds(p));
-      worker.release();
-      req->charge(Stage::kPreprocess, seconds(p));
-      if (ingress_cache_ != nullptr && req->content_hash != 0) {
-        ingress_cache_->insert(req->content_hash, req->image.decoded_bytes(),
-                               config_.model.input_side);
-      }
-    }
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-      co_return;
-    }
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
+  const bool degraded =
+      !client_tensor && config_.preproc == PreprocDevice::kGpu && gpu_degraded(g);
+  if (degraded) ++ledger_.counts.degraded;
+
+  // CPU preprocessing: decode on a tuned worker pool; the resulting tensor
+  // is buffered in host memory until batch dispatch (the paper's "CPU
+  // preprocessing benefits from a larger main memory" observation). A
+  // tensor-level cache hit skips the pool entirely (the cached tensor is
+  // already host-resident); an image-level hit skips decode.
+  const bool cpu_preproc =
+      degraded || (!client_tensor && config_.preproc == PreprocDevice::kCpu);
+  if (cpu_preproc && hit != CacheLevel::kTensor) {
     const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
+    auto worker = co_await cpu.preproc_workers().acquire();
+    req->charge(Stage::kQueue, sim.now() - t0,
+                degraded ? "preproc-worker;degraded" : "preproc-worker");
+    const double p = cpu.preprocess_seconds(req->image, config_.model.input_side,
+                                            hit == CacheLevel::kImage);
+    co_await sim.wait(seconds(p));
+    worker.release();
+    req->charge(Stage::kPreprocess, seconds(p));
+    if (ingress_cache_ != nullptr && req->content_hash != 0) {
+      ingress_cache_->insert(req->content_hash, req->image.decoded_bytes(),
+                             config_.model.input_side);
     }
-    {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
-    req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
+  }
+
+  const bool tensor_ready = client_tensor || cpu_preproc || hit == CacheLevel::kTensor;
+  if (tensor_ready && config_.mode == PipelineMode::kPreprocessOnly) {
+    sim.spawn(finish_request(std::move(req)));
     co_return;
   }
 
-  if (hit == CacheLevel::kTensor) {
-    // The cached network input is host-resident: ship it to the device like
-    // a raw-tensor request and skip the DALI pipeline entirely.
-    if (config_.mode == PipelineMode::kPreprocessOnly) {
-      sim.spawn(finish_request(std::move(req)));
-      co_return;
-    }
-    const std::int64_t bytes = config_.model.input_tensor_bytes();
+  // Transfer. A host tensor stays in host memory on a CPU deployment and
+  // rides the batched staging path at dispatch; anything bound for the
+  // device crosses PCIe too: a tensor (the fp32 network input, ~5x a medium
+  // JPEG — the paper's F7 ingress trade) is staged on-device, while an
+  // image crosses as its compressed JPEG (or, on an image-level hit, the
+  // host-cached decoded RGB: larger on the wire, but the device skips its
+  // decode) and joins the DALI-style batched pipeline.
+  const bool to_device = !tensor_ready || config_.preproc == PreprocDevice::kGpu ||
+                         config_.mode == PipelineMode::kInferenceOnly;
+  if (to_device || client_tensor) {
+    const std::int64_t bytes = tensor_ready               ? config_.model.input_tensor_bytes()
+                               : hit == CacheLevel::kImage ? req->image.decoded_bytes()
+                                                           : req->image.compressed_bytes;
     const Time t0 = sim.now();
     {
       auto host = co_await platform_.host_link().acquire();
       co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
     }
-    {
+    if (to_device) {
       auto copy = co_await gpu.copy_h2d().acquire();
       co_await sim.wait(seconds(gpu.link_seconds(bytes)));
     }
     req->charge(Stage::kTransfer, sim.now() - t0);
-    req->staged = gpu.stager().stage(bytes);
-    enqueue_inference(g, std::move(req));
-    co_return;
+    if (tensor_ready && to_device) req->staged = gpu.stager().stage(bytes);
   }
 
-  // GPU preprocessing path: only the compressed JPEG crosses PCIe (or, on an
-  // image-level cache hit, the host-cached decoded RGB — larger on the wire,
-  // but the device skips its decode), then the image joins a DALI-style
-  // batched pipeline on the device.
-  {
-    const std::int64_t bytes = hit == CacheLevel::kImage ? req->image.decoded_bytes()
-                                                         : req->image.compressed_bytes;
-    const Time t0 = sim.now();
-    {
-      auto host = co_await platform_.host_link().acquire();
-      co_await sim.wait(seconds(platform_.host_link_seconds(bytes)));
-    }
-    {
-      auto copy = co_await gpu.copy_h2d().acquire();
-      co_await sim.wait(seconds(gpu.link_seconds(bytes)));
-    }
-    req->charge(Stage::kTransfer, sim.now() - t0);
+  if (tensor_ready) {
+    enqueue_inference(g, std::move(req));
+  } else {
+    req->enqueue_time = sim.now();
+    hand_off(gpus_[g]->preproc_batcher.input(), g, std::move(req), "gpu-preprocess");
   }
-  req->enqueue_time = sim.now();
-  hand_off(gpus_[g]->preproc_batcher.input(), g, std::move(req), "gpu-preprocess");
+}
+
+sim::Task<InferenceServer::GpuHold> InferenceServer::hold_through_gpu_failure(std::size_t g) {
+  auto& sim = platform_.sim();
+  auto& gpu = platform_.gpu(g);
+  GpuHold hold = GpuHold::kNone;
+  while (gpu.failed_now()) {
+    if (!resilient_hold()) co_return GpuHold::kFail;
+    hold = GpuHold::kHeld;
+    const Time until =
+        gpu.faults()->active_until(sim::FaultKind::kGpuFailure, gpu.index(), sim.now());
+    co_await sim.wait(std::max<Time>(until - sim.now(), 1));
+  }
+  co_return hold;
 }
 
 sim::Process InferenceServer::gpu_preproc_loop(std::size_t g) {
@@ -564,25 +493,18 @@ sim::Process InferenceServer::run_gpu_preproc_batch(std::size_t g, std::vector<R
                                                     sim::ResourceToken pipeline) {
   auto& sim = platform_.sim();
   auto& gpu = platform_.gpu(g);
-  // GPU failure window: with a resilience policy on, the batch holds (the
-  // pipeline token stays taken, modelling a wedged pipeline) until recovery;
-  // without one it fails outright. The wait is charged as queue residue when
-  // requests are next charged, since `start` is taken after the hold.
-  bool fault_held = false;
-  while (gpu.failed_now()) {
-    if (!resilient_hold()) {
-      pipeline.release();
-      for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
-      co_return;
-    }
-    fault_held = true;
-    const Time until =
-        gpu.faults()->active_until(sim::FaultKind::kGpuFailure, gpu.index(), sim.now());
-    co_await sim.wait(std::max<Time>(until - sim.now(), 1));
+  // A held batch keeps its pipeline token, modelling a wedged pipeline. The
+  // hold is charged as queue residue below, since `start` is taken after it.
+  const GpuHold hold = co_await hold_through_gpu_failure(g);
+  if (hold == GpuHold::kFail) {
+    pipeline.release();
+    for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
+    co_return;
   }
   const Time start = sim.now();
-  const std::string_view preproc_blame =
-      fault_held ? "preproc-batch-formation;gpu-fault-hold" : "preproc-batch-formation";
+  const std::string_view preproc_blame = hold == GpuHold::kHeld
+                                             ? "preproc-batch-formation;gpu-fault-hold"
+                                             : "preproc-batch-formation";
   double total = gpu.preproc_batch_fixed_seconds();
   for (const auto& r : batch) {
     r->charge(Stage::kQueue, start - r->enqueue_time, preproc_blame);
@@ -636,23 +558,13 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
       co_await ready.wait();
     }
     if (batch.empty()) break;  // input closed
-    // GPU failure window: hold the dispatched batch until the GPU recovers
-    // (resilience policy on — the wait lands in the queue stage because
-    // dispatch accounting happens below) or fail it (no policy).
-    bool batch_failed = false;
-    bool fault_held = false;
-    while (gpu.failed_now()) {
-      if (!resilient_hold()) {
-        for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
-        batch_failed = true;
-        break;
-      }
-      fault_held = true;
-      const Time until =
-          gpu.faults()->active_until(sim::FaultKind::kGpuFailure, gpu.index(), sim.now());
-      co_await sim.wait(std::max<Time>(until - sim.now(), 1));
+    // The hold lands in the queue stage because dispatch accounting happens
+    // below.
+    const GpuHold hold = co_await hold_through_gpu_failure(g);
+    if (hold == GpuHold::kFail) {
+      for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
+      continue;
     }
-    if (batch_failed) continue;
     // Admission control: shed requests that already blew the deadline — or
     // were cancelled by a hedging balancer — before spending GPU time on
     // them. Both paths drop-account, so the auditor conserves them.
@@ -687,7 +599,7 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
     std::string dispatch_blame = "batch-formation batch=" +
                                  std::to_string(st.inf_batcher.batches_formed()) +
                                  " size=" + std::to_string(b);
-    if (fault_held) dispatch_blame += ";gpu-fault-hold";
+    if (hold == GpuHold::kHeld) dispatch_blame += ";gpu-fault-hold";
     for (const auto& r : batch) {
       r->charge(Stage::kQueue, dispatch - r->enqueue_time, dispatch_blame);
     }
@@ -792,20 +704,25 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
   }
 }
 
-void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason reason) {
-  if (req->staged != 0) {
-    platform_.gpu(g).stager().release(req->staged);
-    req->staged = 0;
+Time InferenceServer::close_out(std::size_t g, Request& req, std::string_view blame) {
+  if (req.staged != 0) {
+    platform_.gpu(g).stager().release(req.staged);
+    req.staged = 0;
   }
-  // Like drop_request: charge the uncharged residue since the last queue
-  // entry so failed requests conserve stage time too.
+  // The time since the last queue entry was never charged (failures and
+  // drops happen before dispatch accounting); charge it so these requests
+  // conserve stage time like completed ones.
   const Time now = platform_.sim().now();
-  if (req->enqueue_time >= req->arrival && now > req->enqueue_time) {
-    req->charge(Stage::kQueue, now - req->enqueue_time, fail_reason_name(reason));
+  if (req.enqueue_time >= req.arrival && now > req.enqueue_time) {
+    req.charge(Stage::kQueue, now - req.enqueue_time, blame);
   }
+  return now;
+}
+
+void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason reason) {
+  req->completed = close_out(g, *req, fail_reason_name(reason));
   req->failed = true;
   req->fail_reason = reason;
-  req->completed = now;
   // Breaker rejections and post-shutdown submissions must not feed the
   // breaker: it would hold itself open on its own rejections.
   const bool rejected = reason == FailReason::kBreakerOpen || reason == FailReason::kShutdown;
@@ -813,19 +730,8 @@ void InferenceServer::fail_request(std::size_t g, RequestPtr req, FailReason rea
 }
 
 void InferenceServer::drop_request(std::size_t g, RequestPtr req, std::string_view blame) {
-  if (req->staged != 0) {
-    platform_.gpu(g).stager().release(req->staged);
-    req->staged = 0;
-  }
-  // The time since the last queue entry was never charged (drops happen
-  // before dispatch accounting); charge it so dropped requests conserve
-  // stage time like completed ones.
-  const Time now = platform_.sim().now();
-  if (req->enqueue_time >= req->arrival && now > req->enqueue_time) {
-    req->charge(Stage::kQueue, now - req->enqueue_time, blame);
-  }
+  req->completed = close_out(g, *req, blame);
   req->dropped = true;
-  req->completed = now;
   settle(*req, std::nullopt);
 }
 

@@ -8,6 +8,28 @@
 //
 // Every stage charges virtual time to the request's StageTimes so the
 // paper's breakdown figures can be regenerated exactly.
+//
+// One request route. Preprocessing placement, wire format and pipeline mode
+// are deployment choices (ServerConfig), so handle_request decides each
+// request's path once, after ingest, in this order:
+//
+//   client_tensor = mode == inference_only || ingress == tensor
+//       The client shipped the fp32 network input: no cache probe and no
+//       server preprocessing.
+//   probe the ingress cache                     (when !client_tensor)
+//   degraded      = !client_tensor && preproc == gpu && gpu_degraded(g)
+//   cpu_preproc   = degraded || (!client_tensor && preproc == cpu)
+//       One worker-pool block (blame "preproc-worker", plus ";degraded");
+//       a tensor-level cache hit skips it.
+//   tensor_ready  = client_tensor || cpu_preproc || tensor-level hit
+//       preprocess_only finishes here, before any transfer.
+//   to_device     = !tensor_ready || preproc == gpu || mode == inference_only
+//       One transfer block when to_device || client_tensor: the host link
+//       always, PCIe only when to_device. It ships tensor bytes, decoded
+//       bytes on an image-level hit, or compressed bytes, and stages on the
+//       device only when tensor_ready && to_device.
+//   a ready tensor joins the inference batcher; anything else joins the
+//   GPU preprocess batcher.
 #pragma once
 
 #include <cstdint>
@@ -28,6 +50,7 @@
 #include "serving/ledger.h"
 #include "serving/request.h"
 #include "sim/process.h"
+#include "sim/task.h"
 
 namespace serve::serving {
 
@@ -104,9 +127,13 @@ class InferenceServer {
   /// admission-control drops, "hedge-cancelled" for balancer cancellations).
   void drop_request(std::size_t gpu, RequestPtr req, std::string_view blame = "shed-deadline");
 
-  /// Terminal failure: releases staged memory, charges the queue residue,
-  /// records + signals completion with `failed = true`.
+  /// Terminal failure: close_out, then records + signals completion with
+  /// `failed = true`.
   void fail_request(std::size_t gpu, RequestPtr req, FailReason reason);
+  /// Head shared by fail_request and drop_request: releases staged memory
+  /// and charges the queue residue since the last queue entry with `blame`.
+  /// Returns the completion time (now).
+  sim::Time close_out(std::size_t gpu, Request& req, std::string_view blame);
 
   // Pipeline fragments shared by the paths above (implemented in server.cpp).
   void enqueue_inference(std::size_t g, RequestPtr req);
@@ -133,16 +160,14 @@ class InferenceServer {
   [[nodiscard]] bool resilient_hold() const noexcept {
     return config_.retry.enabled || config_.degrade.enabled;
   }
+  enum class GpuHold : std::uint8_t { kNone, kHeld, kFail };
+  /// Called by both batch loops before a batch runs on GPU `g`: while the
+  /// GPU is in a failure window, waits it out when resilient_hold() (kHeld)
+  /// or tells the caller to fail the batch (kFail).
+  sim::Task<GpuHold> hold_through_gpu_failure(std::size_t g);
   /// Real decode of the seeded byte-mutated template payload; false when the
   /// codec rejects the corrupted stream.
   [[nodiscard]] bool corrupted_payload_decodes(std::uint64_t stream_seed) const;
-
-  /// Wire format for one request: its own choice, or the server default.
-  [[nodiscard]] IngressFormat resolve_ingress(const Request& req) const noexcept {
-    if (req.ingress == RequestIngress::kServerDefault) return config_.ingress;
-    return req.ingress == RequestIngress::kRawTensor ? IngressFormat::kRawTensor
-                                                     : IngressFormat::kCompressedImage;
-  }
 
   /// Registry histograms for the serving layer (no-ops when the platform has
   /// no registry). The ledger's counts and sums reach the registry as

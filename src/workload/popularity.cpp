@@ -38,8 +38,7 @@ double PopularityModel::mass(std::size_t i) const {
 }
 
 serving::ImageSource popular_corpus_source(std::vector<CorpusEntry> corpus,
-                                           PopularityModel popularity,
-                                           serving::RequestIngress ingress) {
+                                           PopularityModel popularity) {
   if (corpus.empty()) throw std::invalid_argument("popular_corpus_source: empty corpus");
   if (popularity.size() != corpus.size()) {
     throw std::invalid_argument(
@@ -48,9 +47,9 @@ serving::ImageSource popular_corpus_source(std::vector<CorpusEntry> corpus,
   // shared_ptr captures keep the returned std::function copyable.
   auto data = std::make_shared<std::vector<CorpusEntry>>(std::move(corpus));
   auto pop = std::make_shared<PopularityModel>(std::move(popularity));
-  return [data, pop, ingress](sim::Rng& rng) {
+  return [data, pop](sim::Rng& rng) {
     const CorpusEntry& e = (*data)[pop->sample(rng)];
-    return serving::RequestDesc{e.spec, e.content_hash, ingress};
+    return serving::RequestDesc{e.spec, e.content_hash};
   };
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "serving/client.h"
-#include "serving/ingress.h"
 #include "sim/rng.h"
 #include "workload/corpus.h"
 
@@ -43,10 +42,9 @@ class PopularityModel {
 
 /// Bridges a corpus + popularity model to the client harnesses: every drawn
 /// request carries the sampled entry's geometry and stable content hash (so
-/// the ingress cache sees real repeats), plus an optional per-request wire
-/// format. The corpus and model are moved into the returned source.
-[[nodiscard]] serving::ImageSource popular_corpus_source(
-    std::vector<CorpusEntry> corpus, PopularityModel popularity,
-    serving::RequestIngress ingress = serving::RequestIngress::kServerDefault);
+/// the ingress cache sees real repeats). The corpus and model are moved into
+/// the returned source.
+[[nodiscard]] serving::ImageSource popular_corpus_source(std::vector<CorpusEntry> corpus,
+                                                         PopularityModel popularity);
 
 }  // namespace serve::workload

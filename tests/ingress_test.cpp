@@ -204,25 +204,6 @@ TEST(IngressE2E, RawTensorIngressIsConservedOnBothPreprocDevices) {
   }
 }
 
-TEST(IngressE2E, PerRequestIngressOverridesServerDefault) {
-  // Server default stays JPEG; the clients mark every request raw-tensor.
-  constexpr int kDistinct = 16;
-  core::ExperimentSpec spec;
-  spec.server.model = models::resnet50();
-  spec.server.preproc = serving::PreprocDevice::kGpu;
-  spec.server.audit = true;
-  spec.image_source = workload::popular_corpus_source(
-      workload::make_spec_corpus(hw::kMediumImage, kDistinct),
-      workload::PopularityModel::uniform(kDistinct), serving::RequestIngress::kRawTensor);
-  spec.concurrency = 16;
-  spec.warmup = sim::seconds(0.5);
-  spec.measure = sim::seconds(1.0);
-  const auto r = core::run_experiment(spec);
-  EXPECT_EQ(r.audit_violations, 0u) << (r.audit_report.empty() ? "" : r.audit_report.front());
-  EXPECT_GT(r.completed, 0u);
-  EXPECT_DOUBLE_EQ(r.stage_share(metrics::Stage::kPreprocess), 0.0);
-}
-
 std::string cache_run_fingerprint() {
   metrics::Registry reg;
   auto spec = cached_spec(1.1, serving::PreprocDevice::kCpu, hw::kMediumImage);

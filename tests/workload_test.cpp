@@ -172,15 +172,13 @@ TEST(Popularity, RejectsBadParameters) {
                std::invalid_argument);
 }
 
-TEST(Popularity, CorpusSourceCarriesIdentityAndIngress) {
+TEST(Popularity, CorpusSourceCarriesIdentity) {
   auto corpus = make_spec_corpus(hw::kMediumImage, 4, 21);
   const auto expected = corpus;  // the source moves its copy
-  const auto source = popular_corpus_source(std::move(corpus), PopularityModel::uniform(4),
-                                            serving::RequestIngress::kRawTensor);
+  const auto source = popular_corpus_source(std::move(corpus), PopularityModel::uniform(4));
   sim::Rng rng{5};
   for (int i = 0; i < 32; ++i) {
     const auto desc = source(rng);
-    EXPECT_EQ(desc.ingress, serving::RequestIngress::kRawTensor);
     bool found = false;
     for (const auto& e : expected) found |= e.content_hash == desc.content_hash;
     EXPECT_TRUE(found);
