@@ -359,9 +359,9 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
 
   // Payload validation: corrupted requests (a seeded per-id draw from the
   // fault plan) decode a byte-mutated template through the real JPEG
-  // decoder; streams the codec rejects fail here, at ingest. Raw-tensor
-  // requests carry no JPEG stream to validate.
-  if (config_.validate_payloads && config_.ingress == IngressFormat::kCompressedImage &&
+  // decoder; streams the codec rejects fail here, at ingest. A client tensor
+  // carries no JPEG stream to validate.
+  if (config_.validate_payloads && !client_tensor &&
       platform_.faults() != nullptr && platform_.faults()->corrupts_payload(req->id)) {
     if (!corrupted_payload_decodes(platform_.faults()->corruption_stream(req->id))) {
       fail_request(g, std::move(req), FailReason::kCorruptPayload);

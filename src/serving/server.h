@@ -14,8 +14,8 @@
 // request's path once, after ingest, in this order:
 //
 //   client_tensor = mode == inference_only || ingress == tensor
-//       The client shipped the fp32 network input: no cache probe and no
-//       server preprocessing.
+//       The client shipped the fp32 network input: no payload validation,
+//       no cache probe and no server preprocessing.
 //   probe the ingress cache                     (when !client_tensor)
 //   degraded      = !client_tensor && preproc == gpu && gpu_degraded(g)
 //   cpu_preproc   = degraded || (!client_tensor && preproc == cpu)

@@ -204,6 +204,29 @@ TEST(IngressE2E, RawTensorIngressIsConservedOnBothPreprocDevices) {
   }
 }
 
+TEST(IngressE2E, ClientTensorsSkipPayloadValidation) {
+  // Inference-only clients ship the fp32 tensor whatever the ingress key
+  // says, so corrupted-JPEG validation must not fail them.
+  for (auto fmt : {serving::IngressFormat::kCompressedImage, serving::IngressFormat::kRawTensor}) {
+    core::ExperimentSpec spec;
+    spec.server.model = models::resnet50();
+    spec.server.mode = serving::PipelineMode::kInferenceOnly;
+    spec.server.ingress = fmt;
+    spec.server.validate_payloads = true;
+    spec.server.audit = true;
+    sim::FaultPlan faults;
+    faults.set_payload_corruption(0.2, 11);
+    spec.faults = &faults;
+    spec.concurrency = 32;
+    spec.warmup = sim::seconds(0.2);
+    spec.measure = sim::seconds(1.0);
+    const auto r = core::run_experiment(spec);
+    EXPECT_EQ(r.audit_violations, 0u) << (r.audit_report.empty() ? "" : r.audit_report.front());
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.failed, 0u) << serving::ingress_format_name(fmt);
+  }
+}
+
 std::string cache_run_fingerprint() {
   metrics::Registry reg;
   auto spec = cached_spec(1.1, serving::PreprocDevice::kCpu, hw::kMediumImage);
