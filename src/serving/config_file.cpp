@@ -1,5 +1,8 @@
 #include "serving/config_file.h"
 
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -45,8 +48,17 @@ int parse_int(int line_no, const std::string& key, const std::string& v, int min
   return out;
 }
 
+/// Reads decimal `v` as v * 10^-shift (the *_us keys hold seconds: shift 6),
+/// moving the exponent before the one rounding to binary.
+double shifted_stod(const std::string& v, int shift) {
+  const auto e = v.find_first_of("eE");
+  const int exp = e == std::string::npos ? 0 : std::stoi(v.substr(e + 1));
+  return std::stod(v.substr(0, e) + "e" + std::to_string(exp - shift));
+}
+
+/// A decimal in [min_value, max_value], stored times 10^-shift.
 double parse_double(int line_no, const std::string& key, const std::string& v, double min_value,
-                    double max_value) {
+                    double max_value, int shift = 0) {
   std::size_t used = 0;
   double out = 0.0;
   try {
@@ -55,12 +67,58 @@ double parse_double(int line_no, const std::string& key, const std::string& v, d
     fail(line_no, "bad number for '" + key + "': " + v);
   }
   if (used != v.size()) fail(line_no, "trailing junk for '" + key + "': " + v);
+  if (v.find_first_of("xX") != std::string::npos) {
+    fail(line_no, "bad number for '" + key + "': " + v);
+  }
   if (!(out >= min_value && out <= max_value)) {
     fail(line_no, "'" + key + "' = " + v + " out of range [" + std::to_string(min_value) + ", " +
                       std::to_string(max_value) + "]");
   }
-  return out;
+  return shift == 0 ? out : shifted_stod(v, shift);
 }
+
+/// Shortest decimal that reads back as `v` exactly (through shifted_stod when
+/// `shift` is nonzero): v * 10^shift when that reads back, else v's own
+/// digits with the exponent moved.
+std::string format_double(double v, int shift = 0) {
+  char buf[64];
+  const double scaled = v * std::pow(10, shift);
+  const std::string plain(buf, std::to_chars(buf, buf + sizeof buf, scaled).ptr);
+  if (shift == 0 || shifted_stod(plain, shift) == v) return plain;
+  const std::string sci(
+      buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr);
+  const auto e = sci.find('e');
+  return sci.substr(0, e) + "e" + std::to_string(std::stoi(sci.substr(e + 1)) + shift);
+}
+
+/// A Time key in `unit` ns: a plain decimal, read exactly, of at most 1 ns
+/// resolution whose integer part is an int of at least `min_units`.
+sim::Time parse_time(int line_no, const std::string& key, const std::string& v, sim::Time unit,
+                     int min_units) {
+  const auto dot = std::min(v.find('.'), v.size());
+  if (v.find_first_not_of("0123456789.") != std::string::npos ||
+      v.find('.', dot + 1) != std::string::npos) {
+    fail(line_no, "bad time for '" + key + "': " + v);
+  }
+  sim::Time t = parse_int(line_no, key, v.substr(0, dot), min_units) * unit;
+  sim::Time place = unit;
+  for (std::size_t i = dot + 1; i < v.size(); ++i) {
+    place /= 10;
+    if (place == 0 && v[i] != '0') fail(line_no, "'" + key + "' = " + v + " is finer than 1 ns");
+    t += place * (v[i] - '0');
+  }
+  return t;
+}
+
+/// Exact decimal of `t` >= 0 in `unit` ns: what parse_time reads back as `t`.
+std::string format_time(sim::Time t, sim::Time unit) {
+  std::string frac = std::to_string(unit + t % unit).substr(1);  // zero-padded
+  frac.erase(frac.find_last_not_of('0') + 1);
+  return std::to_string(t / unit) + (frac.empty() ? "" : "." + frac);
+}
+
+constexpr sim::Time kUs = 1'000;
+constexpr sim::Time kMs = 1'000'000;
 
 }  // namespace
 
@@ -133,7 +191,7 @@ ServerConfig parse_server_config(const std::string& text) {
       cfg.ingress_cache.tensor_budget_bytes =
           static_cast<std::int64_t>(parse_int(line_no, key, value, 0)) << 20;
     } else if (key == "ingress_cache_lookup_us") {
-      cfg.ingress_cache.lookup_s = parse_double(line_no, key, value, 0.0, 1e6) * 1e-6;
+      cfg.ingress_cache.lookup_s = parse_double(line_no, key, value, 0.0, 1e6, 6);
     } else if (key == "dynamic_batching") {
       cfg.dynamic_batching = parse_bool(line_no, key, value);
     } else if (key == "max_batch") {
@@ -143,9 +201,9 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "fixed_batch") {
       cfg.fixed_batch = parse_int(line_no, key, value, 1);
     } else if (key == "max_queue_delay_us") {
-      cfg.max_queue_delay = sim::microseconds(parse_int(line_no, key, value, 0));
+      cfg.max_queue_delay = parse_time(line_no, key, value, kUs, 0);
     } else if (key == "shed_deadline_ms") {
-      cfg.shed_deadline = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.shed_deadline = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "audit") {
       cfg.audit = parse_bool(line_no, key, value);
     } else if (key == "validate_payloads") {
@@ -155,11 +213,11 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "retry_max_attempts") {
       cfg.retry.max_attempts = parse_int(line_no, key, value, 1);
     } else if (key == "retry_timeout_ms") {
-      cfg.retry.timeout = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.retry.timeout = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "retry_backoff_base_ms") {
-      cfg.retry.backoff_base = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.retry.backoff_base = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "retry_backoff_cap_ms") {
-      cfg.retry.backoff_cap = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.retry.backoff_cap = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "retry_budget") {
       cfg.retry.retry_budget = parse_double(line_no, key, value, 0.0, 1e9);
     } else if (key == "retry_budget_refill") {
@@ -171,13 +229,13 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "breaker_error_rate") {
       cfg.breaker.error_rate_open = parse_double(line_no, key, value, 0.0, 1.0);
     } else if (key == "breaker_open_ms") {
-      cfg.breaker.open_duration = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.breaker.open_duration = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "breaker_half_open_probes") {
       cfg.breaker.half_open_probes = parse_int(line_no, key, value, 1);
     } else if (key == "degrade") {
       cfg.degrade.enabled = parse_bool(line_no, key, value);
     } else if (key == "degrade_hysteresis_ms") {
-      cfg.degrade.hysteresis = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.degrade.hysteresis = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "broker_publish") {
       cfg.broker_publish.publish_results = parse_bool(line_no, key, value);
     } else if (key == "broker_retry") {
@@ -185,9 +243,9 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "broker_max_attempts") {
       cfg.broker_publish.max_attempts = parse_int(line_no, key, value, 1);
     } else if (key == "broker_backoff_ms") {
-      cfg.broker_publish.backoff_base = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.broker_publish.backoff_base = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "broker_poll_ms") {
-      cfg.broker_publish.poll_interval = sim::milliseconds(parse_int(line_no, key, value, 0));
+      cfg.broker_publish.poll_interval = parse_time(line_no, key, value, kMs, 0);
     } else if (key == "balancer_policy") {
       if (value == "round_robin") {
         cfg.balancer.policy = BalancerPolicy::kRoundRobin;
@@ -205,11 +263,11 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "health_checks") {
       cfg.balancer.health.enabled = parse_bool(line_no, key, value);
     } else if (key == "health_probe_interval_ms") {
-      cfg.balancer.health.probe_interval = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.health.probe_interval = parse_time(line_no, key, value, kMs, 1);
     } else if (key == "health_probe_timeout_ms") {
-      cfg.balancer.health.probe_timeout = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.health.probe_timeout = parse_time(line_no, key, value, kMs, 1);
     } else if (key == "health_probe_cost_us") {
-      cfg.balancer.health.probe_cost_s = parse_double(line_no, key, value, 0.0, 1e6) * 1e-6;
+      cfg.balancer.health.probe_cost_s = parse_double(line_no, key, value, 0.0, 1e6, 6);
     } else if (key == "health_ewma_alpha") {
       cfg.balancer.health.ewma_alpha = parse_double(line_no, key, value, 1e-6, 1.0);
     } else if (key == "health_eject_score") {
@@ -217,13 +275,13 @@ ServerConfig parse_server_config(const std::string& text) {
     } else if (key == "health_eject_probe_failures") {
       cfg.balancer.health.eject_probe_failures = parse_int(line_no, key, value, 1);
     } else if (key == "health_eject_ms") {
-      cfg.balancer.health.eject_duration = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.health.eject_duration = parse_time(line_no, key, value, kMs, 1);
     } else if (key == "health_rejoin_probes") {
       cfg.balancer.health.rejoin_probes = parse_int(line_no, key, value, 1);
     } else if (key == "hedge") {
       cfg.balancer.hedge.enabled = parse_bool(line_no, key, value);
     } else if (key == "hedge_deadline_ms") {
-      cfg.balancer.hedge.deadline = sim::milliseconds(parse_int(line_no, key, value, 1));
+      cfg.balancer.hedge.deadline = parse_time(line_no, key, value, kMs, 1);
     } else if (key == "hedge_budget") {
       cfg.balancer.hedge.budget = parse_double(line_no, key, value, 0.0, 1e9);
     } else if (key == "hedge_budget_refill") {
@@ -260,34 +318,34 @@ std::string format_server_config(const ServerConfig& config) {
   out << "ingress_cache = " << (config.ingress_cache.enabled ? "true" : "false") << "\n";
   out << "ingress_cache_image_mb = " << (config.ingress_cache.image_budget_bytes >> 20) << "\n";
   out << "ingress_cache_tensor_mb = " << (config.ingress_cache.tensor_budget_bytes >> 20) << "\n";
-  out << "ingress_cache_lookup_us = " << config.ingress_cache.lookup_s * 1e6 << "\n";
+  out << "ingress_cache_lookup_us = " << format_double(config.ingress_cache.lookup_s, 6) << "\n";
   out << "dynamic_batching = " << (config.dynamic_batching ? "true" : "false") << "\n";
   out << "max_batch = " << config.effective_max_batch() << "\n";
   out << "instance_count = " << config.instance_count << "\n";
   out << "fixed_batch = " << config.fixed_batch << "\n";
-  out << "max_queue_delay_us = " << sim::to_microseconds(config.max_queue_delay) << "\n";
-  out << "shed_deadline_ms = " << sim::to_milliseconds(config.shed_deadline) << "\n";
+  out << "max_queue_delay_us = " << format_time(config.max_queue_delay, kUs) << "\n";
+  out << "shed_deadline_ms = " << format_time(config.shed_deadline, kMs) << "\n";
   out << "audit = " << (config.audit ? "true" : "false") << "\n";
   out << "validate_payloads = " << (config.validate_payloads ? "true" : "false") << "\n";
   out << "retry = " << (config.retry.enabled ? "true" : "false") << "\n";
   out << "retry_max_attempts = " << config.retry.max_attempts << "\n";
-  out << "retry_timeout_ms = " << sim::to_milliseconds(config.retry.timeout) << "\n";
-  out << "retry_backoff_base_ms = " << sim::to_milliseconds(config.retry.backoff_base) << "\n";
-  out << "retry_backoff_cap_ms = " << sim::to_milliseconds(config.retry.backoff_cap) << "\n";
-  out << "retry_budget = " << config.retry.retry_budget << "\n";
-  out << "retry_budget_refill = " << config.retry.budget_refill_per_success << "\n";
+  out << "retry_timeout_ms = " << format_time(config.retry.timeout, kMs) << "\n";
+  out << "retry_backoff_base_ms = " << format_time(config.retry.backoff_base, kMs) << "\n";
+  out << "retry_backoff_cap_ms = " << format_time(config.retry.backoff_cap, kMs) << "\n";
+  out << "retry_budget = " << format_double(config.retry.retry_budget) << "\n";
+  out << "retry_budget_refill = " << format_double(config.retry.budget_refill_per_success) << "\n";
   out << "circuit_breaker = " << (config.breaker.enabled ? "true" : "false") << "\n";
   out << "breaker_queue_depth = " << config.breaker.queue_depth_open << "\n";
-  out << "breaker_error_rate = " << config.breaker.error_rate_open << "\n";
-  out << "breaker_open_ms = " << sim::to_milliseconds(config.breaker.open_duration) << "\n";
+  out << "breaker_error_rate = " << format_double(config.breaker.error_rate_open) << "\n";
+  out << "breaker_open_ms = " << format_time(config.breaker.open_duration, kMs) << "\n";
   out << "breaker_half_open_probes = " << config.breaker.half_open_probes << "\n";
   out << "degrade = " << (config.degrade.enabled ? "true" : "false") << "\n";
-  out << "degrade_hysteresis_ms = " << sim::to_milliseconds(config.degrade.hysteresis) << "\n";
+  out << "degrade_hysteresis_ms = " << format_time(config.degrade.hysteresis, kMs) << "\n";
   out << "broker_publish = " << (config.broker_publish.publish_results ? "true" : "false") << "\n";
   out << "broker_retry = " << (config.broker_publish.retry_enabled ? "true" : "false") << "\n";
   out << "broker_max_attempts = " << config.broker_publish.max_attempts << "\n";
-  out << "broker_backoff_ms = " << sim::to_milliseconds(config.broker_publish.backoff_base) << "\n";
-  out << "broker_poll_ms = " << sim::to_milliseconds(config.broker_publish.poll_interval) << "\n";
+  out << "broker_backoff_ms = " << format_time(config.broker_publish.backoff_base, kMs) << "\n";
+  out << "broker_poll_ms = " << format_time(config.broker_publish.poll_interval, kMs) << "\n";
   out << "balancer_policy = "
       << (config.balancer.policy == BalancerPolicy::kRoundRobin          ? "round_robin"
           : config.balancer.policy == BalancerPolicy::kRandom            ? "random"
@@ -297,20 +355,21 @@ std::string format_server_config(const ServerConfig& config) {
       << "\n";
   out << "health_checks = " << (config.balancer.health.enabled ? "true" : "false") << "\n";
   out << "health_probe_interval_ms = "
-      << sim::to_milliseconds(config.balancer.health.probe_interval) << "\n";
+      << format_time(config.balancer.health.probe_interval, kMs) << "\n";
   out << "health_probe_timeout_ms = "
-      << sim::to_milliseconds(config.balancer.health.probe_timeout) << "\n";
-  out << "health_probe_cost_us = " << config.balancer.health.probe_cost_s * 1e6 << "\n";
-  out << "health_ewma_alpha = " << config.balancer.health.ewma_alpha << "\n";
-  out << "health_eject_score = " << config.balancer.health.eject_score << "\n";
+      << format_time(config.balancer.health.probe_timeout, kMs) << "\n";
+  out << "health_probe_cost_us = " << format_double(config.balancer.health.probe_cost_s, 6) << "\n";
+  out << "health_ewma_alpha = " << format_double(config.balancer.health.ewma_alpha) << "\n";
+  out << "health_eject_score = " << format_double(config.balancer.health.eject_score) << "\n";
   out << "health_eject_probe_failures = " << config.balancer.health.eject_probe_failures << "\n";
-  out << "health_eject_ms = " << sim::to_milliseconds(config.balancer.health.eject_duration)
+  out << "health_eject_ms = " << format_time(config.balancer.health.eject_duration, kMs)
       << "\n";
   out << "health_rejoin_probes = " << config.balancer.health.rejoin_probes << "\n";
   out << "hedge = " << (config.balancer.hedge.enabled ? "true" : "false") << "\n";
-  out << "hedge_deadline_ms = " << sim::to_milliseconds(config.balancer.hedge.deadline) << "\n";
-  out << "hedge_budget = " << config.balancer.hedge.budget << "\n";
-  out << "hedge_budget_refill = " << config.balancer.hedge.budget_refill_per_success << "\n";
+  out << "hedge_deadline_ms = " << format_time(config.balancer.hedge.deadline, kMs) << "\n";
+  out << "hedge_budget = " << format_double(config.balancer.hedge.budget) << "\n";
+  out << "hedge_budget_refill = "
+      << format_double(config.balancer.hedge.budget_refill_per_success) << "\n";
   return out.str();
 }
 

@@ -3,8 +3,10 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "core/experiment.h"
 #include "hw/image_spec.h"
@@ -389,6 +391,77 @@ TEST(ConfigFile, RejectsBadInput) {
                std::invalid_argument);
   EXPECT_THROW((void)serving::parse_server_config("model = vit-base\nthis line has no equals\n"),
                std::invalid_argument);
+  // Time keys take plain decimals down to 1 ns, nothing finer or signed.
+  for (const char* line : {"shed_deadline_ms = 0.0000001", "max_queue_delay_us = 1.2.3",
+                           "shed_deadline_ms = -0.5", "retry_timeout_ms = 2e+06"}) {
+    EXPECT_THROW((void)serving::parse_server_config(std::string("model = vit-base\n") + line),
+                 std::invalid_argument)
+        << line;
+  }
+  EXPECT_EQ(serving::parse_server_config("model = vit-base\nshed_deadline_ms = 0.000001\n")
+                .shed_deadline,
+            1);
+}
+
+/// format_server_config writes every field so that parse_server_config reads
+/// it back exactly, and formatting is a fixed point.
+void expect_exact_round_trip(const serving::ServerConfig& cfg) {
+  const std::string text = serving::format_server_config(cfg);
+  SCOPED_TRACE(text);
+  const auto round = serving::parse_server_config(text);
+  EXPECT_EQ(round.model.name, cfg.model.name);
+  EXPECT_EQ(round.backend, cfg.backend);
+  EXPECT_EQ(round.preproc, cfg.preproc);
+  EXPECT_EQ(round.mode, cfg.mode);
+  EXPECT_EQ(round.ingress, cfg.ingress);
+  EXPECT_EQ(round.ingress_cache.enabled, cfg.ingress_cache.enabled);
+  EXPECT_EQ(round.ingress_cache.image_budget_bytes, cfg.ingress_cache.image_budget_bytes);
+  EXPECT_EQ(round.ingress_cache.tensor_budget_bytes, cfg.ingress_cache.tensor_budget_bytes);
+  EXPECT_EQ(round.ingress_cache.lookup_s, cfg.ingress_cache.lookup_s);
+  EXPECT_EQ(round.dynamic_batching, cfg.dynamic_batching);
+  EXPECT_EQ(round.max_batch, cfg.effective_max_batch());
+  EXPECT_EQ(round.instance_count, cfg.instance_count);
+  EXPECT_EQ(round.fixed_batch, cfg.fixed_batch);
+  EXPECT_EQ(round.max_queue_delay, cfg.max_queue_delay);
+  EXPECT_EQ(round.shed_deadline, cfg.shed_deadline);
+  EXPECT_EQ(round.audit, cfg.audit);
+  EXPECT_EQ(round.validate_payloads, cfg.validate_payloads);
+  EXPECT_EQ(round.retry.enabled, cfg.retry.enabled);
+  EXPECT_EQ(round.retry.max_attempts, cfg.retry.max_attempts);
+  EXPECT_EQ(round.retry.timeout, cfg.retry.timeout);
+  EXPECT_EQ(round.retry.backoff_base, cfg.retry.backoff_base);
+  EXPECT_EQ(round.retry.backoff_cap, cfg.retry.backoff_cap);
+  EXPECT_EQ(round.retry.retry_budget, cfg.retry.retry_budget);
+  EXPECT_EQ(round.retry.budget_refill_per_success, cfg.retry.budget_refill_per_success);
+  EXPECT_EQ(round.breaker.enabled, cfg.breaker.enabled);
+  EXPECT_EQ(round.breaker.queue_depth_open, cfg.breaker.queue_depth_open);
+  EXPECT_EQ(round.breaker.error_rate_open, cfg.breaker.error_rate_open);
+  EXPECT_EQ(round.breaker.open_duration, cfg.breaker.open_duration);
+  EXPECT_EQ(round.breaker.half_open_probes, cfg.breaker.half_open_probes);
+  EXPECT_EQ(round.degrade.enabled, cfg.degrade.enabled);
+  EXPECT_EQ(round.degrade.hysteresis, cfg.degrade.hysteresis);
+  EXPECT_EQ(round.broker_publish.publish_results, cfg.broker_publish.publish_results);
+  EXPECT_EQ(round.broker_publish.retry_enabled, cfg.broker_publish.retry_enabled);
+  EXPECT_EQ(round.broker_publish.max_attempts, cfg.broker_publish.max_attempts);
+  EXPECT_EQ(round.broker_publish.backoff_base, cfg.broker_publish.backoff_base);
+  EXPECT_EQ(round.broker_publish.poll_interval, cfg.broker_publish.poll_interval);
+  const auto& h = cfg.balancer.health;
+  EXPECT_EQ(round.balancer.policy, cfg.balancer.policy);
+  EXPECT_EQ(round.balancer.health.enabled, h.enabled);
+  EXPECT_EQ(round.balancer.health.probe_interval, h.probe_interval);
+  EXPECT_EQ(round.balancer.health.probe_timeout, h.probe_timeout);
+  EXPECT_EQ(round.balancer.health.probe_cost_s, h.probe_cost_s);
+  EXPECT_EQ(round.balancer.health.ewma_alpha, h.ewma_alpha);
+  EXPECT_EQ(round.balancer.health.eject_score, h.eject_score);
+  EXPECT_EQ(round.balancer.health.eject_probe_failures, h.eject_probe_failures);
+  EXPECT_EQ(round.balancer.health.eject_duration, h.eject_duration);
+  EXPECT_EQ(round.balancer.health.rejoin_probes, h.rejoin_probes);
+  EXPECT_EQ(round.balancer.hedge.enabled, cfg.balancer.hedge.enabled);
+  EXPECT_EQ(round.balancer.hedge.deadline, cfg.balancer.hedge.deadline);
+  EXPECT_EQ(round.balancer.hedge.budget, cfg.balancer.hedge.budget);
+  EXPECT_EQ(round.balancer.hedge.budget_refill_per_success,
+            cfg.balancer.hedge.budget_refill_per_success);
+  EXPECT_EQ(serving::format_server_config(round), text);
 }
 
 TEST(ConfigFile, FormatParsesBackIdentically) {
@@ -404,6 +477,53 @@ TEST(ConfigFile, FormatParsesBackIdentically) {
   EXPECT_EQ(round.preproc, cfg.preproc);
   EXPECT_EQ(round.max_batch, cfg.max_batch);
   EXPECT_EQ(round.shed_deadline, cfg.shed_deadline);
+  expect_exact_round_trip(cfg);
+
+  // Time fields below the key's unit, past 6 significant digits, or at the
+  // top of the parser's range; doubles a 6-digit stream would round.
+  const std::vector<void (*)(serving::ServerConfig&)> edits = {
+      [](serving::ServerConfig& c) { c.shed_deadline = sim::microseconds(1); },
+      [](serving::ServerConfig& c) { c.max_queue_delay = 1'500; },
+      [](serving::ServerConfig& c) { c.retry.timeout = sim::seconds(2000); },
+      [](serving::ServerConfig& c) { c.retry.backoff_cap = 1; },
+      [](serving::ServerConfig& c) {
+        c.balancer.hedge.deadline = std::int64_t{2'147'483'647} * 1'000'000 + 999'999;
+      },
+      [](serving::ServerConfig& c) { c.breaker.error_rate_open = 1.0 / 3.0; },
+      [](serving::ServerConfig& c) { c.retry.budget_refill_per_success = 0.1 + 0.2; },
+      [](serving::ServerConfig& c) { c.ingress_cache.lookup_s = 1e-6 / 3.0; },
+      [](serving::ServerConfig& c) { c.balancer.health.probe_cost_s = 0.1 + 0.2; },
+  };
+  for (const auto& edit : edits) {
+    serving::ServerConfig c;
+    c.model = models::resnet50();
+    edit(c);
+    expect_exact_round_trip(c);
+  }
+  // The request-route matrix deployments (tests/trace_store_test.cpp).
+  for (const auto dev : {serving::PreprocDevice::kGpu, serving::PreprocDevice::kCpu}) {
+    for (const auto mode :
+         {serving::PipelineMode::kEndToEnd, serving::PipelineMode::kPreprocessOnly,
+          serving::PipelineMode::kInferenceOnly}) {
+      for (const auto fmt :
+           {serving::IngressFormat::kCompressedImage, serving::IngressFormat::kRawTensor}) {
+        serving::ServerConfig c;
+        c.model = models::resnet50();
+        c.preproc = dev;
+        c.mode = mode;
+        c.ingress = fmt;
+        expect_exact_round_trip(c);
+        c.ingress_cache = {.enabled = true, .tensor_budget_bytes = 4LL << 20};
+        c.degrade.enabled = true;
+        c.validate_payloads = true;
+        c.broker_publish = {.publish_results = true, .retry_enabled = true};
+        c.shed_deadline = sim::milliseconds(15);
+        c.breaker = {.enabled = true, .queue_depth_open = 64,
+                     .open_duration = sim::milliseconds(20)};
+        expect_exact_round_trip(c);
+      }
+    }
+  }
 }
 
 TEST(ConfigFile, IngressKeysRoundTrip) {
@@ -528,8 +648,8 @@ TEST(ConfigFile, RejectsOutOfRangeValues) {
 }
 
 TEST(ConfigFile, EveryFieldRoundTrips) {
-  // Set every ServerConfig field away from its default (doubles to values an
-  // ostream reproduces exactly), format, re-parse, and compare field by field.
+  // Set every ServerConfig field away from its default, format, re-parse, and
+  // compare field by field.
   serving::ServerConfig cfg;
   cfg.model = models::tiny_vit();
   cfg.backend = models::Backend::kPyTorch;
@@ -563,41 +683,7 @@ TEST(ConfigFile, EveryFieldRoundTrips) {
   cfg.broker_publish.backoff_base = sim::milliseconds(4);
   cfg.broker_publish.poll_interval = sim::milliseconds(25);
 
-  const std::string text = serving::format_server_config(cfg);
-  const auto round = serving::parse_server_config(text);
-  EXPECT_EQ(round.model.name, cfg.model.name);
-  EXPECT_EQ(round.backend, cfg.backend);
-  EXPECT_EQ(round.preproc, cfg.preproc);
-  EXPECT_EQ(round.mode, cfg.mode);
-  EXPECT_EQ(round.dynamic_batching, cfg.dynamic_batching);
-  EXPECT_EQ(round.max_batch, cfg.max_batch);
-  EXPECT_EQ(round.instance_count, cfg.instance_count);
-  EXPECT_EQ(round.fixed_batch, cfg.fixed_batch);
-  EXPECT_EQ(round.max_queue_delay, cfg.max_queue_delay);
-  EXPECT_EQ(round.shed_deadline, cfg.shed_deadline);
-  EXPECT_EQ(round.audit, cfg.audit);
-  EXPECT_EQ(round.validate_payloads, cfg.validate_payloads);
-  EXPECT_EQ(round.retry.enabled, cfg.retry.enabled);
-  EXPECT_EQ(round.retry.max_attempts, cfg.retry.max_attempts);
-  EXPECT_EQ(round.retry.timeout, cfg.retry.timeout);
-  EXPECT_EQ(round.retry.backoff_base, cfg.retry.backoff_base);
-  EXPECT_EQ(round.retry.backoff_cap, cfg.retry.backoff_cap);
-  EXPECT_EQ(round.retry.retry_budget, cfg.retry.retry_budget);
-  EXPECT_EQ(round.retry.budget_refill_per_success, cfg.retry.budget_refill_per_success);
-  EXPECT_EQ(round.breaker.enabled, cfg.breaker.enabled);
-  EXPECT_EQ(round.breaker.queue_depth_open, cfg.breaker.queue_depth_open);
-  EXPECT_EQ(round.breaker.error_rate_open, cfg.breaker.error_rate_open);
-  EXPECT_EQ(round.breaker.open_duration, cfg.breaker.open_duration);
-  EXPECT_EQ(round.breaker.half_open_probes, cfg.breaker.half_open_probes);
-  EXPECT_EQ(round.degrade.enabled, cfg.degrade.enabled);
-  EXPECT_EQ(round.degrade.hysteresis, cfg.degrade.hysteresis);
-  EXPECT_EQ(round.broker_publish.publish_results, cfg.broker_publish.publish_results);
-  EXPECT_EQ(round.broker_publish.retry_enabled, cfg.broker_publish.retry_enabled);
-  EXPECT_EQ(round.broker_publish.max_attempts, cfg.broker_publish.max_attempts);
-  EXPECT_EQ(round.broker_publish.backoff_base, cfg.broker_publish.backoff_base);
-  EXPECT_EQ(round.broker_publish.poll_interval, cfg.broker_publish.poll_interval);
-  // Formatting is a fixed point: format(parse(format(cfg))) == format(cfg).
-  EXPECT_EQ(serving::format_server_config(round), text);
+  expect_exact_round_trip(cfg);
 }
 
 TEST(ConfigFile, LoadFromDisk) {
