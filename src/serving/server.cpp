@@ -543,7 +543,7 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
   const auto& scal = platform_.calib().serving;
   const double backend = models::backend_factor(platform_.calib().gpu, config_.backend);
   // The SM-sharing tax applies only while DALI preprocessing actually runs
-  // on this device; a raw-tensor default ingress leaves the pipelines idle.
+  // on this device; raw-tensor ingress leaves the pipelines idle.
   const bool contended = config_.preproc == PreprocDevice::kGpu &&
                          config_.mode == PipelineMode::kEndToEnd &&
                          config_.ingress == IngressFormat::kCompressedImage;
