@@ -8,9 +8,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "metrics/export.h"
+
 namespace serve::serving {
 
 namespace {
+
+using metrics::format_double;
 
 std::string trim(const std::string& s) {
   const auto begin = s.find_first_not_of(" \t\r");
@@ -77,14 +81,13 @@ double parse_double(int line_no, const std::string& key, const std::string& v, d
   return shift == 0 ? out : shifted_stod(v, shift);
 }
 
-/// Shortest decimal that reads back as `v` exactly (through shifted_stod when
-/// `shift` is nonzero): v * 10^shift when that reads back, else v's own
-/// digits with the exponent moved.
-std::string format_double(double v, int shift = 0) {
+/// Shortest decimal that shifted_stod(.., shift) reads back as `v` exactly:
+/// v * 10^shift when that reads back, else v's own digits with the exponent
+/// moved.
+std::string format_shifted(double v, int shift) {
+  const std::string plain = format_double(v * std::pow(10, shift));
+  if (shifted_stod(plain, shift) == v) return plain;
   char buf[64];
-  const double scaled = v * std::pow(10, shift);
-  const std::string plain(buf, std::to_chars(buf, buf + sizeof buf, scaled).ptr);
-  if (shift == 0 || shifted_stod(plain, shift) == v) return plain;
   const std::string sci(
       buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::scientific).ptr);
   const auto e = sci.find('e');
@@ -318,7 +321,7 @@ std::string format_server_config(const ServerConfig& config) {
   out << "ingress_cache = " << (config.ingress_cache.enabled ? "true" : "false") << "\n";
   out << "ingress_cache_image_mb = " << (config.ingress_cache.image_budget_bytes >> 20) << "\n";
   out << "ingress_cache_tensor_mb = " << (config.ingress_cache.tensor_budget_bytes >> 20) << "\n";
-  out << "ingress_cache_lookup_us = " << format_double(config.ingress_cache.lookup_s, 6) << "\n";
+  out << "ingress_cache_lookup_us = " << format_shifted(config.ingress_cache.lookup_s, 6) << "\n";
   out << "dynamic_batching = " << (config.dynamic_batching ? "true" : "false") << "\n";
   out << "max_batch = " << config.effective_max_batch() << "\n";
   out << "instance_count = " << config.instance_count << "\n";
@@ -333,7 +336,8 @@ std::string format_server_config(const ServerConfig& config) {
   out << "retry_backoff_base_ms = " << format_time(config.retry.backoff_base, kMs) << "\n";
   out << "retry_backoff_cap_ms = " << format_time(config.retry.backoff_cap, kMs) << "\n";
   out << "retry_budget = " << format_double(config.retry.retry_budget) << "\n";
-  out << "retry_budget_refill = " << format_double(config.retry.budget_refill_per_success) << "\n";
+  out << "retry_budget_refill = " << format_double(config.retry.budget_refill_per_success)
+      << "\n";
   out << "circuit_breaker = " << (config.breaker.enabled ? "true" : "false") << "\n";
   out << "breaker_queue_depth = " << config.breaker.queue_depth_open << "\n";
   out << "breaker_error_rate = " << format_double(config.breaker.error_rate_open) << "\n";
@@ -358,7 +362,8 @@ std::string format_server_config(const ServerConfig& config) {
       << format_time(config.balancer.health.probe_interval, kMs) << "\n";
   out << "health_probe_timeout_ms = "
       << format_time(config.balancer.health.probe_timeout, kMs) << "\n";
-  out << "health_probe_cost_us = " << format_double(config.balancer.health.probe_cost_s, 6) << "\n";
+  out << "health_probe_cost_us = " << format_shifted(config.balancer.health.probe_cost_s, 6)
+      << "\n";
   out << "health_ewma_alpha = " << format_double(config.balancer.health.ewma_alpha) << "\n";
   out << "health_eject_score = " << format_double(config.balancer.health.eject_score) << "\n";
   out << "health_eject_probe_failures = " << config.balancer.health.eject_probe_failures << "\n";
@@ -368,8 +373,8 @@ std::string format_server_config(const ServerConfig& config) {
   out << "hedge = " << (config.balancer.hedge.enabled ? "true" : "false") << "\n";
   out << "hedge_deadline_ms = " << format_time(config.balancer.hedge.deadline, kMs) << "\n";
   out << "hedge_budget = " << format_double(config.balancer.hedge.budget) << "\n";
-  out << "hedge_budget_refill = "
-      << format_double(config.balancer.hedge.budget_refill_per_success) << "\n";
+  out << "hedge_budget_refill = " << format_double(config.balancer.hedge.budget_refill_per_success)
+      << "\n";
   return out.str();
 }
 

@@ -350,10 +350,8 @@ sim::Process InferenceServer::handle_request(RequestPtr req) {
     req->charge(Stage::kIngest, seconds(cpu.ingest_seconds()));
   }
 
-  // The route is decided once from the deployment (see server.h): a client
-  // tensor skips the cache and all server preprocessing; everything else
-  // probes the cache, then preprocesses on the CPU pool (CPU deployments, or
-  // a degraded GPU) or rides the batched GPU pipeline.
+  // The route is decided once per request from ServerConfig (rules in
+  // server.h).
   const bool client_tensor = config_.mode == PipelineMode::kInferenceOnly ||
                              config_.ingress == IngressFormat::kRawTensor;
 
