@@ -2,13 +2,16 @@
 // raw event throughput, channel hand-offs, task spawn/switch churn, resource
 // cycles, and whole-server simulation speed, bare and audited + traced. Rate
 // counters (events/s, channel_ops/s, task_switches/s) plus allocation
-// counters from the sim frame pool (allocs per simulated request) make
-// regressions in the per-request hot path visible at a glance.
+// counters per simulated request make regressions in the per-request hot
+// path visible at a glance: the sim frame pool's own counters, and every
+// operator new call in the process (heap_counter.cpp replaces the global
+// allocation functions to count them).
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
 
 #include "core/experiment.h"
+#include "heap_counter.h"
 #include "models/model_zoo.h"
 #include "sim/channel.h"
 #include "sim/pool.h"
@@ -133,12 +136,14 @@ core::ExperimentSpec full_server_spec() {
 
 /// Times `run_once` (one complete experiment per iteration); the counters
 /// report simulated requests per wall second and how many allocations the
-/// per-request hot path costs (pool hits are recycled frames, heap allocs
-/// actually reached operator new).
+/// per-request hot path costs: frame-pool requests (pool hits are recycled
+/// blocks), the pool's own fallbacks to the heap, and every operator new
+/// call of the run, setup included (global_allocs_per_req).
 template <typename RunOnce>
 void run_server_simulation(benchmark::State& state, RunOnce run_once) {
   std::uint64_t requests = 0;
   const sim::AllocStats before = sim::alloc_stats();
+  const std::uint64_t heap_before = bench::heap_allocs();
   for (auto _ : state) {
     const core::ExperimentResult r = run_once();
     if (r.audit_violations != 0) {
@@ -149,6 +154,7 @@ void run_server_simulation(benchmark::State& state, RunOnce run_once) {
     benchmark::DoNotOptimize(r);
   }
   const sim::AllocStats after = sim::alloc_stats();
+  const std::uint64_t heap_after = bench::heap_allocs();
   state.counters["sim_requests/s"] =
       benchmark::Counter(static_cast<double>(requests), benchmark::Counter::kIsRate);
   if (requests > 0) {
@@ -159,6 +165,7 @@ void run_server_simulation(benchmark::State& state, RunOnce run_once) {
     state.counters["heap_allocs_per_req"] =
         per(after.frame_heap_allocs, before.frame_heap_allocs) +
         per(after.action_heap_allocs, before.action_heap_allocs);
+    state.counters["global_allocs_per_req"] = per(heap_after, heap_before);
     state.counters["pool_hit_rate"] =
         static_cast<double>(after.frame_pool_hits - before.frame_pool_hits) /
         static_cast<double>(after.frame_allocs - before.frame_allocs);

@@ -249,7 +249,7 @@ struct FleetBalancer {
       co_await sim.wait(kGrayFailCost);
       fail_kind = "gray";
     } else {
-      auto req = std::make_shared<serving::Request>(sim, next_request_id_++, spec.image);
+      auto req = serving::make_request(sim, next_request_id_++, spec.image);
       if (lg->ctx.valid()) req->trace_ctx = lg->ctx;  // node auditor adopts -> cross-node trace
       lg->attempts.push_back(req);
       node.wire.push_back(req);

@@ -64,7 +64,7 @@ class RetryingSubmitter {
     const int attempts = policy_.enabled ? std::max(1, policy_.max_attempts) : 1;
     trace::SpanContext prev_ctx{};
     for (int attempt = 1;; ++attempt) {
-      auto req = std::make_shared<Request>(sim, next_id++, desc.image);
+      auto req = make_request(sim, next_id++, desc.image);
       req->content_hash = desc.content_hash;
       req->attempt = attempt;
       // Retry chaining: hand the previous attempt's context to the server so

@@ -9,6 +9,7 @@
 #include "hw/image_spec.h"
 #include "metrics/breakdown.h"
 #include "serving/ingress.h"
+#include "sim/pool.h"
 #include "sim/sync.h"
 #include "sim/time.h"
 #include "trace/span_context.h"
@@ -111,5 +112,12 @@ struct Request {
 };
 
 using RequestPtr = std::shared_ptr<Request>;
+
+/// A fresh request in one block from the simulator frame pool (object and
+/// shared_ptr control block together), recycled when its last owner lets go.
+[[nodiscard]] inline RequestPtr make_request(sim::Simulator& sim, std::uint64_t id,
+                                             hw::ImageSpec image) {
+  return std::allocate_shared<Request>(sim::PoolAllocator<Request>{}, sim, id, image);
+}
 
 }  // namespace serve::serving

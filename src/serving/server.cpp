@@ -9,6 +9,7 @@
 #include "codec/jpeg.h"
 #include "codec/synthetic.h"
 #include "sim/sync.h"
+#include "sim/trace.h"
 
 namespace serve::serving {
 
@@ -320,9 +321,6 @@ void InferenceServer::enqueue_inference(std::size_t g, RequestPtr req) {
 
 void InferenceServer::hand_off(sim::Channel<RequestPtr>& ch, std::size_t g, RequestPtr req,
                                std::string_view where) {
-  // try_put consumes its argument even when it fails; keep a second owner so
-  // a rejected request can still be drop-accounted instead of destroyed.
-  RequestPtr keep = req;
   bool accepted = false;
   try {
     accepted = ch.try_put(std::move(req));
@@ -331,8 +329,8 @@ void InferenceServer::hand_off(sim::Channel<RequestPtr>& ch, std::size_t g, Requ
   }
   if (accepted) return;
   ++ledger_.counts.handoff_lost;
-  if (auditor_) auditor_->on_lost_handoff(*keep, where);
-  drop_request(g, std::move(keep));
+  if (auditor_) auditor_->on_lost_handoff(*req, where);
+  drop_request(g, std::move(req));
 }
 
 sim::Process InferenceServer::handle_request(RequestPtr req) {
@@ -479,6 +477,10 @@ sim::Process InferenceServer::gpu_preproc_loop(std::size_t g) {
     // Demand-driven batching: only collect once a pipeline instance is free.
     auto pipeline = co_await gpu.preproc().acquire();
     std::vector<RequestPtr> batch;
+    if (!st.spare_batches.empty()) {
+      batch = std::move(st.spare_batches.back());
+      st.spare_batches.pop_back();
+    }
     sim::Event ready{sim};
     sim.spawn(st.preproc_batcher.collect_into(batch, ready));
     co_await ready.wait();
@@ -491,12 +493,17 @@ sim::Process InferenceServer::run_gpu_preproc_batch(std::size_t g, std::vector<R
                                                     sim::ResourceToken pipeline) {
   auto& sim = platform_.sim();
   auto& gpu = platform_.gpu(g);
+  const auto recycle = [&] {
+    batch.clear();
+    gpus_[g]->spare_batches.push_back(std::move(batch));
+  };
   // A held batch keeps its pipeline token, modelling a wedged pipeline. The
   // hold is charged as queue residue below, since `start` is taken after it.
   const GpuHold hold = co_await hold_through_gpu_failure(g);
   if (hold == GpuHold::kFail) {
     pipeline.release();
     for (auto& r : batch) fail_request(g, std::move(r), FailReason::kGpuFault);
+    recycle();
     co_return;
   }
   const Time start = sim.now();
@@ -531,6 +538,7 @@ sim::Process InferenceServer::run_gpu_preproc_batch(std::size_t g, std::vector<R
       enqueue_inference(g, std::move(r));
     }
   }
+  recycle();
 }
 
 sim::Process InferenceServer::inference_loop(std::size_t g) {
@@ -548,8 +556,8 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
   const bool cpu_staged_path =
       config_.preproc == PreprocDevice::kCpu && config_.mode == PipelineMode::kEndToEnd;
 
+  std::vector<RequestPtr> batch;  // reused: collect_into clears it
   while (true) {
-    std::vector<RequestPtr> batch;
     {
       sim::Event ready{sim};
       sim.spawn(st.inf_batcher.collect_into(batch, ready));
@@ -594,10 +602,9 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
     // Blame names the batch this request waited to join: which formation
     // window held it, how full the batch got, and whether a GPU fault window
     // extended the hold.
-    std::string dispatch_blame = "batch-formation batch=" +
-                                 std::to_string(st.inf_batcher.batches_formed()) +
-                                 " size=" + std::to_string(b);
-    if (hold == GpuHold::kHeld) dispatch_blame += ";gpu-fault-hold";
+    const sim::TraceName dispatch_blame{"batch-formation batch=", st.inf_batcher.batches_formed(),
+                                        " size=", static_cast<std::uint64_t>(b),
+                                        hold == GpuHold::kHeld ? ";gpu-fault-hold" : ""};
     for (const auto& r : batch) {
       r->charge(Stage::kQueue, dispatch - r->enqueue_time, dispatch_blame);
     }
@@ -662,10 +669,9 @@ sim::Process InferenceServer::inference_loop(std::size_t g) {
         // Evicted members pay the reload as transfer time; the rest of the
         // batch waits on them, so they are charged the same interval as
         // queueing (stage conservation: the whole batch stalls together).
-        const std::string reload_blame =
-            "eviction-reload bytes=" + std::to_string(reload_bytes);
-        const std::string stall_blame =
-            "eviction-stall bytes=" + std::to_string(reload_bytes);
+        const auto bytes = static_cast<std::uint64_t>(reload_bytes);
+        const sim::TraceName reload_blame{"eviction-reload bytes=", bytes};
+        const sim::TraceName stall_blame{"eviction-stall bytes=", bytes};
         for (const auto& r : batch) {
           const bool was_evicted =
               std::find(evicted.begin(), evicted.end(), r.get()) != evicted.end();

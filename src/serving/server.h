@@ -114,6 +114,9 @@ class InferenceServer {
     // failure window, cleared only after `hysteresis` of continuous health.
     bool degraded = false;
     sim::Time last_unhealthy = 0;
+    /// Emptied GPU-preprocessing batch buffers, reused by the next batches
+    /// (one per pipeline at most), so batches stop allocating once warm.
+    std::vector<std::vector<RequestPtr>> spare_batches;
   };
 
   // Scheduler processes (one set per GPU).

@@ -1,18 +1,17 @@
-// Small-buffer callable for simulator events.
+// Slab cell for simulator events whose callable does not fit inline.
 //
-// Every event the simulator queues is "resume this coroutine" or a similarly
-// tiny capture (a handle, an awaiter pointer, a generation counter), so a
-// std::function — with its guaranteed-copyable erasure and larger footprint —
-// pays for flexibility the event loop never uses. SmallAction is the
-// move-only replacement: captures up to kInlineSize bytes live inside the
-// object (no allocation per event), trivially-copyable captures relocate
-// with a plain memcpy when the heap's 4-ary sift moves items, and oversized
-// captures fall back to a heap box (counted in alloc_stats, and expected to
-// be rare enough that the count is a red flag).
+// EventQueue stores a trivially copyable capture of at most 8 bytes (a
+// coroutine handle, an awaiter pointer, nothing at all) inside the event
+// itself. Anything larger — a timer's `[this, idx, gen]`, a recorder tick, a
+// fault-window edge — lives in a SmallAction cell of the queue's slab, which
+// is recycled through a free list and never moves. Captures up to
+// kInlineSize bytes are constructed inside the cell (no allocation);
+// oversized captures fall back to a heap box, counted in alloc_stats (and
+// expected to be rare enough that the count is a red flag).
 #pragma once
 
 #include <cassert>
-#include <cstring>
+#include <cstddef>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -23,41 +22,30 @@ namespace serve::sim {
 
 class SmallAction {
  public:
-  /// Inline capture capacity. Sized so an EventQueue item (time + seq +
-  /// action) fills one 64-byte cache line.
+  /// Inline capture capacity. Sized so a slab cell (action + owner + free
+  /// link) fills one 64-byte cache line.
   static constexpr std::size_t kInlineSize = 40;
 
   SmallAction() noexcept = default;
-
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, SmallAction> &&
-                std::is_invocable_r_v<void, std::remove_cvref_t<F>&>>>
-  SmallAction(F&& f) {  // NOLINT(google-explicit-constructor): callable sink
-    using Fn = std::remove_cvref_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
-      vt_ = inline_vtable<Fn>();
-    } else {
-      ++alloc_stats().action_heap_allocs;
-      auto* boxed = new Fn(std::forward<F>(f));
-      std::memcpy(buf_, &boxed, sizeof(boxed));
-      vt_ = boxed_vtable<Fn>();
-    }
-  }
-
-  SmallAction(SmallAction&& other) noexcept { adopt(other); }
-  SmallAction& operator=(SmallAction&& other) noexcept {
-    if (this != &other) {
-      reset();
-      adopt(other);
-    }
-    return *this;
-  }
   SmallAction(const SmallAction&) = delete;
   SmallAction& operator=(const SmallAction&) = delete;
   ~SmallAction() { reset(); }
+
+  /// Stores `f`; the action must be empty.
+  template <typename F>
+  void emplace(F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    static_assert(std::is_invocable_v<Fn&>, "SmallAction needs a callable taking no arguments");
+    assert(vt_ == nullptr);
+    if constexpr (sizeof(Fn) <= kInlineSize && alignof(Fn) <= alignof(std::max_align_t)) {
+      ::new (static_cast<void*>(buf_)) Fn(std::forward<F>(f));
+      vt_ = &kInlineVTable<Fn>;
+    } else {
+      ++alloc_stats().action_heap_allocs;
+      ::new (static_cast<void*>(buf_)) Fn*(new Fn(std::forward<F>(f)));
+      vt_ = &kBoxedVTable<Fn>;
+    }
+  }
 
   [[nodiscard]] explicit operator bool() const noexcept { return vt_ != nullptr; }
 
@@ -66,68 +54,36 @@ class SmallAction {
     vt_->invoke(buf_);
   }
 
- private:
-  struct VTable {
-    void (*invoke)(void* self);
-    /// Move-constructs *dst from *src and destroys *src; nullptr means the
-    /// stored bytes are trivially relocatable (plain memcpy).
-    void (*relocate)(void* dst, void* src) noexcept;
-    void (*destroy)(void* self) noexcept;  ///< nullptr: trivially destructible
-  };
-
-  template <typename Fn>
-  static const VTable* inline_vtable() noexcept {
-    static constexpr VTable vt{
-        [](void* self) { (*static_cast<Fn*>(self))(); },
-        std::is_trivially_copyable_v<Fn> && std::is_trivially_destructible_v<Fn>
-            ? nullptr
-            : +[](void* dst, void* src) noexcept {
-                ::new (dst) Fn(std::move(*static_cast<Fn*>(src)));
-                static_cast<Fn*>(src)->~Fn();
-              },
-        std::is_trivially_destructible_v<Fn>
-            ? nullptr
-            : +[](void* self) noexcept { static_cast<Fn*>(self)->~Fn(); },
-    };
-    return &vt;
-  }
-
-  template <typename Fn>
-  static const VTable* boxed_vtable() noexcept {
-    // buf_ holds a single Fn*; relocation is the pointer memcpy.
-    static constexpr VTable vt{
-        [](void* self) {
-          Fn* boxed;
-          std::memcpy(&boxed, self, sizeof(boxed));
-          (*boxed)();
-        },
-        nullptr,
-        [](void* self) noexcept {
-          Fn* boxed;
-          std::memcpy(&boxed, self, sizeof(boxed));
-          delete boxed;
-        },
-    };
-    return &vt;
-  }
-
-  /// Takes over `other`'s state; *this must be empty/destroyed beforehand.
-  void adopt(SmallAction& other) noexcept {
-    vt_ = other.vt_;
-    if (vt_ != nullptr) {
-      if (vt_->relocate != nullptr) {
-        vt_->relocate(buf_, other.buf_);
-      } else {
-        std::memcpy(buf_, other.buf_, kInlineSize);
-      }
-      other.vt_ = nullptr;
-    }
-  }
-
+  /// Destroys the stored callable (if any); the action is empty afterwards.
   void reset() noexcept {
     if (vt_ != nullptr && vt_->destroy != nullptr) vt_->destroy(buf_);
     vt_ = nullptr;
   }
+
+ private:
+  struct VTable {
+    void (*invoke)(void* self);
+    void (*destroy)(void* self) noexcept;  ///< nullptr: trivially destructible
+  };
+
+  template <typename Fn>
+  static Fn& stored(void* self) noexcept {
+    return *std::launder(static_cast<Fn*>(self));
+  }
+
+  template <typename Fn>
+  static constexpr VTable kInlineVTable{
+      [](void* self) { stored<Fn>(self)(); },
+      std::is_trivially_destructible_v<Fn>
+          ? nullptr
+          : +[](void* self) noexcept { stored<Fn>(self).~Fn(); },
+  };
+
+  template <typename Fn>
+  static constexpr VTable kBoxedVTable{
+      [](void* self) { (*stored<Fn*>(self))(); },
+      [](void* self) noexcept { delete stored<Fn*>(self); },
+  };
 
   alignas(std::max_align_t) unsigned char buf_[kInlineSize];
   const VTable* vt_ = nullptr;

@@ -4,9 +4,9 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -14,6 +14,7 @@
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/waiter_list.h"
 
 namespace serve::sim {
 
@@ -33,6 +34,9 @@ class ChannelClosed : public std::runtime_error {
 ///   for max-queue-delay.
 ///
 /// FIFO on both sides; all wake-ups are posted through the simulator queue.
+/// Buffered elements sit in a ring that keeps its peak capacity, and
+/// waiters are linked through their awaiters, so steady-state traffic does
+/// not allocate.
 template <typename T>
 class Channel {
  public:
@@ -63,6 +67,8 @@ class Channel {
     // channel cancels it whenever it retires this waiter, so the fire
     // callback only ever runs while the awaiter is still suspended here.
     Simulator::TimerToken timer{};
+    GetAwaiter* prev = nullptr;  ///< WaiterList links
+    GetAwaiter* next = nullptr;
 
     bool await_ready() {
       if (auto v = ch.try_get()) {
@@ -85,7 +91,7 @@ class Channel {
             [](void* self_v) {
               auto* self = static_cast<GetAwaiter*>(self_v);
               self->timer = {};
-              self->ch.remove_getter(self);
+              self->ch.getters_.remove(self);
               self->done = true;
               self->handle.resume();
             },
@@ -114,6 +120,8 @@ class Channel {
     T value;
     bool failed = false;  ///< channel closed while waiting
     std::coroutine_handle<> handle{};
+    PutAwaiter* prev = nullptr;  ///< WaiterList links
+    PutAwaiter* next = nullptr;
 
     bool await_ready() {
       if (ch.closed_) throw ChannelClosed{};
@@ -131,10 +139,17 @@ class Channel {
   /// Suspends while full; throws ChannelClosed if the channel closes.
   [[nodiscard]] PutAwaiter put(T value) { return PutAwaiter{*this, std::move(value)}; }
 
-  /// Non-blocking put; false if full (throws if closed).
-  bool try_put(T value) {
+  /// Non-blocking put; false if full (throws if closed). Moves from
+  /// `value` only when it was accepted, so a rejected value stays with the
+  /// caller.
+  bool try_put(T&& value) {
     if (closed_) throw ChannelClosed{};
     return try_put_internal(std::move(value));
+  }
+  /// Copying form, for callers that keep their value.
+  bool try_put(const T& value) {
+    T copy = value;
+    return try_put(std::move(copy));
   }
 
   /// Non-blocking get.
@@ -144,18 +159,15 @@ class Channel {
       // conceptually; with capacity >= 1 putters only wait when full, so
       // buffer_ nonempty — this branch guards the general case).
       if (putters_.empty()) return std::nullopt;
-      PutAwaiter* p = putters_.front();
-      putters_.pop_front();
+      PutAwaiter* p = putters_.pop_front();
       std::optional<T> v{std::move(p->value)};
       sim_.post([h = p->handle] { h.resume(); });
       return v;
     }
-    std::optional<T> v{std::move(buffer_.front())};
-    buffer_.pop_front();
+    std::optional<T> v{buffer_.pop_front()};
     // Refill from a waiting putter, preserving FIFO order.
     if (!putters_.empty()) {
-      PutAwaiter* p = putters_.front();
-      putters_.pop_front();
+      PutAwaiter* p = putters_.pop_front();
       buffer_.push_back(std::move(p->value));
       sim_.post([h = p->handle] { h.resume(); });
     }
@@ -168,28 +180,79 @@ class Channel {
   void close() {
     if (closed_) return;
     closed_ = true;
-    for (GetAwaiter* g : getters_) {
+    while (!getters_.empty()) {
+      GetAwaiter* g = getters_.pop_front();
       sim_.cancel_timeout(g->timer);
       g->done = true;
       sim_.post([h = g->handle] { h.resume(); });
     }
-    getters_.clear();
-    for (PutAwaiter* p : putters_) {
+    while (!putters_.empty()) {
+      PutAwaiter* p = putters_.pop_front();
       p->failed = true;
       sim_.post([h = p->handle] { h.resume(); });
     }
-    putters_.clear();
   }
 
  private:
   friend struct GetAwaiter;
   friend struct PutAwaiter;
 
+  /// FIFO ring of buffered elements. Capacity is a power of two that only
+  /// grows (to the peak occupancy), so a busy channel stops allocating once
+  /// it has seen its deepest queue.
+  class Ring {
+   public:
+    Ring() noexcept = default;
+    Ring(const Ring&) = delete;
+    Ring& operator=(const Ring&) = delete;
+    ~Ring() {
+      while (size_ > 0) pop_front();
+      if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, cap_);
+    }
+
+    [[nodiscard]] std::size_t size() const noexcept { return size_; }
+    [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+
+    void push_back(T&& value) {
+      if (size_ == cap_) grow();
+      std::construct_at(slots_ + ((head_ + size_) & (cap_ - 1)), std::move(value));
+      ++size_;
+    }
+
+    T pop_front() {
+      T* slot = slots_ + head_;
+      T out = std::move(*slot);
+      std::destroy_at(slot);
+      head_ = (head_ + 1) & (cap_ - 1);
+      --size_;
+      return out;
+    }
+
+   private:
+    void grow() {
+      const std::size_t cap = cap_ == 0 ? 8 : cap_ * 2;
+      T* slots = std::allocator<T>().allocate(cap);
+      for (std::size_t i = 0; i < size_; ++i) {
+        T* from = slots_ + ((head_ + i) & (cap_ - 1));
+        std::construct_at(slots + i, std::move(*from));
+        std::destroy_at(from);
+      }
+      if (slots_ != nullptr) std::allocator<T>().deallocate(slots_, cap_);
+      slots_ = slots;
+      cap_ = cap;
+      head_ = 0;
+    }
+
+    T* slots_ = nullptr;
+    std::size_t cap_ = 0;
+    std::size_t head_ = 0;  ///< slot of the oldest element
+    std::size_t size_ = 0;
+  };
+
   bool try_put_internal(T&& value) {
     // Direct hand-off to the oldest waiting getter.
-    while (!getters_.empty()) {
-      GetAwaiter* g = getters_.front();
-      getters_.pop_front();
+    if (!getters_.empty()) {
+      GetAwaiter* g = getters_.pop_front();
       sim_.cancel_timeout(g->timer);
       g->result = std::move(value);
       g->done = true;
@@ -204,21 +267,12 @@ class Channel {
     return false;
   }
 
-  void remove_getter(GetAwaiter* g) {
-    for (auto it = getters_.begin(); it != getters_.end(); ++it) {
-      if (*it == g) {
-        getters_.erase(it);
-        return;
-      }
-    }
-  }
-
   Simulator& sim_;
   std::string name_;
   std::size_t capacity_;
-  std::deque<T> buffer_;
-  std::deque<GetAwaiter*> getters_;
-  std::deque<PutAwaiter*> putters_;
+  Ring buffer_;
+  WaiterList<GetAwaiter> getters_;
+  WaiterList<PutAwaiter> putters_;
   std::function<void(std::size_t)> size_observer_;
   bool closed_ = false;
 };

@@ -18,18 +18,27 @@
 //     tier holds the smaller (time, seq) key, so a mis-sized window only
 //     costs heap time — never correctness.
 //
-// Actions are SmallAction (captures inline, memcpy-relocatable), so neither
-// tier allocates per event. Heap sifts use the hole technique (shift, then
+// An event is a 32-byte trivially copyable Item: time, seq, a thunk and an
+// 8-byte payload. A callable whose capture is trivially copyable and fits
+// in 8 bytes — every `[h] { h.resume(); }` wake-up — is stored in the
+// payload itself; anything larger goes into a slab cell owned by the queue
+// (recycled through a free list) and the payload holds the cell pointer.
+// So sorting, sifting and popping move plain bytes, and neither path
+// allocates in steady state. Heap sifts use the hole technique (shift, then
 // place): one item move per level rather than three.
 #pragma once
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <deque>
+#include <new>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "sim/action.h"
+#include "sim/pool.h"
 #include "sim/time.h"
 
 namespace serve::sim {
@@ -38,12 +47,118 @@ namespace serve::sim {
 /// simulation is fully deterministic.
 class EventQueue {
  public:
-  using Action = SmallAction;
+  /// One pending event. `fn(payload)` runs it: the payload holds either the
+  /// callable itself or a pointer to its slab cell.
+  struct Item {
+    Time t = 0;
+    std::uint64_t seq = 0;
+    void (*fn)(void* payload) = nullptr;
+    alignas(8) unsigned char payload[8] = {};
+
+    void operator()() { fn(payload); }
+  };
+  static_assert(sizeof(Item) == 32 && std::is_trivially_copyable_v<Item>);
 
   EventQueue() : buckets_(kBuckets) {}
+  EventQueue(const EventQueue&) = delete;  // slab cells point back here
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  void push(Time t, Action action) {
-    Item item{t, next_seq_++, std::move(action)};
+  /// Queues `f` (any void() callable) at time `t`.
+  template <typename F>
+  void push(Time t, F&& f) {
+    using Fn = std::remove_cvref_t<F>;
+    Item item{t, next_seq_++};
+    if constexpr (std::is_trivially_copyable_v<Fn> && sizeof(Fn) <= sizeof(Item::payload) &&
+                  alignof(Fn) <= alignof(Item)) {
+      ::new (static_cast<void*>(item.payload)) Fn(std::forward<F>(f));
+      item.fn = &run_inline<Fn>;
+    } else {
+      Cell* cell = take_cell();
+      cell->action.emplace(std::forward<F>(f));
+      ::new (static_cast<void*>(item.payload)) Cell*(cell);
+      item.fn = &run_cell;
+    }
+    insert(item);
+  }
+
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+
+  /// Slab cells ever created: the peak number of events whose callable did
+  /// not fit inline that were pending (or running) at once.
+  [[nodiscard]] std::size_t slab_cells() const noexcept { return cells_.size(); }
+
+  /// Earliest pending timestamp (kInfiniteTime when empty). Non-const: may
+  /// lazily sort the bucket under the cursor.
+  [[nodiscard]] Time next_time() {
+    if (count_ == 0) return kInfiniteTime;
+    const Item* near = near_front();
+    if (near == nullptr) return far_.front().t;
+    if (far_.empty()) return near->t;
+    return before(*near, far_.front()) ? near->t : far_.front().t;
+  }
+
+  /// Removes and returns the earliest event; UB if empty (guarded by
+  /// caller). Run it once with operator(): that also recycles its slab cell.
+  Item pop() {
+    Item* near = near_front();
+    if (near != nullptr && (far_.empty() || before(*near, far_.front()))) {
+      const Item out = *near;
+      last_pop_t_ = out.t;
+      --count_;
+      --window_items_;
+      ++consume_idx_;
+      Bucket& bucket = buckets_[cursor_];
+      if (consume_idx_ == bucket.size()) {
+        bucket.clear();
+        consume_idx_ = 0;
+        nonempty_[cursor_ >> 6] &= ~(1ull << (cursor_ & 63));
+      }
+      return out;
+    }
+    const Item out = far_pop();
+    last_pop_t_ = out.t;
+    --count_;
+    return out;
+  }
+
+ private:
+  struct Cell {
+    explicit Cell(EventQueue* q) noexcept : owner(q) {}
+    SmallAction action;
+    EventQueue* owner;
+    Cell* next_free = nullptr;
+  };
+
+  template <typename Fn>
+  static void run_inline(void* payload) {
+    (*std::launder(static_cast<Fn*>(payload)))();
+  }
+
+  static void run_cell(void* payload) {
+    Cell* const cell = *std::launder(static_cast<Cell**>(payload));
+    // Recycled even if the action throws; the callable is destroyed after it
+    // ran, as it would be with the event.
+    struct Recycle {
+      Cell* cell;
+      ~Recycle() {
+        cell->action.reset();
+        cell->next_free = cell->owner->free_cells_;
+        cell->owner->free_cells_ = cell;
+      }
+    } recycle{cell};
+    cell->action();
+  }
+
+  Cell* take_cell() {
+    if (free_cells_ == nullptr) return &cells_.emplace_back(this);
+    Cell* cell = free_cells_;
+    free_cells_ = cell->next_free;
+    return cell;
+  }
+
+  void insert(const Item& item) {
+    const Time t = item.t;
     ++count_;
     if (window_items_ == 0 && (t >= window_end() || cursor_ > 0)) {
       // Window drained (or never started): re-anchor at the last popped
@@ -57,78 +172,35 @@ class EventQueue {
       // Far pops can move last_pop_t_ into a gap behind the cursor; events
       // land in the cursor bucket instead of a bucket already passed.
       if (b < cursor_) b = cursor_;
-      std::vector<Item>& bucket = buckets_[b];
+      Bucket& bucket = buckets_[b];
       const std::uint64_t bit = 1ull << (b & 63);
       if (bucket.empty()) {
         sorted_[b >> 6] |= bit;  // a one-element bucket is sorted
-        bucket.push_back(std::move(item));
+        bucket.push_back(item);
       } else if (!before(item, bucket.back())) {
         // In-order append (the common case: monotone schedule times, and
         // same-time events arrive in seq order) — sortedness is preserved.
-        bucket.push_back(std::move(item));
+        bucket.push_back(item);
       } else if (b == cursor_ && (sorted_[b >> 6] & bit) != 0) {
         // Live, partially consumed bucket: insert before the first larger
         // key so already-popped items stay behind consume_idx_.
         const auto pos = std::upper_bound(
             bucket.begin() + static_cast<std::ptrdiff_t>(consume_idx_), bucket.end(), item,
             [](const Item& a, const Item& o) { return before(a, o); });
-        bucket.insert(pos, std::move(item));
+        bucket.insert(pos, item);
         nonempty_[b >> 6] |= bit;
         ++window_items_;
         return;
       } else {
-        bucket.push_back(std::move(item));
+        bucket.push_back(item);
         sorted_[b >> 6] &= ~bit;  // out of order; sort lazily at the cursor
       }
       nonempty_[b >> 6] |= bit;
       ++window_items_;
       return;
     }
-    far_push(std::move(item));
+    far_push(item);
   }
-
-  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
-  [[nodiscard]] std::size_t size() const noexcept { return count_; }
-
-  /// Earliest pending timestamp (kInfiniteTime when empty). Non-const: may
-  /// lazily sort the bucket under the cursor.
-  [[nodiscard]] Time next_time() {
-    if (count_ == 0) return kInfiniteTime;
-    const Item* near = near_front();
-    if (near == nullptr) return far_.front().t;
-    if (far_.empty()) return near->t;
-    return before(*near, far_.front()) ? near->t : far_.front().t;
-  }
-
-  /// Removes and returns the earliest action; UB if empty (guarded by caller).
-  std::pair<Time, Action> pop() {
-    Item* near = near_front();
-    if (near != nullptr && (far_.empty() || before(*near, far_.front()))) {
-      std::pair<Time, Action> out{near->t, std::move(near->action)};
-      last_pop_t_ = near->t;
-      --count_;
-      --window_items_;
-      ++consume_idx_;
-      std::vector<Item>& bucket = buckets_[cursor_];
-      if (consume_idx_ == bucket.size()) {
-        bucket.clear();
-        consume_idx_ = 0;
-        nonempty_[cursor_ >> 6] &= ~(1ull << (cursor_ & 63));
-      }
-      return out;
-    }
-    std::pair<Time, Action> out = far_pop();
-    last_pop_t_ = out.first;
-    --count_;
-    return out;
-  }
-
- private:
-  struct Item {
-    Time t = 0;
-    std::uint64_t seq = 0;
-    Action action{};
-  };
 
   static constexpr std::size_t kBuckets = 512;
   static constexpr int kInitialShift = 7;  ///< 128 ns buckets, ~65 us window
@@ -162,7 +234,7 @@ class EventQueue {
   /// bucket) and returns it; nullptr when the window holds nothing.
   [[nodiscard]] Item* near_front() {
     if (window_items_ == 0) return nullptr;
-    std::vector<Item>& current = buckets_[cursor_];
+    Bucket& current = buckets_[cursor_];
     if (consume_idx_ >= current.size()) {
       // Advance to the next non-empty bucket via the bitmap.
       std::size_t word = cursor_ >> 6;
@@ -171,7 +243,7 @@ class EventQueue {
       cursor_ = (word << 6) + static_cast<std::size_t>(std::countr_zero(bits));
       consume_idx_ = 0;
     }
-    std::vector<Item>& bucket = buckets_[cursor_];
+    Bucket& bucket = buckets_[cursor_];
     const std::uint64_t bit = 1ull << (cursor_ & 63);
     if ((sorted_[cursor_ >> 6] & bit) == 0) {
       std::sort(bucket.begin(), bucket.end(),
@@ -183,22 +255,21 @@ class EventQueue {
 
   // --- far tier: 4-ary min-heap --------------------------------------------
 
-  void far_push(Item item) {
+  void far_push(const Item& item) {
     std::size_t i = far_.size();
     far_.emplace_back();  // hole; filled by the sift below
     while (i > 0) {
       const std::size_t parent = (i - 1) >> 2;
       if (!before(item, far_[parent])) break;
-      far_[i] = std::move(far_[parent]);
+      far_[i] = far_[parent];
       i = parent;
     }
-    far_[i] = std::move(item);
+    far_[i] = item;
   }
 
-  std::pair<Time, Action> far_pop() {
-    Item& root = far_.front();
-    std::pair<Time, Action> out{root.t, std::move(root.action)};
-    Item last = std::move(far_.back());
+  Item far_pop() {
+    const Item out = far_.front();
+    const Item last = far_.back();
     far_.pop_back();
     if (!far_.empty()) {
       const std::size_t n = far_.size();
@@ -212,15 +283,18 @@ class EventQueue {
           if (before(far_[c], far_[best])) best = c;
         }
         if (!before(far_[best], last)) break;
-        far_[i] = std::move(far_[best]);
+        far_[i] = far_[best];
         i = best;
       }
-      far_[i] = std::move(last);
+      far_[i] = last;
     }
     return out;
   }
 
-  std::vector<std::vector<Item>> buckets_;
+  /// Bucket storage comes from the frame pool: a fresh simulator in a sweep
+  /// reuses the blocks its predecessors' buckets grew into.
+  using Bucket = std::vector<Item, PoolAllocator<Item>>;
+  std::vector<Bucket> buckets_;
   std::uint64_t nonempty_[kBuckets / 64] = {};  ///< bit b: bucket b has items
   std::uint64_t sorted_[kBuckets / 64] = {};    ///< bit b: bucket b is sorted
   std::size_t cursor_ = 0;       ///< current bucket
@@ -234,6 +308,9 @@ class EventQueue {
   std::vector<Item> far_;
   std::uint64_t next_seq_ = 0;
   std::size_t count_ = 0;
+
+  std::deque<Cell> cells_;  ///< slab; grows to the peak of pending boxed events
+  Cell* free_cells_ = nullptr;
 };
 
 }  // namespace serve::sim

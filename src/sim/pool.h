@@ -1,6 +1,7 @@
 // Size-bucketed free-list allocator for the simulator's per-request hot
 // path: coroutine frames (Process / Task promises opt in via operator
-// new/delete) and anything else that churns at event rate.
+// new/delete), requests (through PoolAllocator) and anything else that
+// churns at event rate.
 //
 // Design: thread-local singly-linked free lists in 64-byte size classes up
 // to 4 KiB; larger blocks fall through to the global heap. A freed block is
@@ -23,7 +24,7 @@ namespace serve::sim {
 /// Allocation counters for the calling thread (monotonic; never reset by the
 /// pool itself — benchmarks snapshot deltas).
 struct AllocStats {
-  std::uint64_t frame_allocs = 0;       ///< pooled-alloc requests (frames)
+  std::uint64_t frame_allocs = 0;       ///< pooled-alloc requests (frames, requests)
   std::uint64_t frame_pool_hits = 0;    ///< served from a free list
   std::uint64_t frame_heap_allocs = 0;  ///< fell through to operator new
   std::uint64_t action_heap_allocs = 0; ///< SmallAction captures too big to inline
@@ -100,5 +101,21 @@ inline void frame_free(void* p, std::size_t n) noexcept {
 }
 
 }  // namespace detail
+
+/// Standard allocator over the frame pool, for std::allocate_shared and
+/// containers of objects that are created and destroyed at request rate.
+template <typename T>
+struct PoolAllocator {
+  using value_type = T;
+
+  PoolAllocator() noexcept = default;
+  template <typename U>
+  PoolAllocator(const PoolAllocator<U>&) noexcept {}  // NOLINT(google-explicit-constructor)
+
+  T* allocate(std::size_t n) { return static_cast<T*>(detail::frame_alloc(n * sizeof(T))); }
+  void deallocate(T* p, std::size_t n) noexcept { detail::frame_free(p, n * sizeof(T)); }
+
+  friend bool operator==(const PoolAllocator&, const PoolAllocator&) noexcept { return true; }
+};
 
 }  // namespace serve::sim

@@ -4,7 +4,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -12,6 +11,7 @@
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/waiter_list.h"
 
 namespace serve::sim {
 
@@ -69,7 +69,9 @@ class Resource {
   struct AcquireAwaiter {
     Resource& res;
     std::size_t amount;
-    std::coroutine_handle<> handle;
+    std::coroutine_handle<> handle{};
+    AcquireAwaiter* prev = nullptr;  ///< WaiterList links
+    AcquireAwaiter* next = nullptr;
 
     bool await_ready() {
       if (res.waiters_.empty() && res.in_use_ + amount <= res.capacity_) {
@@ -91,7 +93,7 @@ class Resource {
     if (amount > capacity_) {
       throw std::invalid_argument("Resource::acquire: amount exceeds capacity of '" + name_ + "'");
     }
-    return AcquireAwaiter{*this, amount, {}};
+    return AcquireAwaiter{*this, amount};
   }
 
   /// Non-blocking acquire; returns an empty token on failure.
@@ -189,7 +191,7 @@ class Resource {
   std::string name_;
   std::size_t capacity_;
   std::size_t in_use_ = 0;
-  std::deque<AcquireAwaiter*> waiters_;
+  WaiterList<AcquireAwaiter> waiters_;  ///< FIFO, linked through the awaiters
   std::function<void(std::size_t)> observer_;
   double usage_integral_ = 0.0;
   double busy_integral_ns_ = 0.0;   ///< monotone; never reset

@@ -29,9 +29,8 @@ Simulator::~Simulator() {
   }
 }
 
-void Simulator::schedule_at(Time t, Action action) {
-  if (t < now_) throw std::logic_error("Simulator::schedule_at: time is in the past");
-  queue_.push(t, std::move(action));
+void Simulator::schedule_in_past() {
+  throw std::logic_error("Simulator::schedule_at: time is in the past");
 }
 
 void Simulator::spawn(Process p) {
@@ -47,10 +46,10 @@ void Simulator::spawn(Process p) {
 }
 
 void Simulator::step() {
-  auto [t, action] = queue_.pop();
-  now_ = t;
+  EventQueue::Item event = queue_.pop();
+  now_ = event.t;
   ++steps_;
-  action();
+  event();
 }
 
 std::uint64_t Simulator::run(std::uint64_t max_steps) {

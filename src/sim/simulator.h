@@ -3,6 +3,7 @@
 
 #include <coroutine>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -19,8 +20,6 @@ namespace serve::sim {
 /// stack depth stays bounded.
 class Simulator {
  public:
-  using Action = EventQueue::Action;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -30,17 +29,30 @@ class Simulator {
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
   [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t live_processes() const noexcept { return live_count_; }
+  /// Event slab cells ever created (see EventQueue::slab_cells).
+  [[nodiscard]] std::size_t event_slab_cells() const noexcept { return queue_.slab_cells(); }
+
+  // Actions are any void() callables (see EventQueue::push for where they
+  // are stored).
 
   /// Enqueues `action` to run at the current virtual time (after already
   /// pending same-time events).
-  void post(Action action) { queue_.push(now_, std::move(action)); }
+  template <typename F>
+  void post(F&& action) {
+    queue_.push(now_, std::forward<F>(action));
+  }
 
   /// Enqueues `action` at absolute time `t` (must not be in the past).
-  void schedule_at(Time t, Action action);
+  template <typename F>
+  void schedule_at(Time t, F&& action) {
+    if (t < now_) schedule_in_past();
+    queue_.push(t, std::forward<F>(action));
+  }
 
   /// Enqueues `action` after `delay`.
-  void schedule_after(Time delay, Action action) {
-    schedule_at(now_ + delay, std::move(action));
+  template <typename F>
+  void schedule_after(Time delay, F&& action) {
+    schedule_at(now_ + delay, std::forward<F>(action));
   }
 
   /// Starts a coroutine process. The first step runs from the event loop at
@@ -130,6 +142,8 @@ class Simulator {
     ++timer_cells_[idx].gen;
     timer_free_.push_back(idx);
   }
+
+  [[noreturn]] static void schedule_in_past();
 
   void step();
 

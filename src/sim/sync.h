@@ -1,14 +1,15 @@
 // Coordination primitives for simulation processes: broadcast Event and
-// WaitGroup (structured completion of process fleets).
+// WaitGroup (structured completion of process fleets). Waiters are linked
+// in place through their awaiters (sim/waiter_list.h).
 #pragma once
 
 #include <coroutine>
 #include <cstdint>
 #include <stdexcept>
-#include <vector>
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/waiter_list.h"
 
 namespace serve::sim {
 
@@ -25,23 +26,29 @@ class Event {
   void set() {
     if (set_) return;
     set_ = true;
-    for (auto h : waiters_) sim_.post([h] { h.resume(); });
-    waiters_.clear();
-    for (TimedAwaiter* w : timed_waiters_) {
+    while (!waiters_.empty()) sim_.post([h = waiters_.pop_front()->handle] { h.resume(); });
+    while (!timed_waiters_.empty()) {
+      TimedAwaiter* w = timed_waiters_.pop_front();
       sim_.cancel_timeout(w->timer);
       w->done = true;
       w->result = true;
       sim_.post([h = w->handle] { h.resume(); });
     }
-    timed_waiters_.clear();
   }
 
   void reset() noexcept { set_ = false; }
 
   struct Awaiter {
     Event& ev;
+    std::coroutine_handle<> handle{};
+    Awaiter* prev = nullptr;  ///< WaiterList links
+    Awaiter* next = nullptr;
+
     bool await_ready() const noexcept { return ev.set_; }
-    void await_suspend(std::coroutine_handle<> h) { ev.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle = h;
+      ev.waiters_.push_back(this);
+    }
     void await_resume() const noexcept {}
   };
   [[nodiscard]] Awaiter wait() noexcept { return Awaiter{*this}; }
@@ -58,6 +65,8 @@ class Event {
     // set() cancels it when delivering, so the fire callback only ever runs
     // while the awaiter is still suspended and registered here.
     Simulator::TimerToken timer{};
+    TimedAwaiter* prev = nullptr;  ///< WaiterList links
+    TimedAwaiter* next = nullptr;
 
     bool await_ready() {
       if (ev.set_) {
@@ -79,7 +88,7 @@ class Event {
           [](void* self_v) {
             auto* self = static_cast<TimedAwaiter*>(self_v);
             self->timer = {};
-            self->ev.remove_timed_waiter(self);
+            self->ev.timed_waiters_.remove(self);
             self->done = true;
             self->handle.resume();
           },
@@ -92,19 +101,12 @@ class Event {
   }
 
  private:
-  void remove_timed_waiter(TimedAwaiter* w) noexcept {
-    for (auto it = timed_waiters_.begin(); it != timed_waiters_.end(); ++it) {
-      if (*it == w) {
-        timed_waiters_.erase(it);
-        return;
-      }
-    }
-  }
-
   Simulator& sim_;
   bool set_ = false;
-  std::vector<std::coroutine_handle<>> waiters_;
-  std::vector<TimedAwaiter*> timed_waiters_;
+  // set() wakes every untimed waiter, then every timed one, each in FIFO
+  // order.
+  WaiterList<Awaiter> waiters_;
+  WaiterList<TimedAwaiter> timed_waiters_;
 };
 
 /// Counts outstanding work; waiters resume when the count returns to zero.
@@ -123,8 +125,7 @@ class WaitGroup {
   void done() {
     if (count_ == 0) throw std::logic_error("WaitGroup::done: counter underflow");
     if (--count_ == 0) {
-      for (auto h : waiters_) sim_.post([h] { h.resume(); });
-      waiters_.clear();
+      while (!waiters_.empty()) sim_.post([h = waiters_.pop_front()->handle] { h.resume(); });
     }
   }
 
@@ -132,8 +133,15 @@ class WaitGroup {
 
   struct Awaiter {
     WaitGroup& wg;
+    std::coroutine_handle<> handle{};
+    Awaiter* prev = nullptr;  ///< WaiterList links
+    Awaiter* next = nullptr;
+
     bool await_ready() const noexcept { return wg.count_ == 0; }
-    void await_suspend(std::coroutine_handle<> h) { wg.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      handle = h;
+      wg.waiters_.push_back(this);
+    }
     void await_resume() const noexcept {}
   };
   [[nodiscard]] Awaiter wait() noexcept { return Awaiter{*this}; }
@@ -141,7 +149,7 @@ class WaitGroup {
  private:
   Simulator& sim_;
   std::uint64_t count_ = 0;
-  std::vector<std::coroutine_handle<>> waiters_;
+  WaiterList<Awaiter> waiters_;
 };
 
 }  // namespace serve::sim

@@ -2,11 +2,15 @@
 // channel semantics, resource fairness, and process lifecycle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "sim/channel.h"
+#include "sim/event_queue.h"
 #include "sim/process.h"
 #include "sim/resource.h"
 #include "sim/rng.h"
@@ -99,6 +103,86 @@ TEST(Simulator, AbandonedProcessReclaimedAtDestruction) {
   sim.run();
   EXPECT_EQ(sim.live_processes(), 1u);
   // Destructor must reclaim the suspended frame (ASAN-clean).
+}
+
+// --- Event queue storage -----------------------------------------------------
+
+TEST(EventQueue, InlineAndBoxedActionsRunInSeqOrderInBothTiers) {
+  // Interleaved pushes at one near time and one far time. Even ids capture a
+  // single pointer (stored in the event), odd ids capture 16 bytes (stored in
+  // a slab cell); both kinds must run in push order within each time.
+  struct Probe {
+    std::vector<int>* log;
+    int id;
+  };
+  constexpr int kPerTier = 40;
+  constexpr Time kNear = 100;          // inside the first calendar window
+  constexpr Time kFar = seconds(10);   // far beyond it: the heap tier
+  std::vector<int> log;
+  std::vector<Probe> probes;
+  probes.reserve(2 * kPerTier);
+  EventQueue q;
+  for (int i = 0; i < 2 * kPerTier; ++i) {
+    const Time t = i % 4 < 2 ? kNear : kFar;
+    probes.push_back({&log, i});
+    if (i % 2 == 0) {
+      q.push(t, [p = &probes.back()] { p->log->push_back(p->id); });
+    } else {
+      q.push(t, [&log, i] { log.push_back(i); });
+    }
+  }
+  EXPECT_EQ(q.slab_cells(), static_cast<std::size_t>(kPerTier));
+  std::vector<Time> times;
+  while (!q.empty()) {
+    EventQueue::Item event = q.pop();
+    times.push_back(event.t);
+    event();
+  }
+  std::vector<int> expected;
+  for (int i = 0; i < 2 * kPerTier; ++i) {
+    if (i % 4 < 2) expected.push_back(i);
+  }
+  for (int i = 0; i < 2 * kPerTier; ++i) {
+    if (i % 4 >= 2) expected.push_back(i);
+  }
+  EXPECT_EQ(log, expected);
+  EXPECT_TRUE(std::is_sorted(times.begin(), times.end()));
+  // Every cell went back to the free list: the same pushes reuse them.
+  for (int i = 0; i < kPerTier; ++i) q.push(kFar, [&log, i] { log.push_back(i); });
+  EXPECT_EQ(q.slab_cells(), static_cast<std::size_t>(kPerTier));
+  while (!q.empty()) q.pop()();
+}
+
+TEST(Simulator, BoxedTimerEventsRecycleTheirSlabCells) {
+  // 64 timer chains re-arm from inside their own fire callbacks until one
+  // million timers have fired. Timer events capture more than 8 bytes, so
+  // each sits in a slab cell; the slab must stay at the peak number of
+  // timers in flight (queued, or firing while its successor is armed).
+  struct Churn {
+    Simulator& sim;
+    int remaining = 1'000'000;
+    int in_flight = 0;
+    int peak = 0;
+
+    void arm(Time delay) {
+      ++in_flight;
+      peak = std::max(peak, in_flight);
+      sim.schedule_timeout(sim.now() + delay, &fire, this);
+    }
+    static void fire(void* self) {
+      auto* c = static_cast<Churn*>(self);
+      if (--c->remaining >= 64) c->arm(1 + c->remaining % 7);
+      --c->in_flight;
+    }
+  };
+  Simulator sim;
+  Churn churn{sim};
+  for (int i = 0; i < 64; ++i) churn.arm(1 + i % 5);
+  sim.run();
+  EXPECT_EQ(churn.remaining, 0);
+  EXPECT_EQ(churn.in_flight, 0);
+  EXPECT_GE(sim.event_slab_cells(), 64u);
+  EXPECT_LE(sim.event_slab_cells(), static_cast<std::size_t>(churn.peak));
 }
 
 // --- Channel semantics -----------------------------------------------------
@@ -227,6 +311,58 @@ TEST(Channel, DrainAfterCloseDeliversBufferedItems) {
   EXPECT_EQ(out, std::vector<int>{7});
 }
 
+TEST(Channel, RejectedTryPutLeavesValueIntact) {
+  Simulator sim;
+  Channel<std::unique_ptr<int>> ch{sim, 1};
+  ASSERT_TRUE(ch.try_put(std::make_unique<int>(1)));
+  auto v = std::make_unique<int>(2);
+  EXPECT_FALSE(ch.try_put(std::move(v)));
+  ASSERT_NE(v, nullptr);  // full: the caller still owns the value
+  EXPECT_EQ(*v, 2);
+  EXPECT_EQ(ch.size(), 1u);
+}
+
+TEST(Channel, ClosedTryPutThrowsWithoutConsumingValue) {
+  Simulator sim;
+  Channel<std::unique_ptr<int>> ch{sim};
+  ch.close();
+  auto v = std::make_unique<int>(3);
+  EXPECT_THROW(ch.try_put(std::move(v)), ChannelClosed);
+  ASSERT_NE(v, nullptr);
+  EXPECT_EQ(*v, 3);
+}
+
+TEST(Channel, RingBufferKeepsFifoThroughWrapAndGrowth) {
+  // A random put/get mix drives the ring through wrap-around and through
+  // growth while its head is mid-buffer; order, sizes and every size-observer
+  // value must match a std::deque doing the same operations.
+  Simulator sim;
+  Channel<std::unique_ptr<int>> ch{sim};
+  std::vector<std::size_t> observed;
+  ch.set_size_observer([&](std::size_t n) { observed.push_back(n); });
+  std::deque<int> ref;
+  std::vector<std::size_t> expected;
+  Rng rng{11};
+  int next = 0;
+  for (int step = 0; step < 20'000; ++step) {
+    // Drift upward, so the ring keeps growing while it wraps.
+    if (ref.empty() || rng.uniform() < 0.55) {
+      ASSERT_TRUE(ch.try_put(std::make_unique<int>(next)));
+      ref.push_back(next++);
+    } else {
+      auto v = ch.try_get();
+      ASSERT_TRUE(v.has_value());
+      ASSERT_EQ(**v, ref.front());
+      ref.pop_front();
+    }
+    expected.push_back(ref.size());
+    ASSERT_EQ(ch.size(), ref.size());
+  }
+  EXPECT_GT(ref.size(), 100u);
+  EXPECT_EQ(observed, expected);
+  // The remaining elements are destroyed with the channel (ASan checks it).
+}
+
 // --- Resource semantics ----------------------------------------------------
 
 TEST(Resource, LimitsConcurrency) {
@@ -350,6 +486,38 @@ TEST(Resource, TryAcquireRespectsWaiters) {
   sim.run();
 }
 
+TEST(Resource, FifoWithMixedAmounts) {
+  // Capacity 4, all held until 1 ms. Then 3 units are granted to the oldest
+  // waiter; the next one wants 2 and must wait, and a later 1-unit waiter
+  // must not jump ahead of it although one unit is free.
+  Simulator sim;
+  Resource r{sim, 4};
+  std::vector<std::pair<int, Time>> grants;
+  auto job = [&](Simulator& s, int id, std::size_t amount, Time arrive) -> Process {
+    co_await s.wait(arrive);
+    auto tok = co_await r.acquire(amount);
+    grants.emplace_back(id, s.now());
+    co_await s.wait(milliseconds(1));
+  };
+  sim.spawn(job(sim, 0, 4, 0));
+  sim.spawn(job(sim, 1, 3, microseconds(10)));
+  sim.spawn(job(sim, 2, 2, microseconds(20)));
+  sim.spawn(job(sim, 3, 1, microseconds(30)));
+  sim.spawn(job(sim, 4, 1, microseconds(40)));
+  sim.run_until(microseconds(1500));
+  EXPECT_EQ(r.in_use(), 3u);
+  EXPECT_EQ(r.queue_length(), 3u);
+  sim.run();
+  const std::vector<std::pair<int, Time>> expected{{0, 0},
+                                                   {1, milliseconds(1)},
+                                                   {2, milliseconds(2)},
+                                                   {3, milliseconds(2)},
+                                                   {4, milliseconds(2)}};
+  EXPECT_EQ(grants, expected);
+  EXPECT_EQ(r.in_use(), 0u);
+  EXPECT_EQ(r.queue_length(), 0u);
+}
+
 // --- Sync primitives ---------------------------------------------------------
 
 TEST(Event, BroadcastWakesAll) {
@@ -379,6 +547,36 @@ TEST(Event, WaitOnSetEventIsImmediate) {
   sim.spawn(waiter(sim));
   sim.run();
   EXPECT_TRUE(ran);
+}
+
+TEST(Event, TimedWaiterInTheMiddleTimesOutThenSetResumesTheRestInOrder) {
+  // Timed waiters A, B, C (B's deadline is early) and untimed D, E. B times
+  // out from the middle of the list at 2 ms; set() at 5 ms wakes the untimed
+  // waiters, then the timed ones, each in FIFO order. A's and C's timers are
+  // cancelled: they must never resume anyone at 10 ms.
+  Simulator sim;
+  Event ev{sim};
+  std::vector<std::string> log;
+  auto timed = [&](Simulator& s, std::string name, Time deadline) -> Process {
+    const bool signalled = co_await ev.wait_until(deadline);
+    log.push_back(name + (signalled ? " set@" : " timeout@") + std::to_string(s.now()));
+  };
+  auto untimed = [&](Simulator& s, std::string name) -> Process {
+    co_await ev.wait();
+    log.push_back(name + " set@" + std::to_string(s.now()));
+  };
+  sim.spawn(timed(sim, "A", milliseconds(10)));
+  sim.spawn(timed(sim, "B", milliseconds(2)));
+  sim.spawn(timed(sim, "C", milliseconds(10)));
+  sim.spawn(untimed(sim, "D"));
+  sim.spawn(untimed(sim, "E"));
+  sim.schedule_at(milliseconds(5), [&] { ev.set(); });
+  sim.run();
+  const std::string ms2 = std::to_string(milliseconds(2));
+  const std::string ms5 = std::to_string(milliseconds(5));
+  EXPECT_EQ(log, (std::vector<std::string>{"B timeout@" + ms2, "D set@" + ms5, "E set@" + ms5,
+                                           "A set@" + ms5, "C set@" + ms5}));
+  EXPECT_EQ(sim.live_processes(), 0u);
 }
 
 TEST(WaitGroup, WaitsForAll) {

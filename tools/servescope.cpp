@@ -21,6 +21,7 @@
 #include <cstdlib>
 #include <initializer_list>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -755,7 +756,14 @@ constexpr double kAllocSlack = 0.01;
 struct Bench {
   double real_time_ns = 0.0;
   std::map<std::string, double> alloc_ceilings;  ///< `*allocs_per_req` counters
+  std::map<std::string, double> rates;           ///< higher-is-better counters
 };
+
+/// Counters where higher is better: `*/s` and `*_per_second` rates, and the
+/// sim frame pool's hit rate.
+bool is_rate_counter(std::string_view name) {
+  return name.ends_with("/s") || name.ends_with("_per_second") || name == "pool_hit_rate";
+}
 
 double unit_to_ns(const std::string& unit) {
   if (unit == "us") return 1e3;
@@ -764,25 +772,32 @@ double unit_to_ns(const std::string& unit) {
   return 1.0;
 }
 
-/// The "benchmarks" rows by name. Rows without a name or a numeric
-/// real_time, and aggregate rows (repetition mean/median/stddev/cv), are
-/// skipped.
+/// The "benchmarks" rows by name. Under --benchmark_repetitions a
+/// benchmark's median aggregate stands for it (keyed by its run_name); the
+/// other aggregates (mean, stddev, cv) are skipped, and so are rows without
+/// a name or a numeric real_time.
 std::map<std::string, Bench> benchmarks_of(const Value& doc) {
   std::map<std::string, Bench> out;
+  std::set<std::string> medians;  ///< benchmarks read from a median aggregate
   const Value* rows = doc.find("benchmarks");
   if (rows == nullptr || !rows->is_array()) return out;
   for (const Value& r : rows->array) {
-    const std::string name = r.str_or("name", "");
+    std::string name = r.str_or("name", "");
     const Value* real_time = r.find("real_time");
     if (name.empty() || real_time == nullptr || !real_time->is_number()) continue;
-    if (name.find("_mean") != std::string::npos || name.find("_median") != std::string::npos ||
-        name.find("_stddev") != std::string::npos || name.find("_cv") != std::string::npos) {
+    if (r.str_or("run_type", "") == "aggregate") {
+      if (r.str_or("aggregate_name", "") != "median") continue;
+      name = r.str_or("run_name", name);
+      medians.insert(name);
+    } else if (medians.contains(name)) {
       continue;
     }
     Bench b;
     b.real_time_ns = real_time->number * unit_to_ns(r.str_or("time_unit", "ns"));
     for (const auto& [k, v] : r.object) {
-      if (k.ends_with("allocs_per_req") && v.is_number()) b.alloc_ceilings[k] = v.number;
+      if (!v.is_number()) continue;
+      if (k.ends_with("allocs_per_req")) b.alloc_ceilings[k] = v.number;
+      if (is_rate_counter(k)) b.rates[k] = v.number;
     }
     out[name] = std::move(b);
   }
@@ -829,14 +844,17 @@ bool check_build_type(const char* role, const std::string& path, const std::stri
   return true;
 }
 
-// Compares two google-benchmark-compatible JSON files. A benchmark regresses
-// when its current real_time exceeds the baseline by more than --tolerance
-// (default 30%: deliberately generous, since CI machines are noisy and the
-// gate is meant to catch order-of-magnitude mistakes such as an accidentally
-// disabled fast path). Counters named `*allocs_per_req` are hard ceilings
-// instead: allocation counts do not jitter, so one exceeding its baseline by
-// more than kAllocSlack fails whatever the tolerance. Benchmarks present on
-// only one side are warned about but never fail the check.
+// Compares two google-benchmark-compatible JSON files (median aggregates
+// when the runs were repeated). A benchmark regresses when its current
+// real_time exceeds the baseline by more than --tolerance (default 30%:
+// deliberately generous, since CI machines are noisy and the gate is meant
+// to catch order-of-magnitude mistakes such as an accidentally disabled fast
+// path), or when a rate counter falls by the same factor (baseline / current
+// - 1 over the tolerance). Counters named `*allocs_per_req` are hard
+// ceilings instead: allocation counts do not jitter, so one exceeding its
+// baseline by more than kAllocSlack fails whatever the tolerance.
+// Benchmarks and counters present on only one side are warned about but
+// never fail the check.
 int run_bench_check(const Command& cmd, int argc, char** argv) {
   double tolerance = 0.30;
   bool allow_debug = false;
@@ -876,6 +894,21 @@ int run_bench_check(const Command& cmd, int argc, char** argv) {
                   "ceiling", bad ? "  REGRESSION" : "");
       if (bad) ++regressions;
     }
+    for (const auto& [counter, base_rate] : base.rates) {
+      const std::string row_name = name + "/" + counter;
+      const auto cur = it->second.rates.find(counter);
+      if (cur == it->second.rates.end()) {
+        std::printf("%-44s %12s %12s %8s  WARN: missing from current run\n", row_name.c_str(),
+                    "-", "-", "-");
+        continue;
+      }
+      if (base_rate <= 0.0) continue;
+      const double slowdown = cur->second > 0.0 ? base_rate / cur->second - 1.0 : INFINITY;
+      const bool bad = slowdown > tolerance;
+      std::printf("%-44s %12.4g %12.4g %+7.1f%%%s\n", row_name.c_str(), base_rate, cur->second,
+                  (cur->second / base_rate - 1.0) * 100.0, bad ? "  REGRESSION" : "");
+      if (bad) ++regressions;
+    }
     const double base_ns = base.real_time_ns;
     const double cur_ns = it->second.real_time_ns;
     if (base_ns <= 0.0) continue;
@@ -893,8 +926,8 @@ int run_bench_check(const Command& cmd, int argc, char** argv) {
   }
   if (regressions > 0) {
     std::fprintf(stderr,
-                 "servescope bench-check: %d regression(s): real_time over the %.0f%% tolerance "
-                 "or an allocs_per_req counter over its ceiling\n",
+                 "servescope bench-check: %d regression(s): real_time or a rate counter past the "
+                 "%.0f%% tolerance, or an allocs_per_req counter over its ceiling\n",
                  regressions, tolerance * 100.0);
     return 1;
   }
