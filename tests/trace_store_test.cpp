@@ -416,14 +416,14 @@ TEST(TraceStore, AuditedRunExportMatchesGoldenHash) {
   EXPECT_EQ(fnv1a(json), 0xf12dc5b715cf3634ULL);
 }
 
-/// Every frame traced through the Kafka broker: detection spans, broker
-/// publish/deliver spans across the hop, frame roots with "run"/"faces"
-/// args and batched identification spans with "face" args.
-std::string face_pipeline_export() {
+/// Every frame traced through `broker`: detection spans, broker
+/// publish/deliver spans across the hop (none when fused), frame roots with
+/// "run"/"faces" args and identification spans with "face" args.
+std::string face_pipeline_export(core::BrokerKind broker = core::BrokerKind::kKafka) {
   sim::TraceRecorder rec;
   trace::CausalTracer tracer{&rec};
   core::FacePipelineSpec spec;
-  spec.broker = core::BrokerKind::kKafka;
+  spec.broker = broker;
   spec.stochastic_faces = true;
   spec.warmup = sim::seconds(0.2);
   spec.measure = sim::seconds(1.0);
@@ -434,13 +434,16 @@ std::string face_pipeline_export() {
   return to_json(rec);
 }
 
-/// Every clip traced through CPU decode: ingest, decode and per-frame
-/// classification spans with "op"/"frame"/"blame" args under clip roots.
-std::string video_pipeline_export() {
+/// Every clip traced through `decode`: ingest, decode (plus the PCIe
+/// transfer for NVDEC) and per-frame classification spans with
+/// "op"/"frame"/"blame" args under clip roots.
+std::string video_pipeline_export(core::VideoDecodeDevice decode = core::VideoDecodeDevice::kCpu,
+                                  core::SamplingMode sampling = core::SamplingMode::kKeyframeSeek) {
   sim::TraceRecorder rec;
   trace::CausalTracer tracer{&rec};
   core::VideoPipelineSpec spec;
-  spec.decode = core::VideoDecodeDevice::kCpu;
+  spec.decode = decode;
+  spec.sampling = sampling;
   spec.warmup = sim::seconds(0.2);
   spec.measure = sim::seconds(1.0);
   spec.tracer = &tracer;
@@ -489,11 +492,35 @@ TEST(TraceStore, FacePipelineExportMatchesGoldenHash) {
   EXPECT_EQ(fnv1a(json), 0x48e242c4d095e265ULL);
 }
 
+TEST(TraceStore, RedisFacePipelineExportMatchesGoldenHash) {
+  const std::string json = face_pipeline_export(core::BrokerKind::kRedis);
+  EXPECT_NE(json.find(R"("name":"redis.broker")"), std::string::npos);
+  EXPECT_NE(json.find(R"("faces":)"), std::string::npos);
+  EXPECT_EQ(json.size(), 209024u);
+  EXPECT_EQ(fnv1a(json), 0x9420ea16c556de19ULL);
+}
+
+TEST(TraceStore, FusedFacePipelineExportMatchesGoldenHash) {
+  const std::string json = face_pipeline_export(core::BrokerKind::kFused);
+  EXPECT_EQ(json.find(R"(.broker")"), std::string::npos);
+  EXPECT_NE(json.find(R"("model":"identification")"), std::string::npos);
+  EXPECT_EQ(json.size(), 87112u);
+  EXPECT_EQ(fnv1a(json), 0x17f95d6955ef1fe6ULL);
+}
+
 TEST(TraceStore, VideoPipelineExportMatchesGoldenHash) {
   const std::string json = video_pipeline_export();
   EXPECT_NE(json.find(R"("frame":)"), std::string::npos);
   EXPECT_EQ(json.size(), 66533u);
   EXPECT_EQ(fnv1a(json), 0xbd39194e86975f1dULL);
+}
+
+TEST(TraceStore, NvdecVideoPipelineExportMatchesGoldenHash) {
+  const std::string json = video_pipeline_export(core::VideoDecodeDevice::kNvdec);
+  EXPECT_NE(json.find(R"("op":"nvdec-decode")"), std::string::npos);
+  EXPECT_NE(json.find(R"("name":"transfer")"), std::string::npos);
+  EXPECT_EQ(json.size(), 304140u);
+  EXPECT_EQ(fnv1a(json), 0xe2fea541f01ce206ULL);
 }
 
 TEST(TraceStore, FleetExportMatchesGoldenHash) {
