@@ -7,14 +7,10 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
-#include "hw/calibration.h"
-#include "hw/image_spec.h"
+#include "core/cascade.h"
 #include "metrics/breakdown.h"
-#include "sim/time.h"
-#include "trace/causal.h"
-#include "trace/span_context.h"
 
 namespace serve::core {
 
@@ -29,25 +25,13 @@ enum class BrokerKind : std::uint8_t { kKafka, kRedis, kFused };
   return "?";
 }
 
-struct FacePipelineSpec {
+/// Traced frames' spans cover detection, the broker publish + delivery hop
+/// (SimBroker links parents across it) and batched identification.
+struct FacePipelineSpec : CascadeSpec {
   BrokerKind broker = BrokerKind::kRedis;
   int faces_per_frame = 5;
   bool stochastic_faces = false;  ///< Poisson(faces_per_frame) when true
-  int concurrency = 8;            ///< closed-loop frames in flight
-  int id_max_batch = 64;          ///< identification dynamic-batch limit
-  hw::ImageSpec frame_image = hw::kMediumImage;
-  hw::Calibration calib = hw::default_calibration();
-  sim::Time warmup = sim::seconds(2.0);
-  sim::Time measure = sim::seconds(20.0);
   std::uint64_t seed = 7;
-
-  /// Optional causal tracer (recorder already attached): sampled frames then
-  /// originate traces whose spans cover detection, the broker publish +
-  /// delivery hop (recorded by SimBroker with parent links across the hop),
-  /// and batched identification — the cascade is one reconstructable tree.
-  trace::CausalTracer* tracer = nullptr;
-  trace::SamplerOptions trace_sampler{};  ///< which frames get traced
-  std::string trace_label{};              ///< "run" arg on frame root spans
 };
 
 struct FacePipelineResult {

@@ -9,14 +9,11 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
-#include "hw/calibration.h"
+#include "core/cascade.h"
 #include "metrics/breakdown.h"
 #include "models/model_zoo.h"
-#include "sim/time.h"
-#include "trace/causal.h"
-#include "trace/span_context.h"
 #include "workload/video.h"
 
 namespace serve::core {
@@ -33,21 +30,12 @@ enum class SamplingMode : std::uint8_t {
   kKeyframeSeek,   ///< seek to keyframes: decode ~2 frames per sample
 };
 
-struct VideoPipelineSpec {
+/// Traced clips' spans cover ingest, decode and batched classification.
+struct VideoPipelineSpec : CascadeSpec {
   workload::VideoSpec clip = workload::kHdClip;
   models::ModelDesc model{};  ///< defaults to ViT-Base when name empty
   VideoDecodeDevice decode = VideoDecodeDevice::kNvdec;
   SamplingMode sampling = SamplingMode::kKeyframeSeek;
-  int concurrency = 8;  ///< clips in flight (closed loop)
-  hw::Calibration calib = hw::default_calibration();
-  sim::Time warmup = sim::seconds(2.0);
-  sim::Time measure = sim::seconds(20.0);
-
-  /// Optional causal tracer (recorder already attached): sampled clips then
-  /// originate traces covering ingest, decode, and batched classification.
-  trace::CausalTracer* tracer = nullptr;
-  trace::SamplerOptions trace_sampler{};  ///< which clips get traced
-  std::string trace_label{};              ///< "run" arg on clip root spans
 };
 
 struct VideoPipelineResult {
