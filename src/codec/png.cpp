@@ -197,8 +197,7 @@ std::vector<std::uint8_t> encode_png(const Image& img, const PngEncodeOptions& o
     raw.insert(raw.end(), best.begin(), best.end());
   }
 
-  std::vector<std::uint8_t> out;
-  out.insert(out.end(), kSignature.begin(), kSignature.end());
+  std::vector<std::uint8_t> out(kSignature.begin(), kSignature.end());
   std::vector<std::uint8_t> ihdr;
   put_u32(ihdr, static_cast<std::uint32_t>(img.width()));
   put_u32(ihdr, static_cast<std::uint32_t>(img.height()));

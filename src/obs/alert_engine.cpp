@@ -309,10 +309,10 @@ void AlertEngine::evaluate_burn(BurnState& st, sim::Time now, std::size_t n) {
   while (st.window.size() > keep) st.window.pop_front();
 
   const auto burn_over = [&](int ticks) -> double {
-    const std::size_t n = st.window.size();
-    if (n < 2) return 0.0;
-    const std::size_t back = std::min<std::size_t>(static_cast<std::size_t>(ticks), n - 1);
-    const BurnWindowSample& old = st.window[n - 1 - back];
+    const std::size_t samples = st.window.size();
+    if (samples < 2) return 0.0;
+    const std::size_t back = std::min<std::size_t>(static_cast<std::size_t>(ticks), samples - 1);
+    const BurnWindowSample& old = st.window[samples - 1 - back];
     const double dcount = static_cast<double>(cur.count - old.count);
     if (dcount <= 0.0) return 0.0;
     const double dbad = std::max(0.0, cur.bad - old.bad);

@@ -306,7 +306,7 @@ TEST(TraceSampler, HashModeIsDeterministicAcrossInstances) {
   std::uint64_t diff = 0;
   trace::TraceSampler a2{opts};
   for (std::uint64_t id = 1; id <= 4000; ++id) {
-    diff += a2.sample(id) != c.sample(id) ? 1 : 0;
+    diff += a2.sample(id) != c.sample(id) ? 1u : 0u;
   }
   EXPECT_GT(diff, 0u);
 }
@@ -327,7 +327,7 @@ TEST(TraceSampler, StrideAndFirstNModes) {
 TEST(TraceSampler, MaxSampledCapsEveryMode) {
   trace::TraceSampler s{{.rate = 1.0, .max_sampled = 3}};
   std::uint64_t taken = 0;
-  for (std::uint64_t id = 1; id <= 10; ++id) taken += s.sample(id) ? 1 : 0;
+  for (std::uint64_t id = 1; id <= 10; ++id) taken += s.sample(id) ? 1u : 0u;
   EXPECT_EQ(taken, 3u);
 }
 
@@ -399,7 +399,9 @@ TEST(RequestAuditor, EmitsParentLinkedStageSpans) {
   for (const SpanRecord& s : spans) {
     if (s.name == "request") continue;
     EXPECT_EQ(s.parent_span_id, root_span) << s.name;
-    if (s.name == "queue") EXPECT_EQ(s.blame, "host-core");
+    if (s.name == "queue") {
+      EXPECT_EQ(s.blame, "host-core");
+    }
   }
   const auto paths = trace::extract_critical_paths(spans);
   ASSERT_EQ(paths.size(), 1u);
