@@ -18,9 +18,9 @@
 // named span on a "req.<id>" track, so latency breakdowns are visually
 // debuggable in Perfetto (chrome://tracing); recording one allocates nothing
 // (the track name is formatted on the stack). Sampling is deterministic
-// (trace::TraceSampler — hash of the request id by default, stride and the
-// legacy first-N available via Options::sampler), so same-seed runs trace
-// the same requests. With a CausalTracer attached the same spans also carry
+// (trace::TraceSampler: a hash of the request id, capped by
+// Options::sampler.max_sampled), so same-seed runs trace the same requests.
+// With a CausalTracer attached the same spans also carry
 // trace/span/parent ids and blame annotations, the request originates (or
 // adopts, for chained retries and cascade hops) a trace::SpanContext, and a
 // root "request" span is recorded at completion — the input to
@@ -66,9 +66,8 @@ class RequestAuditor final : public ChargeObserver {
     /// Violations stored verbatim; the total count keeps growing past this.
     std::size_t max_recorded = 64;
     /// Which submitted requests get trace spans (bounds trace size; device
-    /// counters are unaffected). Deterministic hash sampling by default;
-    /// {.mode = trace::SampleMode::kFirstN} restores the legacy
-    /// warmup-biased first-N selection.
+    /// counters are unaffected). Deterministic hash sampling; {.rate = 1.0}
+    /// takes the first max_sampled requests.
     trace::SamplerOptions sampler{};
     /// Stamped on causal root spans and the finalize-time breakdown
     /// metadata, so one trace file can hold several experiment rows.

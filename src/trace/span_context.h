@@ -94,18 +94,15 @@ struct Unwrapped {
 // --- deterministic head-based sampling ---------------------------------------
 
 enum class SampleMode : std::uint8_t {
-  kHash,    ///< sample when splitmix64(seed ^ id) < rate * 2^64 (unbiased)
-  kStride,  ///< sample when id % stride == phase (uniform over the run)
-  kFirstN,  ///< the legacy warmup-biased policy: first max_sampled originations
+  kHash,  ///< sample when splitmix64(seed ^ id) < rate * 2^64 (unbiased)
 };
 
 struct SamplerOptions {
-  SampleMode mode = SampleMode::kHash;
-  double rate = 1.0 / 16.0;        ///< kHash acceptance probability
-  std::uint64_t stride = 16;       ///< kStride period (>= 1)
-  std::uint64_t phase = 0;         ///< kStride offset (< stride)
-  std::uint64_t seed = 0x5eed'7ace;///< kHash key; same seed => same decisions
-  /// Hard cap on sampled traces regardless of mode (bounds trace size).
+  SampleMode mode = SampleMode::kHash;  ///< the only mode
+  double rate = 1.0 / 16.0;         ///< acceptance probability (1.0 takes every id)
+  std::uint64_t seed = 0x5eed'7ace;  ///< hash key; same seed => same decisions
+  /// Hard cap on sampled traces (bounds trace size); with rate 1.0 this
+  /// takes the first max_sampled originations.
   std::uint64_t max_sampled = 256;
 };
 
@@ -120,7 +117,7 @@ class TraceSampler {
   [[nodiscard]] bool sample(std::uint64_t id) noexcept {
     if (forced_) {
       // Triggered capture (alert window): sample everything, bypassing both
-      // the mode and the head-sampling cap — an anomaly's traces must not be
+      // the rate and the head-sampling cap — an anomaly's traces must not be
       // truncated by a budget meant for steady-state sampling. Counted
       // separately so the cap still applies once the window closes.
       ++forced_taken_;
@@ -128,25 +125,12 @@ class TraceSampler {
     }
     if (taken_ >= opts_.max_sampled) return false;
     bool hit = false;
-    switch (opts_.mode) {
-      case SampleMode::kHash: {
-        if (opts_.rate >= 1.0) {
-          hit = true;
-        } else if (opts_.rate > 0.0) {
-          const auto threshold =
-              static_cast<std::uint64_t>(opts_.rate * 18446744073709551616.0 /* 2^64 */);
-          hit = splitmix64(opts_.seed ^ id) < threshold;
-        }
-        break;
-      }
-      case SampleMode::kStride: {
-        const std::uint64_t stride = opts_.stride == 0 ? 1 : opts_.stride;
-        hit = id % stride == opts_.phase % stride;
-        break;
-      }
-      case SampleMode::kFirstN:
-        hit = true;  // capped below
-        break;
+    if (opts_.rate >= 1.0) {
+      hit = true;
+    } else if (opts_.rate > 0.0) {
+      const auto threshold =
+          static_cast<std::uint64_t>(opts_.rate * 18446744073709551616.0 /* 2^64 */);
+      hit = splitmix64(opts_.seed ^ id) < threshold;
     }
     if (hit) ++taken_;
     return hit;

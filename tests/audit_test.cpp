@@ -405,7 +405,7 @@ TEST(RequestAuditor, TracedRequestCountIsCapped) {
   sim::Simulator sim;
   sim::TraceRecorder trace;
   RequestAuditor audit{RequestAuditor::Options{
-      .sampler = {.mode = trace::SampleMode::kFirstN, .max_sampled = 2}}};
+      .sampler = {.rate = 1.0, .max_sampled = 2}}};
   audit.set_trace(&trace);
   for (std::uint64_t id = 1; id <= 5; ++id) {
     serving::Request req{sim, id, hw::kMediumImage};
