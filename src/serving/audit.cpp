@@ -10,7 +10,7 @@ namespace serve::serving {
 
 namespace {
 
-constexpr std::size_t kMaxChargesTracked = 256;  ///< per-request gap-analysis cap
+constexpr std::uint32_t kMaxChargesTracked = 256;  ///< per-request gap-analysis cap
 
 std::string format_time(sim::Time t) {
   std::ostringstream os;
@@ -75,7 +75,8 @@ void RequestAuditor::on_submit(Request& req) {
   slot.id = req.id;
   slot.arrival = req.arrival;
   slot.ctx = {};
-  slot.charges.clear();
+  slot.charge_count = 0;
+  slot.spilled.clear();
   // Sampling fate: adopt the incoming context when the client pre-filled one
   // (retry chaining / cascade hops keep the original trace's decision so a
   // trace is never truncated mid-tree); otherwise the deterministic sampler
@@ -111,7 +112,15 @@ void RequestAuditor::on_charge(const Request& req, metrics::Stage s, sim::Time e
     return;
   }
   const sim::Time begin = std::max<sim::Time>(end - dt, 0);
-  if (slot->charges.size() < kMaxChargesTracked) slot->charges.push_back(Charge{s, begin, end});
+  if (slot->charge_count < kMaxChargesTracked) {
+    const Charge charge{s, begin, end};
+    if (slot->charge_count < kInlineCharges) {
+      slot->charges[slot->charge_count] = charge;
+    } else {
+      slot->spilled.push_back(charge);
+    }
+    ++slot->charge_count;
+  }
   if (slot->traced && dt > 0) {
     const sim::TraceName track("req.", slot->id);
     const sim::TraceArg blame_arg{"blame", blame};
@@ -199,11 +208,13 @@ std::string RequestAuditor::drift_label(const Request& req, const Slot& slot, do
   if (delta_s > 0) {
     // Wall-clock time nobody charged: the stage charged right after the
     // largest uncovered gap failed to account for its wait.
-    if (slot.charges.empty()) return "no stage was ever charged";
-    if (slot.charges.size() >= kMaxChargesTracked) {
+    if (slot.charge_count == 0) return "no stage was ever charged";
+    if (slot.charge_count >= kMaxChargesTracked) {
       return "drifting stage unknown (charge log capped)";
     }
-    std::vector<Charge> sorted = slot.charges;
+    std::vector<Charge> sorted(slot.charges.begin(),
+                               slot.charges.begin() + std::min(slot.charge_count, kInlineCharges));
+    sorted.insert(sorted.end(), slot.spilled.begin(), slot.spilled.end());
     std::sort(sorted.begin(), sorted.end(),
               [](const Charge& a, const Charge& b) { return a.begin < b.begin; });
     sim::Time cursor = req.arrival;

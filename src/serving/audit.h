@@ -167,6 +167,9 @@ class RequestAuditor final : public ChargeObserver {
     sim::Time begin;
     sim::Time end;
   };
+  /// Charges one request on the default GPU route records from submit to
+  /// completion: 12, measured in the audited server simulation.
+  static constexpr std::uint32_t kInlineCharges = 12;
   /// Audit state of one in-flight request. `owner == nullptr` marks a free
   /// slot; `owner` is compared, never dereferenced, so a request destroyed
   /// while in flight is still reported as leaked.
@@ -176,7 +179,12 @@ class RequestAuditor final : public ChargeObserver {
     sim::Time arrival = 0;
     bool traced = false;
     trace::SpanContext ctx{};  ///< causal identity (zero without a tracer)
-    std::vector<Charge> charges;
+    /// Gap-analysis log: the first kInlineCharges charges live in the slot
+    /// itself, so a new slot allocates nothing; later ones spill into
+    /// `spilled`, which keeps its capacity when the slot is reused.
+    std::array<Charge, kInlineCharges> charges{};
+    std::vector<Charge> spilled;
+    std::uint32_t charge_count = 0;
     std::uint32_t next_free = kNoAuditSlot;
   };
 
