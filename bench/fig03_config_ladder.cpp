@@ -10,6 +10,7 @@
 // with the calibrated analytic cost model of the python loop; steps 4-7 run
 // the full simulated server.
 #include "bench_util.h"
+#include "core/autotuner.h"
 #include "core/experiment.h"
 #include "models/model_zoo.h"
 
@@ -53,8 +54,8 @@ struct StepResult {
   double paper_tput;
 };
 
-StepResult run_server_step(const std::string& name, models::Backend backend, bool dynamic,
-                           int max_batch, int concurrency, double paper_tput) {
+ExperimentSpec server_spec(models::Backend backend, bool dynamic, int max_batch,
+                           int concurrency) {
   ExperimentSpec spec;
   spec.server.model = models::vit_base();
   spec.server.backend = backend;
@@ -64,7 +65,12 @@ StepResult run_server_step(const std::string& name, models::Backend backend, boo
   spec.server.max_batch = max_batch;
   spec.concurrency = concurrency;
   spec.measure = sim::seconds(8.0);
-  const auto r = core::run_experiment(spec);
+  return spec;
+}
+
+StepResult run_server_step(const std::string& name, models::Backend backend, bool dynamic,
+                           int max_batch, int concurrency, double paper_tput) {
+  const auto r = core::run_experiment(server_spec(backend, dynamic, max_batch, concurrency));
   return {name, r.throughput_rps, r.p99_latency_s * 1e3, paper_tput};
 }
 
@@ -88,18 +94,14 @@ int main(int argc, char** argv) {
   // limit; the configuration search in step 6 raises it.
   steps.push_back(run_server_step("5. + dynamic batching", models::Backend::kOnnxRuntime, true,
                                   16, 96, -1));
-  // 6. "Quick search on server settings": grid over batch limit x concurrency.
-  StepResult best{"6. + tuned server parameters", 0, 0, -1};
-  for (int mb : {16, 32, 64, 128}) {
-    for (int conc : {64, 128, 256, 512}) {
-      auto r = run_server_step("", models::Backend::kOnnxRuntime, true, mb, conc, -1);
-      if (r.tput > best.tput) {
-        best.tput = r.tput;
-        best.p99_ms = r.p99_ms;
-      }
-    }
-  }
-  steps.push_back(best);
+  // 6. "Quick search on server settings": the tuner's default grid over batch
+  // limit x concurrency, keeping GPU preprocessing.
+  const auto tuned =
+      core::tune_server(server_spec(models::Backend::kOnnxRuntime, true, 16, 96),
+                        {.preproc_devices = {}})
+          .best.result;
+  steps.push_back({"6. + tuned server parameters", tuned.throughput_rps,
+                   tuned.p99_latency_s * 1e3, -1});
   steps.push_back(run_server_step("7. + TensorRT", models::Backend::kTensorRT, true, 128, 512,
                                   1600));
 
