@@ -17,7 +17,7 @@ using metrics::Stage;
 using sim::seconds;
 using sim::Time;
 
-constexpr int kIdMaxBatch = 64;  ///< identification dynamic-batch limit
+constexpr int kIdMaxBatch = 64;  ///< Fig. 11's id batch limit (not facenet().max_batch)
 
 struct FaceMsg {
   JobPtr frame;
