@@ -37,20 +37,13 @@
 
 #include "bench_util.h"
 #include "core/experiment.h"
-#include "metrics/flight_recorder.h"
-#include "metrics/registry.h"
 #include "models/model_zoo.h"
-#include "obs/alert_engine.h"
-#include "obs/capacity_plane.h"
 #include "workload/arrivals.h"
 
 using namespace serve;
 using core::ExperimentSpec;
 
 namespace {
-
-core::HarnessOptions g_harness;
-std::uint64_t g_violations = 0;
 
 // Offered rates: ~80-85% of each model's estimated knee for the attribution
 // runs (loaded enough to bind, enough headroom for the audit to stay in
@@ -70,46 +63,34 @@ constexpr double kDrainDeadlineS = 13.0;
 // transient; the audit is allowed to flag it (first few recorder intervals).
 constexpr double kStartupGraceS = 1.0;
 
-/// 200 ms intervals: long enough that batch-quantized completions (a 64-image
-/// batch lands its whole latency charge at one instant) average out, short
-/// enough to localize a 3 s fault window to ~15 intervals.
-metrics::FlightRecorder::Options recorder_opts() {
-  metrics::FlightRecorder::Options o;
-  o.period = sim::milliseconds(200);
-  return o;
-}
-
-/// Audit tolerance sized for batchy service: per-interval lambda*W jumps by a
-/// whole batch's latency charge depending on whether 2 or 3 batches complete
-/// inside the interval, so steady state wobbles ~20-30%; genuine backlog
-/// transients deviate by 2x and more.
-obs::CapacityPlane::Options plane_opts() {
-  obs::CapacityPlane::Options o;
-  o.little_tolerance = 0.35;
-  o.little_min_occupancy = 5.0;
-  return o;
-}
-
 /// Everything one run owns; heap-allocated so results can outlive the run
 /// helper and feed the exports/checks.
 struct RunBundle {
-  metrics::Registry registry;
-  metrics::FlightRecorder recorder{registry, recorder_opts()};
-  obs::CapacityPlane plane{registry, plane_opts()};
-  obs::AlertEngine alerts{registry};
+  core::Session session{
+      core::Session::kCapacity | core::Session::kAlerts,
+      // 200 ms intervals: long enough that batch-quantized completions (a
+      // 64-image batch lands its whole latency charge at one instant) average
+      // out, short enough to localize a 3 s fault window to ~15 intervals.
+      // Audit tolerance sized for batchy service: per-interval lambda*W jumps
+      // by a whole batch's latency charge depending on whether 2 or 3 batches
+      // complete inside the interval, so steady state wobbles ~20-30%;
+      // genuine backlog transients deviate by 2x and more.
+      {.recorder = {.period = sim::milliseconds(200)},
+       .capacity = {.little_tolerance = 0.35, .little_min_occupancy = 5.0}}};
+  obs::CapacityPlane& plane = session.capacity();
+  obs::AlertEngine& alerts = session.alerts();
   core::ExperimentResult r;
-  sim::TraceRecorder trace;  // only populated when the harness traces
 
   /// End time (seconds since recorder start) of capacity interval `i`.
   double interval_end_s(std::size_t i) const {
-    return static_cast<double>(i + 1) * sim::to_seconds(recorder.period());
+    return static_cast<double>(i + 1) * sim::to_seconds(session.recorder().period());
   }
 };
 
-std::unique_ptr<RunBundle> run(const std::string& label, const models::ModelDesc& model,
-                               double rate, double measure_s, const sim::FaultPlan* faults) {
+std::unique_ptr<RunBundle> run(bench::Reporter& rep, const std::string& label,
+                               const models::ModelDesc& model, double rate, double measure_s,
+                               const sim::FaultPlan* faults) {
   auto b = std::make_unique<RunBundle>();
-  b->plane.attach(b->recorder);
 
   // The alert-engine view of the same audit: fires when L and lambda*W split
   // for consecutive ticks. Looser than the plane's per-interval samples —
@@ -121,7 +102,6 @@ std::unique_ptr<RunBundle> run(const std::string& label, const models::ModelDesc
   little.for_ticks = 2;
   little.clear_for_ticks = 3;
   b->alerts.add_littles_law(little);
-  b->alerts.attach(b->recorder);
 
   ExperimentSpec spec;
   spec.server.model = model;
@@ -136,13 +116,13 @@ std::unique_ptr<RunBundle> run(const std::string& label, const models::ModelDesc
   spec.seed = 47;
   spec.server.trace_run_label = label;
   spec.faults = faults;
-  spec.registry = &b->registry;
-  spec.recorder = &b->recorder;
-  spec.alerts = &b->alerts;
-  g_harness.apply(spec.server, spec, b->trace);
+  b->session.attach(spec);
+  if (rep.auditing()) spec.server.audit = true;
+  // Only the faulted run's trace is written out, so only it records one.
+  if (faults != nullptr) rep.observe(spec.server, spec);
 
   b->r = core::run_open_loop(spec, workload::poisson_arrivals(rate));
-  g_violations += core::report_audit(b->r, label);
+  rep.audit(b->r, label);
   return b;
 }
 
@@ -202,7 +182,7 @@ double first_firing_s(const RunBundle& b, const std::string& alert) {
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation",
                       "Capacity plane: utilization timelines, Little audit, attribution");
-  if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   const auto wall0 = std::chrono::steady_clock::now();
 
@@ -211,15 +191,16 @@ int main(int argc, char** argv) {
   sim::FaultPlan faults;
   faults.preproc_slowdown(sim::seconds(kFaultStartS), sim::seconds(kFaultEndS), 8.0);
 
-  const auto tiny = run("capacity/tiny", models::tiny_vit(), kTinyRate, 10.0, nullptr);
+  const auto tiny = run(rep, "capacity/tiny", models::tiny_vit(), kTinyRate, 10.0, nullptr);
   const auto tiny_over =
-      run("capacity/tiny-overload", models::tiny_vit(), kTinyOverloadRate, 8.0, nullptr);
-  const auto vit = run("capacity/vit", models::vit_base(), kVitRate, 10.0, nullptr);
-  const auto vit_repeat = run("capacity/vit-repeat", models::vit_base(), kVitRate, 10.0, nullptr);
+      run(rep, "capacity/tiny-overload", models::tiny_vit(), kTinyOverloadRate, 8.0, nullptr);
+  const auto vit = run(rep, "capacity/vit", models::vit_base(), kVitRate, 10.0, nullptr);
+  const auto vit_repeat =
+      run(rep, "capacity/vit-repeat", models::vit_base(), kVitRate, 10.0, nullptr);
   const auto vit_over =
-      run("capacity/vit-overload", models::vit_base(), kVitOverloadRate, 8.0, nullptr);
+      run(rep, "capacity/vit-overload", models::vit_base(), kVitOverloadRate, 8.0, nullptr);
   const auto vit_fault =
-      run("capacity/vit-fault", models::vit_base(), kVitFaultRate, 16.0, &faults);
+      run(rep, "capacity/vit-fault", models::vit_base(), kVitFaultRate, 16.0, &faults);
 
   const std::chrono::duration<double> wall =
       std::chrono::steady_clock::now() - wall0;
@@ -259,9 +240,7 @@ int main(int argc, char** argv) {
   rep.benchmark("capacity/vit_fault", vit_fault->r.mean_latency_s * 1e3,
                 {{"tput_img_s", vit_fault->r.throughput_rps},
                  {"p99_ms", vit_fault->r.p99_latency_s * 1e3}});
-  rep.exporter().capture_instruments(vit_fault->registry);
-  rep.exporter().capture_series(vit_fault->recorder);
-  rep.exporter().set_capacity(vit_fault->plane.snapshot());
+  vit_fault->session.capture(rep.exporter());
 
   // Attribution verdicts + cross-check against the full-population stage
   // breakdown (the auditor-independent view of where request time went).
@@ -351,9 +330,9 @@ int main(int argc, char** argv) {
   checks.push_back({"capacity plane self-overhead stays under 1% of run wall-clock",
                     self_s < 0.01 * wall.count(),
                     std::to_string(self_s) + " s of " + std::to_string(wall.count()) + " s"});
-  checks.push_back({"conservation holds in every scenario (auditor)", g_violations == 0,
-                    std::to_string(g_violations) + " violation(s)"});
+  checks.push_back({"conservation holds in every scenario (auditor)", rep.violations() == 0,
+                    std::to_string(rep.violations()) + " violation(s)"});
   rep.checks(std::move(checks));
 
-  return rep.finish(core::finish_harness(g_harness, vit_fault->trace, g_violations));
+  return rep.finish();
 }

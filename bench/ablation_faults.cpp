@@ -39,15 +39,11 @@ struct Row {
   double p99_ms() const { return r.p99_latency_s * 1e3; }
 };
 
-core::HarnessOptions g_harness;
-sim::TraceRecorder g_trace;
-std::uint64_t g_violations = 0;
-
-Row run(const std::string& label, ExperimentSpec spec, double rate) {
+Row run(bench::Reporter& rep, const std::string& label, ExperimentSpec spec, double rate) {
   spec.server.audit = true;  // conservation is checked in every scenario
-  g_harness.apply(spec.server, spec, g_trace);
+  rep.observe(spec.server, spec);
   Row row{core::run_open_loop(spec, workload::poisson_arrivals(rate))};
-  g_violations += core::report_audit(row.r, label);
+  rep.audit(row.r, label);
   return row;
 }
 
@@ -74,7 +70,7 @@ void arm_retry(serving::ServerConfig& cfg) {
 
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation", "Fault injection vs resilience policies (ViT, audited)");
-  if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   metrics::Table table({"scenario", "goodput_img_s", "p99_ms", "failed", "rejected", "degraded",
                         "retries", "failovers", "evictions"});
@@ -91,12 +87,12 @@ int main(int argc, char** argv) {
   sim::FaultPlan gpu_fault;
   gpu_fault.gpu_failure(0, sim::seconds(3.0), sim::seconds(14.0));
 
-  const Row a_base = run("A/no-fault", base_spec(2, sim::seconds(12.0)), rate_a);
+  const Row a_base = run(rep, "A/no-fault", base_spec(2, sim::seconds(12.0)), rate_a);
   add("A gpu-fail: no fault", a_base);
 
   ExperimentSpec a_np = base_spec(2, sim::seconds(12.0));
   a_np.faults = &gpu_fault;
-  const Row a_nopol = run("A/no-policy", a_np, rate_a);
+  const Row a_nopol = run(rep, "A/no-policy", a_np, rate_a);
   add("A gpu-fail: no policy", a_nopol);
 
   ExperimentSpec a_pol = base_spec(2, sim::seconds(12.0));
@@ -104,7 +100,7 @@ int main(int argc, char** argv) {
   arm_retry(a_pol.server);
   a_pol.server.degrade.enabled = true;
   a_pol.server.degrade.hysteresis = sim::milliseconds(200);
-  const Row a_resil = run("A/retry+degrade", a_pol, rate_a);
+  const Row a_resil = run(rep, "A/retry+degrade", a_pol, rate_a);
   add("A gpu-fail: retry+degrade", a_resil);
 
   // --- Scenario B: broker outage, circuit breaker / publish failover --------
@@ -116,7 +112,7 @@ int main(int argc, char** argv) {
   b_np.faults = &outage;
   b_np.server.broker_publish.publish_results = true;
   b_np.server.broker_publish.poll_interval = sim::milliseconds(10);
-  const Row b_nopol = run("B/no-policy", b_np, rate_b);
+  const Row b_nopol = run(rep, "B/no-policy", b_np, rate_b);
   add("B broker-out: no policy", b_nopol);
 
   ExperimentSpec b_cb = b_np;
@@ -125,14 +121,14 @@ int main(int argc, char** argv) {
   b_cb.server.breaker.error_rate_open = 1.0;  // depth-triggered only
   b_cb.server.breaker.open_duration = sim::seconds(1.0);
   b_cb.server.breaker.half_open_probes = 4;
-  const Row b_breaker = run("B/breaker", b_cb, rate_b);
+  const Row b_breaker = run(rep, "B/breaker", b_cb, rate_b);
   add("B broker-out: breaker", b_breaker);
 
   ExperimentSpec b_fo = b_np;
   b_fo.server.broker_publish.retry_enabled = true;
   b_fo.server.broker_publish.max_attempts = 3;
   b_fo.server.broker_publish.backoff_base = sim::milliseconds(2);
-  const Row b_failover = run("B/failover", b_fo, rate_b);
+  const Row b_failover = run(rep, "B/failover", b_fo, rate_b);
   add("B broker-out: publish failover", b_failover);
 
   // --- Scenario C: chaos soak with every policy armed -----------------------
@@ -150,9 +146,9 @@ int main(int argc, char** argv) {
   arm_retry(c_spec.server);
   c_spec.server.retry.timeout = sim::milliseconds(600);
   c_spec.server.degrade.enabled = true;
-  const Row c_first = run("C/chaos", c_spec, rate_c);
+  const Row c_first = run(rep, "C/chaos", c_spec, rate_c);
   add("C chaos: all policies", c_first);
-  const Row c_second = run("C/chaos-repeat", c_spec, rate_c);
+  const Row c_second = run(rep, "C/chaos-repeat", c_spec, rate_c);
   add("C chaos: repeat (determinism)", c_second);
 
   rep.table("table", table);
@@ -196,8 +192,8 @@ int main(int argc, char** argv) {
                     std::to_string(c_first.r.completed) + "/" + std::to_string(c_first.r.failed) +
                         " == " + std::to_string(c_second.r.completed) + "/" +
                         std::to_string(c_second.r.failed)});
-  checks.push_back({"conservation holds in every scenario (auditor)", g_violations == 0,
-                    std::to_string(g_violations) + " violation(s)"});
+  checks.push_back({"conservation holds in every scenario (auditor)", rep.violations() == 0,
+                    std::to_string(rep.violations()) + " violation(s)"});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(g_harness, g_trace, g_violations));
+  return rep.finish();
 }

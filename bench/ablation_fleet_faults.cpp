@@ -30,18 +30,12 @@
 #include "bench_util.h"
 #include "core/fleet.h"
 #include "models/model_zoo.h"
-#include "trace/causal.h"
 
 using namespace serve;
 using core::BalancerPolicy;
 using core::FleetSpec;
 
 namespace {
-
-core::HarnessOptions g_harness;
-sim::TraceRecorder g_trace;
-trace::CausalTracer g_tracer;
-std::uint64_t g_violations = 0;
 
 FleetSpec base_spec() {
   FleetSpec spec;
@@ -61,17 +55,17 @@ FleetSpec base_spec() {
   return spec;
 }
 
-core::FleetResult run(const std::string& label, FleetSpec spec) {
-  g_harness.apply(spec.server, spec, g_trace, &g_tracer);
+core::FleetResult run(bench::Reporter& rep, const std::string& label, FleetSpec spec) {
+  rep.observe(spec.server, spec, true);
   auto r = core::run_fleet(spec);
-  g_violations += core::report_audit(r, label);
+  core::AuditVerdict verdict = r;
   if (!r.conserved()) {
-    std::fprintf(stderr, "CONSERVATION [%s]: issued=%llu completed=%llu failed=%llu\n",
-                 label.c_str(), static_cast<unsigned long long>(r.issued),
-                 static_cast<unsigned long long>(r.completed),
-                 static_cast<unsigned long long>(r.failed));
-    ++g_violations;
+    ++verdict.audit_violations;
+    verdict.audit_report.push_back("conservation: issued=" + std::to_string(r.issued) +
+                                   " completed=" + std::to_string(r.completed) +
+                                   " failed=" + std::to_string(r.failed));
   }
+  rep.audit(verdict, label);
   return r;
 }
 
@@ -79,7 +73,7 @@ core::FleetResult run(const std::string& label, FleetSpec spec) {
 
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation", "Fleet failure domains: crash / gray / partition (audited)");
-  if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   metrics::Table table({"scenario", "goodput_img_s", "p99_ms", "failed", "ejections", "hedges",
                         "node0_dispatch_share"});
@@ -98,7 +92,7 @@ int main(int argc, char** argv) {
   };
 
   // --- Baseline: fault-free fleet -------------------------------------------
-  const auto base = run("base", base_spec());
+  const auto base = run(rep, "base", base_spec());
   add("fault-free: round-robin", base);
   bench_row("fleet/base", base);
 
@@ -108,7 +102,7 @@ int main(int argc, char** argv) {
 
   FleetSpec a_np = base_spec();
   a_np.faults = &crash;
-  const auto a_nohealth = run("A/no-health", a_np);
+  const auto a_nohealth = run(rep, "A/no-health", a_np);
   add("A crash: round-robin, no health", a_nohealth);
   bench_row("fleet/crash_nohealth", a_nohealth);
 
@@ -118,10 +112,10 @@ int main(int argc, char** argv) {
   a_h.server.balancer.health.enabled = true;
   // Export the fleet instruments (per-node health score/state, ejection and
   // hedge counters) so `servescope report` renders them from the JSON output.
-  metrics::Registry registry;
-  a_h.registry = &registry;
-  const auto a_health = run("A/health", a_h);
-  rep.exporter().capture_instruments(registry);
+  const core::Session health_obs{core::Session::kRegistry};
+  health_obs.attach(a_h);
+  const auto a_health = run(rep, "A/health", a_h);
+  health_obs.capture(rep.exporter());
   add("A crash: p2c + health checks", a_health);
   bench_row("fleet/crash_health", a_health);
 
@@ -132,14 +126,14 @@ int main(int argc, char** argv) {
   FleetSpec b_jsq = base_spec();
   b_jsq.faults = &gray;
   b_jsq.server.balancer.policy = BalancerPolicy::kLeastOutstanding;
-  const auto b_jsq_r = run("B/jsq", b_jsq);
+  const auto b_jsq_r = run(rep, "B/jsq", b_jsq);
   add("B gray: join-shortest-queue", b_jsq_r);
   bench_row("fleet/gray_jsq", b_jsq_r);
 
   FleetSpec b_lw = base_spec();
   b_lw.faults = &gray;
   b_lw.server.balancer.policy = BalancerPolicy::kLatencyWeighted;
-  const auto b_lw_r = run("B/latency-weighted", b_lw);
+  const auto b_lw_r = run(rep, "B/latency-weighted", b_lw);
   add("B gray: latency-weighted", b_lw_r);
   bench_row("fleet/gray_lw", b_lw_r);
 
@@ -149,7 +143,7 @@ int main(int argc, char** argv) {
 
   FleetSpec c_np = base_spec();
   c_np.faults = &partition;
-  const auto c_nohedge = run("C/no-hedge", c_np);
+  const auto c_nohedge = run(rep, "C/no-hedge", c_np);
   add("C partition: no hedging", c_nohedge);
   bench_row("fleet/partition_nohedge", c_nohedge);
 
@@ -160,20 +154,20 @@ int main(int argc, char** argv) {
   // Every success refills a full token: the budget never binds here (the
   // budget-32 run below shows the cap); what's measured is the hedge itself.
   c_h.server.balancer.hedge.budget_refill_per_success = 1.0;
-  const auto c_hedge = run("C/hedge", c_h);
+  const auto c_hedge = run(rep, "C/hedge", c_h);
   add("C partition: hedge @30ms", c_hedge);
   bench_row("fleet/partition_hedge", c_hedge);
 
   FleetSpec c_b = c_h;
   c_b.server.balancer.hedge.budget = 32.0;
   c_b.server.balancer.hedge.budget_refill_per_success = 0.0;
-  const auto c_budget = run("C/hedge-budget", c_b);
+  const auto c_budget = run(rep, "C/hedge-budget", c_b);
   add("C partition: hedge, budget 32", c_budget);
 
   // --- Scenario D: determinism ----------------------------------------------
   FleetSpec d_spec = a_h;
   d_spec.registry = nullptr;  // instruments don't influence the run's digest
-  const auto a_repeat = run("D/health-repeat", d_spec);
+  const auto a_repeat = run(rep, "D/health-repeat", d_spec);
   add("D repeat of A health run", a_repeat);
 
   rep.table("table", table);
@@ -220,7 +214,7 @@ int main(int argc, char** argv) {
   checks.push_back({"D: the same fault schedule reproduces a byte-identical digest",
                     a_health.digest() == a_repeat.digest(), a_health.digest()});
   checks.push_back({"every logical request reaches one terminal state (audited, all scenarios)",
-                    g_violations == 0, std::to_string(g_violations) + " violation(s)"});
+                    rep.violations() == 0, std::to_string(rep.violations()) + " violation(s)"});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(g_harness, g_trace, g_violations));
+  return rep.finish();
 }

@@ -22,11 +22,7 @@ struct Point {
   double drop_pct;
 };
 
-core::HarnessOptions g_harness;
-sim::TraceRecorder g_trace;
-std::uint64_t g_violations = 0;
-
-Point run(sim::Time deadline, double rate) {
+Point run(bench::Reporter& rep, sim::Time deadline, double rate) {
   ExperimentSpec spec;
   spec.server.model = models::vit_base();
   spec.server.preproc = serving::PreprocDevice::kGpu;
@@ -34,9 +30,9 @@ Point run(sim::Time deadline, double rate) {
   spec.warmup = sim::seconds(3.0);
   spec.measure = sim::seconds(12.0);
   spec.seed = 11;
-  g_harness.apply(spec.server, spec, g_trace);
+  rep.observe(spec.server, spec);
   const core::ExperimentResult r = core::run_open_loop(spec, workload::poisson_arrivals(rate));
-  g_violations += core::report_audit(r, "shed_deadline_ns=" + std::to_string(deadline));
+  rep.audit(r, "shed_deadline_ns=" + std::to_string(deadline));
   // Fraction of finished (completed or shed) requests that were shed.
   const std::uint64_t finished = r.completed + r.dropped;
   const double drop_rate =
@@ -48,13 +44,13 @@ Point run(sim::Time deadline, double rate) {
 
 int main(int argc, char** argv) {
   bench::Reporter rep("Ablation", "Load shedding under overload (ViT @ ~120% offered load)");
-  if (!rep.parse_cli(argc, argv, &g_harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   const double overload_rate = 2200.0;  // capacity ~1840 img/s
   metrics::Table table({"shed_deadline_ms", "goodput_img_s", "p99_ms", "dropped_%"});
   Point none{}, tight{}, loose{};
   for (double d_ms : {0.0, 100.0, 250.0, 1000.0}) {
-    const Point p = run(sim::milliseconds(d_ms), overload_rate);
+    const Point p = run(rep, sim::milliseconds(d_ms), overload_rate);
     table.add_row({d_ms == 0.0 ? std::string("off") : std::to_string(d_ms), p.goodput, p.p99_ms,
                    p.drop_pct});
     if (d_ms == 0.0) none = p;
@@ -77,5 +73,5 @@ int main(int argc, char** argv) {
                     loose.drop_pct < tight.drop_pct && loose.p99_ms > tight.p99_ms,
                     "see table"});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(g_harness, g_trace, g_violations));
+  return rep.finish();
 }

@@ -23,8 +23,6 @@
 //   --alert-log <path>           write the faulted run's alert log
 //   --baseline-json-out <path>   write the fault-free telemetry export
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -32,11 +30,7 @@
 
 #include "bench_util.h"
 #include "core/experiment.h"
-#include "metrics/flight_recorder.h"
-#include "metrics/registry.h"
 #include "models/model_zoo.h"
-#include "obs/alert_engine.h"
-#include "trace/causal.h"
 #include "workload/arrivals.h"
 
 using namespace serve;
@@ -44,20 +38,18 @@ using core::ExperimentSpec;
 
 namespace {
 
-core::HarnessOptions g_harness;
-std::uint64_t g_violations = 0;
-
 constexpr double kRate = 1000.0;      // ~55% of single-GPU capacity: headroom to drain the backlog
 constexpr double kSloSeconds = 0.25;  // latency objective the burn rule watches
 
 /// Everything one run owns; heap-allocated so results can outlive the run
 /// helper and feed the exports/checks.
 struct RunBundle {
-  metrics::Registry registry;
-  metrics::FlightRecorder recorder{registry};
-  obs::AlertEngine alerts{registry};
-  sim::TraceRecorder trace;
-  trace::CausalTracer tracer{&trace};
+  explicit RunBundle(std::size_t trace_max_events)
+      : session{core::Session::kAlerts | core::Session::kTracer,
+                {.trace_max_events = trace_max_events}} {}
+
+  core::Session session;
+  obs::AlertEngine& alerts = session.alerts();
   core::ExperimentResult r;
 
   double p99_ms() const { return r.p99_latency_s * 1e3; }
@@ -105,10 +97,10 @@ void arm_rules(obs::AlertEngine& eng) {
   eng.add_stall(stall);
 }
 
-std::unique_ptr<RunBundle> run(const std::string& label, const sim::FaultPlan* faults) {
-  auto b = std::make_unique<RunBundle>();
+std::unique_ptr<RunBundle> run(bench::Reporter& rep, const std::string& label,
+                               const sim::FaultPlan* faults) {
+  auto b = std::make_unique<RunBundle>(rep.trace_max_events());
   arm_rules(b->alerts);
-  b->alerts.attach(b->recorder);
 
   ExperimentSpec spec;
   spec.server.model = models::vit_base();
@@ -122,15 +114,10 @@ std::unique_ptr<RunBundle> run(const std::string& label, const sim::FaultPlan* f
   // while an alert is firing, so the anomalous interval is traced wholesale.
   spec.server.trace_sampler.rate = 1.0 / 64.0;
   spec.faults = faults;
-  spec.registry = &b->registry;
-  spec.recorder = &b->recorder;
-  spec.alerts = &b->alerts;
-  spec.trace = &b->trace;
-  spec.tracer = &b->tracer;
-  if (g_harness.trace_max_events > 0) b->trace.set_max_events(g_harness.trace_max_events);
+  b->session.attach(spec);
 
   b->r = core::run_open_loop(spec, workload::poisson_arrivals(kRate));
-  g_violations += core::report_audit(b->r, label);
+  rep.audit(b->r, label);
   return b;
 }
 
@@ -190,12 +177,12 @@ int main(int argc, char** argv) {
       rest.push_back(argv[i]);
     }
   }
-  if (!rep.parse_cli(static_cast<int>(rest.size()), rest.data(), &g_harness)) return 2;
+  if (!rep.parse_cli(static_cast<int>(rest.size()), rest.data(), true)) return 2;
 
   const sim::FaultPlan faults = fault_plan();
-  const auto base = run("slo-watch/base", nullptr);
-  const auto fault = run("slo-watch/fault", &faults);
-  const auto repeat = run("slo-watch/fault-repeat", &faults);
+  const auto base = run(rep, "slo-watch/base", nullptr);
+  const auto fault = run(rep, "slo-watch/fault", &faults);
+  const auto repeat = run(rep, "slo-watch/fault-repeat", &faults);
 
   metrics::Table table({"scenario", "tput_img_s", "p99_ms", "completed", "evictions",
                         "alerts_fired", "capture_ticks"});
@@ -221,8 +208,7 @@ int main(int argc, char** argv) {
   rep.context("slo_s", std::to_string(kSloSeconds));
   rep.benchmark("slo_watch/run", fault->r.mean_latency_s * 1e3,
                 {{"tput_img_s", fault->r.throughput_rps}, {"p99_ms", fault->p99_ms()}});
-  rep.exporter().capture_instruments(fault->registry);
-  rep.exporter().capture_series(fault->recorder);
+  fault->session.capture(rep.exporter());
 
   if (!baseline_json_path.empty()) {
     metrics::TelemetryExport ex;
@@ -230,23 +216,15 @@ int main(int argc, char** argv) {
     ex.set_context("title", "SLO watch plane: fault-free baseline");
     ex.add_benchmark({"slo_watch/run", base->r.mean_latency_s * 1e3, "ms",
                       {{"tput_img_s", base->r.throughput_rps}, {"p99_ms", base->p99_ms()}}});
-    ex.capture_instruments(base->registry);
-    ex.capture_series(base->recorder);
-    std::ofstream out{baseline_json_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot open %s\n", baseline_json_path.c_str());
-      return 1;
+    base->session.capture(ex);
+    if (rep.write_file(baseline_json_path, "telemetry",
+                       [&](std::ostream& o) { ex.write_json(o); })) {
+      std::fprintf(stderr, "# telemetry: wrote %s\n", baseline_json_path.c_str());
     }
-    ex.write_json(out);
-    std::fprintf(stderr, "# telemetry: wrote %s\n", baseline_json_path.c_str());
   }
-  if (!alert_log_path.empty()) {
-    std::ofstream out{alert_log_path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot open %s\n", alert_log_path.c_str());
-      return 1;
-    }
-    fault->alerts.write_log(out);
+  if (!alert_log_path.empty() &&
+      rep.write_file(alert_log_path, "alert",
+                     [&](std::ostream& o) { fault->alerts.write_log(o); })) {
     std::fprintf(stderr, "# alerts: wrote %s\n", alert_log_path.c_str());
   }
 
@@ -297,11 +275,11 @@ int main(int argc, char** argv) {
                     fault->alerts.capture_ticks() > 0 && base->alerts.capture_ticks() == 0,
                     std::to_string(fault->alerts.capture_ticks()) + " captured tick(s)"});
   checks.push_back({"triggered capture records far more request spans than steady-state",
-                    fault->trace.span_count() > 2 * base->trace.span_count(),
-                    std::to_string(fault->trace.span_count()) + " vs " +
-                        std::to_string(base->trace.span_count()) + " spans"});
+                    fault->session.trace().span_count() > 2 * base->session.trace().span_count(),
+                    std::to_string(fault->session.trace().span_count()) + " vs " +
+                        std::to_string(base->session.trace().span_count()) + " spans"});
   checks.push_back({"SLO tail buckets carry trace exemplars in the faulted run",
-                    tail_has_exemplar(fault->registry),
+                    tail_has_exemplar(fault->session.registry()),
                     "exemplar trace ids present at/above the SLO bucket"});
   checks.push_back({"per-request transfer time shifts more than any other service stage "
                     "(diff attribution target)",
@@ -312,9 +290,9 @@ int main(int argc, char** argv) {
                     base->r.p99_latency_s < kSloSeconds && fault->r.p99_latency_s > kSloSeconds,
                     std::to_string(base->p99_ms()) + " ms vs " + std::to_string(fault->p99_ms()) +
                         " ms (slo " + std::to_string(1e3 * kSloSeconds) + " ms)"});
-  checks.push_back({"conservation holds in every scenario (auditor)", g_violations == 0,
-                    std::to_string(g_violations) + " violation(s)"});
+  checks.push_back({"conservation holds in every scenario (auditor)", rep.violations() == 0,
+                    std::to_string(rep.violations()) + " violation(s)"});
   rep.checks(std::move(checks));
 
-  return rep.finish(core::finish_harness(g_harness, fault->trace, g_violations));
+  return rep.finish(&fault->session.trace());
 }

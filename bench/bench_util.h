@@ -9,12 +9,15 @@
 // banner/table/check output the benches have always printed, and mirrors
 // everything into a metrics::TelemetryExport so any bench can additionally
 // write machine-readable JSON (bench-check-compatible), CSV, or Prometheus
-// text via the common --json-out/--csv-out/--prom-out flags.
+// text via the common --json-out/--csv-out/--prom-out flags. For a harness
+// it also owns the audit verdict and the one trace that --trace-out writes.
 #pragma once
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -62,8 +65,8 @@ inline void print_table(const metrics::Table& table) {
 ///
 /// Exit-code contract (unchanged from the hand-rolled printers): shape-check
 /// deviations are *reported*, not fatal — finish() returns non-zero only for
-/// a failed harness (audit violations, unwritable trace) or an unwritable
-/// export path. CI gates on the checks it cares about explicitly.
+/// audit violations or an output file that could not be written. CI gates on
+/// the checks it cares about explicitly.
 class Reporter {
  public:
   Reporter(std::string figure, std::string title) {
@@ -105,27 +108,77 @@ class Reporter {
     return rest;
   }
 
-  /// One-call CLI front door: strips the output flags, then — when `harness`
-  /// is non-null — parses --audit/--trace-out into it, otherwise rejects any
-  /// leftover argument. Returns false after printing the error to stderr;
-  /// callers `return 2`.
-  [[nodiscard]] bool parse_cli(int argc, const char* const* argv,
-                               core::HarnessOptions* harness = nullptr) {
+  /// One-call CLI front door: strips the output flags, then — for a harness
+  /// — parses --audit, --trace-out <path> and --trace-max-events <n>,
+  /// otherwise rejects any leftover argument. Returns false after printing
+  /// the error to stderr; callers `return 2`.
+  [[nodiscard]] bool parse_cli(int argc, const char* const* argv, bool harness = false) {
     try {
       const auto rest = strip_output_flags(argc, argv);
-      if (harness != nullptr) {
-        *harness = core::parse_harness_options(static_cast<int>(rest.size()), rest.data());
-      } else if (rest.size() > 1) {
-        throw std::invalid_argument(
-            "unknown flag '" + std::string(rest[1]) +
-            "' (supported: --json-out/--csv-out/--prom-out <path>)");
+      for (std::size_t i = 1; i < rest.size(); ++i) {
+        const std::string_view arg = rest[i];
+        if (harness && arg == "--audit") {
+          audit_ = true;
+        } else if (harness && arg == "--trace-out") {
+          if (i + 1 >= rest.size()) throw std::invalid_argument("--trace-out requires a file path");
+          trace_out_ = rest[++i];
+        } else if (harness && arg == "--trace-max-events") {
+          if (i + 1 >= rest.size()) {
+            throw std::invalid_argument("--trace-max-events requires a count");
+          }
+          trace_max_events_ = parse_count(rest[++i]);
+        } else {
+          throw std::invalid_argument(
+              "unknown flag '" + std::string(arg) + "' (supported: " +
+              (harness ? "--audit, --trace-out <path>, --trace-max-events <n>"
+                       : "--json-out/--csv-out/--prom-out <path>") +
+              ")");
+        }
       }
     } catch (const std::invalid_argument& e) {
       std::fprintf(stderr, "error: %s\n", e.what());
       return false;
     }
+    if (tracing()) {
+      session_.emplace(core::Session::kTracer,
+                       core::SessionOptions{.trace_max_events = trace_max_events_});
+    }
     return true;
   }
+
+  /// --audit, or implied by --trace-out (the spans come from the auditor).
+  [[nodiscard]] bool auditing() const noexcept { return audit_ || tracing(); }
+  [[nodiscard]] bool tracing() const noexcept { return !trace_out_.empty(); }
+  /// The --trace-max-events cap (0 = TraceRecorder default), for a run that
+  /// keeps its own trace.
+  [[nodiscard]] std::size_t trace_max_events() const noexcept { return trace_max_events_; }
+  /// The harness-wide causal tracer (recording into the harness trace), or
+  /// null when not tracing.
+  [[nodiscard]] trace::CausalTracer* tracer() const {
+    return session_ ? &session_->tracer() : nullptr;
+  }
+
+  /// Turns on `server.audit` when auditing and, when tracing, points
+  /// `observers.trace` at the harness trace — plus `observers.tracer` at the
+  /// harness tracer when `causal`, turning the flat per-request spans into
+  /// causal traces. Call once per ExperimentSpec or FleetSpec.
+  void observe(serving::ServerConfig& server, core::Observers& observers,
+               bool causal = false) const {
+    if (auditing()) server.audit = true;
+    if (!session_) return;
+    observers.trace = &session_->trace();
+    if (causal) observers.tracer = &session_->tracer();
+  }
+
+  /// Adds a run's audit verdict to the harness total, printing its report to
+  /// stderr (labelled) when it has violations.
+  void audit(const core::AuditVerdict& r, const std::string& label) {
+    if (r.audit_violations == 0) return;
+    std::cerr << "AUDIT FAILED [" << label << "]: " << r.audit_violations << " violation(s)\n";
+    for (const auto& line : r.audit_report) std::cerr << "  " << line << "\n";
+    violations_ += r.audit_violations;
+  }
+  [[nodiscard]] std::uint64_t violations() const noexcept { return violations_; }
 
   void context(std::string key, std::string value) {
     export_.set_context(std::move(key), std::move(value));
@@ -160,41 +213,85 @@ class Reporter {
     return export_.failed_checks();
   }
 
-  /// Prints the accumulated shape checks, writes any requested export files,
-  /// and returns the process exit code (0 iff `harness_ok` and every export
-  /// path was writable).
-  [[nodiscard]] int finish(bool harness_ok = true) {
+  /// Writes `path` through `fn`, flushed and checked. A failure is reported
+  /// on stderr as "error: cannot write <kind> output <path>" and makes
+  /// finish() return 1; the run goes on.
+  template <typename WriteFn>
+  bool write_file(const std::string& path, const char* kind, WriteFn&& fn) {
+    std::ofstream out{path};
+    if (out) fn(out);
+    out.flush();  // the last buffered bytes can still fail (e.g. a full disk)
+    if (out) return true;
+    std::fprintf(stderr, "error: cannot write %s output %s\n", kind, path.c_str());
+    io_ok_ = false;
+    return false;
+  }
+
+  /// Writes the trace (`trace`, else the harness trace) when tracing and
+  /// prints the audit verdict when auditing; then prints the accumulated
+  /// shape checks and writes any requested export files. Returns the process
+  /// exit code: 0 iff no audit violations and every output was written.
+  [[nodiscard]] int finish(const sim::TraceRecorder* trace = nullptr) {
+    if (tracing()) write_trace(trace != nullptr ? *trace : session_->trace());
+    if (auditing()) {
+      std::cerr << "# audit: "
+                << (violations_ == 0 ? "clean (conservation, hygiene, monotonicity all hold)"
+                                     : std::to_string(violations_) + " violation(s)")
+                << "\n";
+    }
     print_checks(checks_);
-    bool io_ok = true;
-    io_ok &= write_file(json_out_, [this](std::ostream& o) { export_.write_json(o); });
-    io_ok &= write_file(csv_out_, [this](std::ostream& o) { export_.write_csv(o); });
-    io_ok &= write_file(prom_out_, [this](std::ostream& o) { export_.write_prometheus(o); });
-    return harness_ok && io_ok ? 0 : 1;
+    write_export(json_out_, [this](std::ostream& o) { export_.write_json(o); });
+    write_export(csv_out_, [this](std::ostream& o) { export_.write_csv(o); });
+    write_export(prom_out_, [this](std::ostream& o) { export_.write_prometheus(o); });
+    return io_ok_ && violations_ == 0 ? 0 : 1;
   }
 
  private:
+  static std::size_t parse_count(const std::string& v) {
+    std::size_t pos = 0;
+    unsigned long long n = 0;
+    try {
+      n = std::stoull(v, &pos);
+    } catch (const std::exception&) {
+      pos = 0;
+    }
+    if (pos != v.size() || n == 0) {
+      throw std::invalid_argument("--trace-max-events needs a positive integer, got '" + v + "'");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
   template <typename WriteFn>
-  bool write_file(const std::string& path, WriteFn&& fn) {
-    if (path.empty()) return true;
-    std::ofstream out{path};
-    if (!out) {
-      std::fprintf(stderr, "error: cannot open telemetry output %s\n", path.c_str());
-      return false;
+  void write_export(const std::string& path, WriteFn&& fn) {
+    if (!path.empty() && write_file(path, "telemetry", fn)) {
+      std::fprintf(stderr, "# telemetry: wrote %s\n", path.c_str());
     }
-    fn(out);
-    out.flush();  // buffered bytes can still fail (e.g. a full disk)
-    if (!out) {
-      std::fprintf(stderr, "error: cannot write telemetry output %s\n", path.c_str());
-      return false;
+  }
+
+  void write_trace(const sim::TraceRecorder& trace) {
+    if (!write_file(trace_out_, "trace", [&](std::ostream& o) { trace.write_chrome_json(o); })) {
+      return;
     }
-    std::fprintf(stderr, "# telemetry: wrote %s\n", path.c_str());
-    return true;
+    std::cerr << "# trace: " << trace_out_ << " (" << trace.span_count() << " spans, "
+              << trace.counter_count() << " counter samples, " << trace.memory_bytes() / 1024
+              << " KiB held";
+    if (trace.dropped_events() > 0) {
+      std::cerr << ", " << trace.dropped_events() << " events dropped at the "
+                << trace.max_events() << "-event cap";
+    }
+    std::cerr << ")\n";
   }
 
   metrics::TelemetryExport export_;
   std::vector<ShapeCheck> checks_;
   std::string json_out_, csv_out_, prom_out_;
   int unnamed_tables_ = 0;
+  bool audit_ = false;
+  std::string trace_out_;
+  std::size_t trace_max_events_ = 0;
+  std::optional<core::Session> session_;  ///< the harness trace and tracer, when tracing
+  std::uint64_t violations_ = 0;
+  bool io_ok_ = true;
 };
 
 }  // namespace serve::bench

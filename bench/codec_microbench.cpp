@@ -225,7 +225,7 @@ BENCHMARK(BM_Idct8x8);
 
 void BM_Idct8x8Scaled(benchmark::State& state) {
   // The decoder's actual inner transform: prescale already folded into the
-  // quant tables, SIMD-dispatched (scalar under SERVESCOPE_FORCE_SCALAR).
+  // quant tables, SIMD-dispatched (scalar under SERVESCOPE_SIMD=scalar).
   float in[64], out[64];
   const auto& scale = codec::jpeg::idct_prescale();
   for (int i = 0; i < 64; ++i) {

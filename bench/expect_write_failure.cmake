@@ -17,6 +17,6 @@ endif()
 if(NOT err MATCHES "error: cannot write [a-z]+ output /dev/full")
   message(FATAL_ERROR "${EXE} exited ${rc} without reporting the failed write:\n${err}")
 endif()
-if(err MATCHES "# (trace|telemetry): (wrote )?/dev/full")
+if(err MATCHES "# (trace|telemetry|alerts): (wrote )?/dev/full")
   message(FATAL_ERROR "${EXE} reported /dev/full as written:\n${err}")
 endif()

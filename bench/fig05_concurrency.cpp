@@ -21,9 +21,6 @@
 
 #include "bench_util.h"
 #include "core/experiment.h"
-#include "metrics/flight_recorder.h"
-#include "metrics/registry.h"
-#include "obs/alert_engine.h"
 #include "models/model_zoo.h"
 
 using namespace serve;
@@ -85,12 +82,12 @@ int run_record_mode(bench::Reporter& rep, int concurrency) {
   core::ExperimentResult plain;
   const double plain_s = wall([&] { plain = core::run_experiment(gpu_spec(concurrency)); });
 
-  metrics::Registry registry;
-  metrics::FlightRecorder recorder{registry};
   // The SLO watch plane rides the recorder cadence; its rules here mirror
   // the production set (burn rate + queue depth) so the <1% overhead bound
   // covers alert evaluation, not just sampling.
-  obs::AlertEngine alerts{registry};
+  const core::Session session{core::Session::kAlerts};
+  metrics::FlightRecorder& recorder = session.recorder();
+  obs::AlertEngine& alerts = session.alerts();
   {
     obs::BurnRateRule burn;
     burn.name = "slo-burn-rate";
@@ -102,18 +99,14 @@ int run_record_mode(bench::Reporter& rep, int concurrency) {
     depth.fire_above = 1e9;  // overhead-measurement rule; not meant to fire
     alerts.add_threshold(depth);
   }
-  alerts.attach(recorder);
   ExperimentSpec spec = gpu_spec(concurrency);
-  spec.registry = &registry;
-  spec.recorder = &recorder;
-  spec.alerts = &alerts;
+  session.attach(spec);
   core::ExperimentResult r;
   const double telemetry_s = wall([&] { r = core::run_experiment(spec); });
 
   rep.context("mode", "record");
   rep.context("concurrency", std::to_string(concurrency));
-  rep.exporter().capture_instruments(registry);
-  rep.exporter().capture_series(recorder);
+  session.capture(rep.exporter());
   rep.benchmark("fig05/record/gpu/" + std::to_string(concurrency), r.mean_latency_s * 1e3,
                 {{"tput_img_s", r.throughput_rps},
                  {"p99_ms", r.p99_latency_s * 1e3},

@@ -9,7 +9,6 @@
 #include "bench_util.h"
 #include "core/experiment.h"
 #include "models/model_zoo.h"
-#include "trace/causal.h"
 
 using namespace serve;
 using core::ExperimentSpec;
@@ -17,12 +16,8 @@ using metrics::Stage;
 using serving::PreprocDevice;
 
 int main(int argc, char** argv) {
-  core::HarnessOptions harness;
-  sim::TraceRecorder trace;
-  trace::CausalTracer tracer;
-  std::uint64_t violations = 0;
   bench::Reporter rep("Figure 6", "Zero-load latency breakdown (ViT, S/M/L, CPU vs GPU preproc)");
-  if (!rep.parse_cli(argc, argv, &harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   struct Row {
     const char* size;
@@ -53,9 +48,9 @@ int main(int argc, char** argv) {
     spec.server.trace_run_label = label;
     spec.image = row.image;
     spec.warmup = sim::seconds(0.5);
-    harness.apply(spec.server, spec, trace, &tracer);
+    rep.observe(spec.server, spec, true);
     const auto r = core::run_zero_load(spec);
-    violations += core::report_audit(r, label);
+    rep.audit(r, label);
     const double pre = r.stage_share(Stage::kPreprocess);
     const double inf = r.stage_share(Stage::kInference);
     const double xfer = r.stage_share(Stage::kTransfer);
@@ -101,5 +96,5 @@ int main(int argc, char** argv) {
   checks.push_back({"large-image preprocessing dominates on GPU too (paper: 88%)",
                     share[1][2] > 0.70, std::to_string(100 * share[1][2]) + " %"});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(harness, trace, violations));
+  return rep.finish();
 }

@@ -25,7 +25,6 @@
 #include "bench_util.h"
 #include "core/experiment.h"
 #include "models/model_zoo.h"
-#include "trace/causal.h"
 #include "workload/corpus.h"
 #include "workload/popularity.h"
 
@@ -51,13 +50,9 @@ std::string fmt3(double v) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  core::HarnessOptions harness;
-  sim::TraceRecorder trace;
-  trace::CausalTracer tracer;
-  std::uint64_t violations = 0;
   bench::Reporter rep("Figure 7 (ingress)",
                       "Ingress wire format x popularity: JPEG vs raw tensor, preprocess cache");
-  if (!rep.parse_cli(argc, argv, &harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   // ------------------------------------------------------------------
   // (a) Ingress format crossover vs model size (GPU-preprocessing node).
@@ -76,11 +71,11 @@ int main(int argc, char** argv) {
       spec.gpu_count = 4;
       spec.concurrency = 2048;
       spec.measure = sim::seconds(6.0);
-      if (harness.auditing()) spec.server.audit = true;
+      if (rep.auditing()) spec.server.audit = true;
       const auto r = core::run_experiment(spec);
       const std::string label = std::string(model.name) + "/" +
                                 std::string(serving::ingress_format_name(spec.server.ingress));
-      violations += core::report_audit(r, label);
+      rep.audit(r, label);
       fmt_tput[m][f] = r.throughput_rps;
       const std::int64_t wire = f == 0 ? hw::kMediumImage.compressed_bytes
                                        : model.input_tensor_bytes();
@@ -120,12 +115,11 @@ int main(int argc, char** argv) {
     // Tracing every run would overlay a dozen experiments on one virtual
     // timeline; capture spans (with the ingress-cache-hit blame) only for
     // the hottest cache row.
-    if (harness.auditing()) spec.server.audit = true;
-    if (trace_row) harness.apply(spec.server, spec, trace, &tracer);
+    if (rep.auditing()) spec.server.audit = true;
+    if (trace_row) rep.observe(spec.server, spec, true);
     const auto r = core::run_experiment(spec);
-    violations += core::report_audit(r, "cache/skew=" + fmt1(skew) + "/mb=" +
-                                            std::to_string(budget_mb) +
-                                            (cache_on ? "" : "/off"));
+    rep.audit(r, "cache/skew=" + fmt1(skew) + "/mb=" + std::to_string(budget_mb) +
+                     (cache_on ? "" : "/off"));
     out = r;
     return r.throughput_rps;
   };
@@ -205,5 +199,5 @@ int main(int argc, char** argv) {
        std::to_string(hot.cache_tensor_hits) + " tensor hits, preprocess share " +
            fmt3(hot.stage_share(metrics::Stage::kPreprocess))});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(harness, trace, violations));
+  return rep.finish();
 }

@@ -19,12 +19,9 @@ using serving::PipelineMode;
 using serving::PreprocDevice;
 
 int main(int argc, char** argv) {
-  core::HarnessOptions harness;
-  sim::TraceRecorder trace;
-  std::uint64_t violations = 0;
   bench::Reporter rep("Figure 7",
                       "Preprocessing-only vs inference-only vs end-to-end throughput");
-  if (!rep.parse_cli(argc, argv, &harness)) return 2;
+  if (!rep.parse_cli(argc, argv, true)) return 2;
 
   metrics::Table table({"model", "image", "preproc_only", "inference_only", "end_to_end",
                         "e2e/inf_%"});
@@ -52,11 +49,10 @@ int main(int argc, char** argv) {
         spec.measure = sim::seconds(6.0);
         // Tracing every run would overlay 27 experiments on one virtual
         // timeline; restrict span capture to the ViT-Base rows.
-        if (harness.auditing()) spec.server.audit = true;
-        if (model == &models::vit_base()) harness.apply(spec.server, spec, trace);
+        if (rep.auditing()) spec.server.audit = true;
+        if (model == &models::vit_base()) rep.observe(spec.server, spec);
         const auto r = core::run_experiment(spec);
-        violations += core::report_audit(
-            r, std::string(model->name) + "/" + size_name + "/mode" + std::to_string(i));
+        rep.audit(r, std::string(model->name) + "/" + size_name + "/mode" + std::to_string(i));
         tput[i++] = r.throughput_rps;
       }
       const double ratio = tput[2] / tput[1];
@@ -87,5 +83,5 @@ int main(int argc, char** argv) {
                     resnet_medium_ratio > 0.85 && resnet_medium_ratio < 1.1,
                     std::to_string(100 * resnet_medium_ratio) + " %"});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(harness, trace, violations));
+  return rep.finish();
 }

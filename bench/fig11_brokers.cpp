@@ -10,26 +10,18 @@
 #include "core/experiment.h"
 #include "core/face_pipeline.h"
 #include "metrics/table.h"
-#include "trace/causal.h"
 
 using namespace serve;
 using core::BrokerKind;
 using core::FacePipelineSpec;
 
 int main(int argc, char** argv) {
-  core::HarnessOptions harness;
-  sim::TraceRecorder trace;
-  trace::CausalTracer tracer;
   bench::Reporter rep("Figure 11", "Multi-DNN face pipeline: Kafka vs Redis vs Fused");
-  if (!rep.parse_cli(argc, argv, &harness)) return 2;
-  if (harness.tracing()) {
-    if (harness.trace_max_events > 0) trace.set_max_events(harness.trace_max_events);
-    tracer.set_recorder(&trace);
-  }
+  if (!rep.parse_cli(argc, argv, true)) return 2;
   // The face pipeline has no InferenceServer/auditor; traces attach directly.
   auto wire_trace = [&](FacePipelineSpec& spec, const std::string& label) {
-    if (!harness.tracing()) return;
-    spec.tracer = &tracer;
+    if (!rep.tracing()) return;
+    spec.tracer = rep.tracer();
     spec.trace_label = label;
   };
 
@@ -104,5 +96,5 @@ int main(int argc, char** argv) {
                     crossover >= 6 && crossover <= 12,
                     "crossover at " + std::to_string(crossover) + " faces/frame"});
   rep.checks(std::move(checks));
-  return rep.finish(core::finish_harness(harness, trace, 0));
+  return rep.finish();
 }

@@ -66,6 +66,11 @@ int main(int argc, char** argv) {
   (void)core::run_experiment(traced);
   std::ofstream out{trace_path};
   trace.write_chrome_json(out);
+  out.flush();  // the last buffered bytes can still fail (e.g. a full disk)
+  if (!out) {
+    std::fprintf(stderr, "error: cannot write trace output %s\n", trace_path.c_str());
+    return 1;
+  }
   std::printf("Device-occupancy timeline written to %s (open in chrome://tracing)\n",
               trace_path.c_str());
   return 0;

@@ -9,7 +9,6 @@
 // dispatch pinned to scalar.
 //
 // Overrides (checked once, in this order):
-//   - env SERVESCOPE_FORCE_SCALAR=1     -> scalar tier
 //   - env SERVESCOPE_SIMD=scalar|sse2|avx2 -> cap at that tier
 //   - codec::cpu::set_active_tier(t)    -> programmatic (tests sweep tiers)
 #pragma once

@@ -41,6 +41,7 @@ void write_pnm(const Image& img, const std::filesystem::path& path) {
       << img.width() << ' ' << img.height() << "\n255\n";
   out.write(reinterpret_cast<const char*>(img.data().data()),
             static_cast<std::streamsize>(img.data().size()));
+  out.flush();  // the last buffered bytes can still fail (e.g. a full disk)
   if (!out) throw std::runtime_error("write_pnm: write failed for " + path.string());
 }
 

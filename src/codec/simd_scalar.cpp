@@ -2,7 +2,7 @@
 //
 // The scalar kernels are the semantic definition the SIMD tiers are tested
 // against; they are also the permanent fallback (non-x86 builds, the
-// SERVESCOPE_FORCE_SCALAR CI leg, and machines without AVX2).
+// SERVESCOPE_SIMD=scalar CI leg, and machines without AVX2).
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -133,12 +133,8 @@ SimdTier hardware_tier() noexcept {
   return SimdTier::kScalar;
 }
 
-/// Environment cap: SERVESCOPE_FORCE_SCALAR=1 wins, then SERVESCOPE_SIMD.
+/// Environment cap: SERVESCOPE_SIMD.
 SimdTier env_cap() noexcept {
-  const char* force = std::getenv("SERVESCOPE_FORCE_SCALAR");
-  if (force != nullptr && force[0] != '\0' && !(force[0] == '0' && force[1] == '\0')) {
-    return SimdTier::kScalar;
-  }
   const char* simd_env = std::getenv("SERVESCOPE_SIMD");
   if (simd_env != nullptr) {
     const std::string_view v{simd_env};

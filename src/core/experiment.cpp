@@ -1,10 +1,7 @@
 #include "core/experiment.h"
 
-#include <fstream>
-#include <iostream>
+#include <algorithm>
 #include <optional>
-#include <stdexcept>
-#include <string_view>
 #include <utility>
 
 #include "broker/broker.h"
@@ -167,90 +164,6 @@ ExperimentResult run_zero_load(ExperimentSpec spec) {
   // One request at a time: a modest window gives thousands of samples.
   if (spec.measure > sim::seconds(5.0)) spec.measure = sim::seconds(5.0);
   return run_experiment(spec);
-}
-
-void HarnessOptions::apply(serving::ServerConfig& server, Observers& observers,
-                           sim::TraceRecorder& trace, trace::CausalTracer* tracer) const {
-  if (auditing()) server.audit = true;
-  if (tracing()) {
-    observers.trace = &trace;
-    if (trace_max_events > 0) trace.set_max_events(trace_max_events);
-    if (tracer != nullptr) {
-      tracer->set_recorder(&trace);
-      observers.tracer = tracer;
-    }
-  }
-}
-
-HarnessOptions parse_harness_options(int argc, const char* const* argv) {
-  HarnessOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string_view arg = argv[i];
-    if (arg == "--audit") {
-      opts.audit = true;
-    } else if (arg == "--trace-out") {
-      if (i + 1 >= argc) throw std::invalid_argument("--trace-out requires a file path");
-      opts.trace_out = argv[++i];
-    } else if (arg == "--trace-max-events") {
-      if (i + 1 >= argc) throw std::invalid_argument("--trace-max-events requires a count");
-      const std::string v = argv[++i];
-      std::size_t pos = 0;
-      unsigned long long n = 0;
-      try {
-        n = std::stoull(v, &pos);
-      } catch (const std::exception&) {
-        pos = 0;
-      }
-      if (pos != v.size() || n == 0) {
-        throw std::invalid_argument("--trace-max-events needs a positive integer, got '" + v + "'");
-      }
-      opts.trace_max_events = static_cast<std::size_t>(n);
-    } else {
-      throw std::invalid_argument(
-          "unknown flag '" + std::string(arg) +
-          "' (supported: --audit, --trace-out <path>, --trace-max-events <n>)");
-    }
-  }
-  return opts;
-}
-
-std::uint64_t report_audit(const AuditVerdict& r, const std::string& label) {
-  if (r.audit_violations == 0) return 0;
-  std::cerr << "AUDIT FAILED [" << label << "]: " << r.audit_violations << " violation(s)\n";
-  for (const auto& line : r.audit_report) std::cerr << "  " << line << "\n";
-  return r.audit_violations;
-}
-
-bool finish_harness(const HarnessOptions& opts, const sim::TraceRecorder& trace,
-                    std::uint64_t total_violations) {
-  bool trace_ok = true;
-  if (opts.tracing()) {
-    std::ofstream out{opts.trace_out};
-    if (out) trace.write_chrome_json(out);
-    out.flush();  // the last buffered bytes can still fail (e.g. a full disk)
-    if (out) {
-      std::cerr << "# trace: " << opts.trace_out << " (" << trace.span_count() << " spans, "
-                << trace.counter_count() << " counter samples, " << trace.memory_bytes() / 1024
-                << " KiB held";
-      if (trace.dropped_events() > 0) {
-        std::cerr << ", " << trace.dropped_events() << " events dropped at the "
-                  << trace.max_events() << "-event cap";
-      }
-      std::cerr << ")\n";
-    } else {
-      // The sweep already ran; losing the trace should not look like a crash.
-      std::cerr << "error: cannot write trace output " << opts.trace_out << '\n';
-      trace_ok = false;
-    }
-  }
-  if (opts.auditing()) {
-    std::cerr << "# audit: "
-              << (total_violations == 0
-                      ? "clean (conservation, hygiene, monotonicity all hold)"
-                      : std::to_string(total_violations) + " violation(s)")
-              << "\n";
-  }
-  return trace_ok && total_violations == 0;
 }
 
 }  // namespace serve::core

@@ -4,8 +4,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 #include <vector>
 
 #include "core/observers.h"
@@ -102,39 +100,5 @@ struct ExperimentResult : AuditVerdict {
 /// bursty traffic.
 [[nodiscard]] ExperimentResult run_open_loop(const ExperimentSpec& spec,
                                              serving::OpenLoopClients::Interarrival interarrival);
-
-/// Command-line options shared by the bench binaries: `--audit` turns on the
-/// request-lifecycle auditor, `--trace-out <path>` additionally records
-/// per-request stage spans + device counters and writes Chrome trace-event
-/// JSON at exit (tracing implies auditing — the spans come from the auditor).
-struct HarnessOptions {
-  bool audit = false;
-  std::string trace_out{};
-  std::size_t trace_max_events = 0;  ///< 0 = TraceRecorder default cap
-
-  [[nodiscard]] bool tracing() const noexcept { return !trace_out.empty(); }
-  [[nodiscard]] bool auditing() const noexcept { return audit || tracing(); }
-
-  /// Enables `server.audit` and points `observers.trace` at `trace` (capped
-  /// at trace_max_events) as requested; call once per ExperimentSpec or
-  /// FleetSpec. With a `tracer`, also binds it to `trace` and hands it to
-  /// the run, turning the flat per-request spans into causal traces.
-  void apply(serving::ServerConfig& server, Observers& observers, sim::TraceRecorder& trace,
-             trace::CausalTracer* tracer = nullptr) const;
-};
-
-/// Parses --audit / --trace-out / --trace-max-events from argv; throws
-/// std::invalid_argument on an unknown flag or a missing value.
-[[nodiscard]] HarnessOptions parse_harness_options(int argc, const char* const* argv);
-
-/// Prints a run's audit report to stderr (labelled) when it has violations.
-/// Returns the violation count so callers can accumulate an exit status.
-std::uint64_t report_audit(const AuditVerdict& r, const std::string& label);
-
-/// Writes the trace file (if requested) and prints the final audit verdict.
-/// Returns true when no violations were observed and the trace (if any)
-/// was written; an unwritable trace path is reported on stderr, not thrown.
-bool finish_harness(const HarnessOptions& opts, const sim::TraceRecorder& trace,
-                    std::uint64_t total_violations);
 
 }  // namespace serve::core

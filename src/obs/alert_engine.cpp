@@ -83,6 +83,10 @@ void AlertEngine::add_littles_law(LittleLawRule rule) {
 }
 
 void AlertEngine::attach(metrics::FlightRecorder& recorder) {
+  if (&recorder.registry() != &registry_) {
+    throw std::invalid_argument("AlertEngine::attach: the recorder samples another registry");
+  }
+  recorder_ = &recorder;
   recorder.add_tick_listener(
       [this](sim::Time now, std::uint64_t tick) { evaluate(now, tick); });
 }
@@ -98,25 +102,10 @@ void AlertEngine::release_triggered_sampler() noexcept {
   capture_on_ = false;
 }
 
-bool AlertEngine::matches(const metrics::Labels& labels, const metrics::Labels& filter) const {
-  for (const auto& want : filter) {
-    bool found = false;
-    for (const auto& have : labels) {
-      if (have == want) {
-        found = true;
-        break;
-      }
-    }
-    if (!found) return false;
-  }
-  return true;
-}
-
 void AlertEngine::scan_new_instruments(ThresholdState& st, std::size_t n) {
   for (std::size_t i = st.scanned_until; i < n; ++i) {
     const auto info = registry_.info(i);
     if (info.wall_clock || info.name != st.rule.instrument) continue;
-    if (!matches(info.labels, st.rule.label_filter)) continue;
     st.matched.push_back(i);
     st.per_state.emplace_back();
     st.prev_value.push_back(0.0);
@@ -130,7 +119,6 @@ void AlertEngine::scan_new_instruments(BurnState& st, std::size_t n) {
     const auto info = registry_.info(i);
     if (info.wall_clock || info.type != metrics::InstrumentType::kHistogram) continue;
     if (info.name != st.rule.histogram) continue;
-    if (!matches(info.labels, st.rule.label_filter)) continue;
     st.matched.push_back(i);
   }
   st.scanned_until = n;
@@ -379,7 +367,6 @@ void AlertEngine::scan_new_instruments(LittleState& st, std::size_t n) {
   for (std::size_t i = st.scanned_until; i < n; ++i) {
     const auto info = registry_.info(i);
     if (info.wall_clock) continue;
-    if (!matches(info.labels, st.rule.label_filter)) continue;
     if (info.name == st.rule.occupancy_integral) st.occ_matched.push_back(i);
     if (info.name == st.rule.latency_sum) st.lat_matched.push_back(i);
   }

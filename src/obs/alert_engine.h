@@ -60,9 +60,8 @@ namespace serve::obs {
 
 /// Threshold / derivative rule over counters and gauges.
 struct ThresholdRule {
-  std::string name;              ///< alert name, e.g. "queue-depth-high"
-  std::string instrument;        ///< registry instrument name to watch
-  metrics::Labels label_filter;  ///< subset match; empty matches all instances
+  std::string name;        ///< alert name, e.g. "queue-depth-high"
+  std::string instrument;  ///< registry instrument name to watch; every label set matches
 
   /// kValue watches the sampled value (gauges); kRate watches the per-second
   /// derivative between consecutive ticks (counters). The first tick after a
@@ -92,7 +91,6 @@ struct ThresholdRule {
 struct BurnRateRule {
   std::string name;  ///< e.g. "slo-burn-rate"
   std::string histogram = "serving_request_latency_seconds";
-  metrics::Labels label_filter;
 
   double slo_s = 0.25;     ///< latency objective (seconds)
   double target = 0.99;    ///< attainment objective (fraction <= slo_s)
@@ -123,8 +121,7 @@ struct LittleLawRule {
   std::string occupancy_integral = "serving_in_flight_seconds_total";
   /// Counter: sum of request latencies charged at completion (seconds).
   std::string latency_sum = "serving_latency_seconds_total";
-  metrics::Labels label_filter;  ///< applied to both instruments
-  double tolerance = 0.15;       ///< relative |L - λW| / max(L, λW) that breaches
+  double tolerance = 0.15;  ///< relative |L - λW| / max(L, λW) that breaches
   /// Near-idle ticks (both sides below this many requests) never breach:
   /// the relative error of ~0 against ~0 is noise, not signal.
   double min_occupancy = 0.5;
@@ -166,8 +163,11 @@ class AlertEngine {
 
   /// Rides the recorder's cadence: registers a tick listener that calls
   /// evaluate() after every sample. The engine must outlive the recorder's
-  /// sampling window.
+  /// sampling window. Throws std::invalid_argument when the recorder samples
+  /// another registry.
   void attach(metrics::FlightRecorder& recorder);
+  /// The recorder attach() rode, or null before it was called.
+  [[nodiscard]] const metrics::FlightRecorder* recorder() const noexcept { return recorder_; }
 
   /// Alert transitions also become instant events on the "alerts" track.
   void set_trace(sim::TraceRecorder* trace) noexcept { trace_ = trace; }
@@ -296,14 +296,13 @@ class AlertEngine {
   void transition(sim::Time now, const std::string& alert, bool firing, double value,
                   double threshold, std::string detail, metrics::Counter& fired,
                   metrics::Counter& resolved);
-  [[nodiscard]] bool matches(const metrics::Labels& labels,
-                             const metrics::Labels& filter) const;
   [[nodiscard]] std::string instance_name(const ThresholdRule& rule, std::size_t reg_index) const;
   /// "top: a{x=1}=3 b=2" — top matched instruments by value, for the log line.
   [[nodiscard]] std::string top_contributors(const std::vector<std::size_t>& matched,
                                              std::size_t limit = 3) const;
 
   metrics::Registry& registry_;
+  const metrics::FlightRecorder* recorder_ = nullptr;
   sim::TraceRecorder* trace_ = nullptr;
   trace::TraceSampler* sampler_ = nullptr;
   int capture_hold_ticks_ = 5;

@@ -3,8 +3,22 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <stdexcept>
 
 namespace serve::obs {
+
+namespace {
+
+/// An interval is "idle" (no binding resource) when every candidate's busy
+/// fraction is below this floor.
+constexpr double kIdleFloor = 0.05;
+/// Headroom estimates only use intervals where the binding resource's busy
+/// fraction is inside [min, max]: below, λ/u extrapolates noise; above,
+/// admission control has already clipped λ.
+constexpr double kHeadroomMinUtil = 0.2;
+constexpr double kHeadroomMaxUtil = 0.98;
+
+}  // namespace
 
 metrics::Stage stage_for_resource(std::string_view device, std::string_view engine) noexcept {
   using metrics::Stage;
@@ -22,6 +36,9 @@ CapacityPlane::CapacityPlane(metrics::Registry& registry, Options opts)
 }
 
 void CapacityPlane::attach(metrics::FlightRecorder& recorder) {
+  if (&recorder.registry() != &registry_) {
+    throw std::invalid_argument("CapacityPlane::attach: the recorder samples another registry");
+  }
   period_s_ = sim::to_seconds(recorder.period());
   recorder.add_tick_listener(
       [this](sim::Time now, std::uint64_t tick) { observe(now, tick); });
@@ -64,7 +81,7 @@ void CapacityPlane::scan_new_instruments(std::size_t n) {
       continue;
     }
     if (info.labels.empty()) {
-      if (name == opts_.demand_counter) demand_idx_ = i;
+      if (name == "serving_requests_submitted_total") demand_idx_ = i;
       else if (name == "serving_in_flight_seconds_total") occ_idx_ = i;
       else if (name == "serving_latency_seconds_total") lat_idx_ = i;
     }
@@ -105,7 +122,7 @@ void CapacityPlane::observe(sim::Time now, std::uint64_t /*tick*/) {
   // Per-resource interval deltas. A resource whose instruments appeared this
   // tick establishes its baseline now and contributes 0 for this interval.
   std::size_t best = kIdle;
-  double best_frac = opts_.idle_floor;
+  double best_frac = kIdleFloor;
   for (std::size_t r = 0; r < resources_.size(); ++r) {
     ResourceState& st = states_[r];
     double frac = 0.0, qmean = 0.0;
@@ -217,7 +234,7 @@ double CapacityPlane::sustainable_rps() const {
     const std::size_t b = binding_[i];
     if (b == kIdle || i >= lambda_.size()) continue;
     const double u = resources_[b].busy_frac[i];
-    if (u < opts_.headroom_min_util || u > opts_.headroom_max_util) continue;
+    if (u < kHeadroomMinUtil || u > kHeadroomMaxUtil) continue;
     if (lambda_[i] <= 0.0) continue;
     estimates.push_back(lambda_[i] / u);
   }

@@ -88,23 +88,14 @@ class CapacityPlane {
     /// the occupancy floor below which near-idle noise never flags.
     double little_tolerance = 0.15;
     double little_min_occupancy = 0.5;
-    /// An interval is "idle" (no binding resource) when every candidate's
-    /// busy fraction is below this floor.
-    double idle_floor = 0.05;
-    /// Headroom estimates only use intervals where the binding resource's
-    /// busy fraction is inside [min, max]: below, λ/u extrapolates noise;
-    /// above, admission control has already clipped λ.
-    double headroom_min_util = 0.2;
-    double headroom_max_util = 0.98;
-    /// Instrument the arrival rate λ is differenced from.
-    std::string demand_counter = "serving_requests_submitted_total";
   };
 
   explicit CapacityPlane(metrics::Registry& registry) : CapacityPlane(registry, Options{}) {}
   CapacityPlane(metrics::Registry& registry, Options opts);
 
   /// Rides the recorder's cadence. The plane must outlive the recorder's
-  /// sampling window.
+  /// sampling window. Throws std::invalid_argument when the recorder samples
+  /// another registry.
   void attach(metrics::FlightRecorder& recorder);
 
   /// Observes one tick (normally invoked by the recorder listener; public so
@@ -148,7 +139,7 @@ class CapacityPlane {
   /// sustainable request rate at the observed mix. 0 when no interval
   /// qualified (idle or saturated run).
   [[nodiscard]] double sustainable_rps() const;
-  /// Per-interval arrival rate λ (Δ demand counter / dt).
+  /// Per-interval arrival rate λ (Δ serving_requests_submitted_total / dt).
   [[nodiscard]] const std::vector<double>& demand_rps() const noexcept { return lambda_; }
 
   // --- export ----------------------------------------------------------------
@@ -185,7 +176,7 @@ class CapacityPlane {
   std::vector<ResourceState> states_;  ///< aligned with resources_
   std::size_t scanned_until_ = 0;
 
-  std::size_t demand_idx_ = kNoIndex;
+  std::size_t demand_idx_ = kNoIndex;  ///< serving_requests_submitted_total
   std::size_t occ_idx_ = kNoIndex;  ///< serving_in_flight_seconds_total
   std::size_t lat_idx_ = kNoIndex;  ///< serving_latency_seconds_total
   double prev_demand_ = 0.0;

@@ -11,6 +11,10 @@ namespace serve::serving {
 namespace {
 
 constexpr std::uint32_t kMaxChargesTracked = 256;  ///< per-request gap-analysis cap
+/// Absolute slack between sum(stage times) and end-to-end latency; a 1e-9
+/// relative term is added on top (covers ns quantization and floating-point
+/// accumulation across ~10 charges).
+constexpr double kToleranceS = 1e-9;
 
 std::string format_time(sim::Time t) {
   std::ostringstream os;
@@ -194,7 +198,7 @@ void RequestAuditor::check_request(const Request& req, const Slot& slot) {
   // (2) Stage-time conservation: charges must tile the request's lifetime.
   const double latency_s = sim::to_seconds(req.latency());
   const double sum_s = req.stages.total();
-  const double tol = opts_.tolerance_s + 1e-9 * std::abs(latency_s);
+  const double tol = kToleranceS + 1e-9 * std::abs(latency_s);
   const double delta = latency_s - sum_s;
   if (std::abs(delta) > tol) {
     std::ostringstream os;

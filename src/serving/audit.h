@@ -59,10 +59,6 @@ namespace serve::serving {
 class RequestAuditor final : public ChargeObserver {
  public:
   struct Options {
-    /// Absolute slack between sum(stage times) and end-to-end latency; a
-    /// 1e-9 relative term is added on top (covers ns quantization and
-    /// floating-point accumulation across ~10 charges).
-    double tolerance_s = 1e-9;
     /// Violations stored verbatim; the total count keeps growing past this.
     std::size_t max_recorded = 64;
     /// Which submitted requests get trace spans (bounds trace size; device

@@ -126,7 +126,6 @@ class ClosedLoopClients {
     int concurrency = 1;
     ImageSource image_source;
     std::uint64_t seed = 1;
-    sim::Time think_time = 0;  ///< optional per-client gap between requests
   };
 
   ClosedLoopClients(InferenceServer& server, Options opts)
@@ -151,12 +150,10 @@ class ClosedLoopClients {
 
  private:
   sim::Process client_loop() {
-    auto& sim = server_.platform().sim();
     while (!stopping_) {
       const RequestDesc desc = opts_.image_source(rng_);
       ++issued_;
       co_await retrier_.run(desc, next_id_);
-      if (opts_.think_time > 0) co_await sim.wait(opts_.think_time);
     }
   }
 

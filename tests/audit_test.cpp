@@ -7,6 +7,7 @@
 #include <sstream>
 #include <string>
 
+#include "../bench/bench_util.h"
 #include "core/experiment.h"
 #include "hw/image_spec.h"
 #include "models/model_zoo.h"
@@ -450,25 +451,47 @@ TEST(ExperimentHarness, TracedRunEmitsRequestSpans) {
 
 TEST(ExperimentHarness, ParsesAuditAndTraceFlags) {
   const char* argv1[] = {"bench", "--audit"};
-  const auto a = core::parse_harness_options(2, argv1);
-  EXPECT_TRUE(a.audit);
+  bench::Reporter a{"test", "audit flag"};
+  ASSERT_TRUE(a.parse_cli(2, argv1, true));
+  EXPECT_TRUE(a.auditing());
   EXPECT_FALSE(a.tracing());
+  EXPECT_EQ(a.tracer(), nullptr);
 
-  const char* argv2[] = {"bench", "--trace-out", "/tmp/t.json"};
-  const auto b = core::parse_harness_options(3, argv2);
-  EXPECT_EQ(b.trace_out, "/tmp/t.json");
+  const char* argv2[] = {"bench", "--trace-out", "/tmp/t.json", "--trace-max-events", "7"};
+  bench::Reporter b{"test", "trace flags"};
+  ASSERT_TRUE(b.parse_cli(5, argv2, true));
   EXPECT_TRUE(b.auditing());  // tracing implies auditing
+  EXPECT_EQ(b.trace_max_events(), 7u);
+  ASSERT_NE(b.tracer(), nullptr);
+  EXPECT_EQ(b.tracer()->recorder()->max_events(), 7u);
 
   const char* argv3[] = {"bench", "--bogus"};
-  EXPECT_THROW((void)core::parse_harness_options(2, argv3), std::invalid_argument);
   const char* argv4[] = {"bench", "--trace-out"};
-  EXPECT_THROW((void)core::parse_harness_options(2, argv4), std::invalid_argument);
+  const char* argv5[] = {"bench", "--trace-max-events", "0"};
+  EXPECT_FALSE(bench::Reporter("test", "bogus").parse_cli(2, argv3, true));
+  EXPECT_FALSE(bench::Reporter("test", "no path").parse_cli(2, argv4, true));
+  EXPECT_FALSE(bench::Reporter("test", "zero cap").parse_cli(3, argv5, true));
+  EXPECT_FALSE(bench::Reporter("test", "not a harness").parse_cli(2, argv1));
 
-  sim::TraceRecorder trace;
   core::ExperimentSpec spec;
-  b.apply(spec.server, spec, trace);
+  b.observe(spec.server, spec);
   EXPECT_TRUE(spec.server.audit);
-  EXPECT_EQ(spec.trace, &trace);
+  EXPECT_EQ(spec.trace, b.tracer()->recorder());
+  EXPECT_EQ(spec.tracer, nullptr);
+  b.observe(spec.server, spec, /*causal=*/true);
+  EXPECT_EQ(spec.tracer, b.tracer());
+}
+
+TEST(ExperimentHarness, AuditVerdictsDecideTheExitCode) {
+  const char* argv[] = {"bench", "--audit"};
+  bench::Reporter rep{"test", "audit verdicts"};
+  ASSERT_TRUE(rep.parse_cli(2, argv, true));
+  rep.audit(core::AuditVerdict{}, "clean");
+  EXPECT_EQ(rep.violations(), 0u);
+  rep.audit(core::AuditVerdict{.audit_violations = 2, .audit_report = {"a", "b"}}, "dirty");
+  rep.audit(core::AuditVerdict{.audit_violations = 1, .audit_report = {"c"}}, "dirty too");
+  EXPECT_EQ(rep.violations(), 3u);
+  EXPECT_EQ(rep.finish(), 1);
 }
 
 }  // namespace

@@ -373,33 +373,27 @@ TEST(CapacityPlaneTest, SnapshotIsDeterministicAndExportsCapacitySection) {
 // only deviations) must land inside the fault windows (+ a short drain tail);
 // the first second of rampup is excluded like the bench does.
 
-CapacityPlane::Options audit_opts() {
-  CapacityPlane::Options o;
+constexpr double kPeriodS = 0.2;
+constexpr double kStartupGraceS = 1.0;
+constexpr metrics::FlightRecorder::Options kAuditRecorder{.period = sim::milliseconds(200),
+                                                          .capacity = 256};
+
+struct AuditRun {
   // Batch-quantized completions make per-interval lambda*W jumpy; 200 ms
   // intervals + this tolerance keep the steady state clean while backlog
   // transients (deviation ~0.5+) still flag (same tuning as the bench).
-  o.little_tolerance = 0.35;
-  o.little_min_occupancy = 5.0;
-  return o;
-}
-
-constexpr double kPeriodS = 0.2;
-constexpr double kStartupGraceS = 1.0;
-
-struct AuditRun {
-  metrics::Registry reg;
-  metrics::FlightRecorder rec{reg, {.period = sim::milliseconds(200), .capacity = 256}};
-  CapacityPlane plane{reg, audit_opts()};
+  core::Session session{core::Session::kCapacity,
+                        {.recorder = kAuditRecorder,
+                         .capacity = {.little_tolerance = 0.35, .little_min_occupancy = 5.0}}};
+  CapacityPlane& plane = session.capacity();
   core::ExperimentResult result;
 };
 
 std::unique_ptr<AuditRun> run_audited(core::ExperimentSpec spec, double rate,
                                       const sim::FaultPlan* faults) {
   auto b = std::make_unique<AuditRun>();
-  spec.registry = &b->reg;
-  spec.recorder = &b->rec;
+  b->session.attach(spec);
   spec.faults = faults;
-  b->plane.attach(b->rec);
   b->result = core::run_open_loop(spec, workload::poisson_arrivals(rate));
   return b;
 }
@@ -491,9 +485,10 @@ TEST(LittleAuditFaults, PcieDegradationDeviatesOnlyInsideWindowAndRebinds) {
 // the rule across node labels) vs lambda*W from the completion-charged
 // fleet_latency_seconds_total.
 struct FleetAudit {
-  metrics::Registry reg;
-  metrics::FlightRecorder rec{reg, {.period = sim::milliseconds(200), .capacity = 256}};
-  AlertEngine eng{reg};
+  core::Session session{core::Session::kAlerts, {.recorder = kAuditRecorder}};
+  metrics::Registry& reg = session.registry();
+  metrics::FlightRecorder& rec = session.recorder();
+  AlertEngine& eng = session.alerts();
   core::FleetResult result;
   std::vector<double> sample_t, sample_l, sample_lw;  ///< per-interval diagnostics
 
@@ -530,7 +525,6 @@ std::unique_ptr<FleetAudit> run_fleet_audited(const sim::FaultPlan* faults) {
   r.for_ticks = 1;
   r.clear_for_ticks = 2;
   b->eng.add_littles_law(r);
-  b->eng.attach(b->rec);
 
   // Diagnostic mirror of the rule's differencing (sum of node occupancy
   // integrals vs the completion-charged latency sum) for failure messages.
@@ -557,8 +551,7 @@ std::unique_ptr<FleetAudit> run_fleet_audited(const sim::FaultPlan* faults) {
     *have = true;
   });
 
-  spec.registry = &b->reg;
-  spec.recorder = &b->rec;
+  b->session.attach(spec);
   spec.faults = faults;
   b->result = core::run_fleet(spec);
   return b;

@@ -47,6 +47,14 @@ TEST(Image, PnmRoundTrip) {
   std::filesystem::remove_all(dir);
 }
 
+TEST(Image, PnmWriteFailureThrows) {
+  // /dev/full opens fine and fails every write; a 4x4 image fits in the
+  // stream buffer, so only the flush can see the failure.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "/dev/full does not exist";
+  const Image img = make_synthetic(4, 4, Pattern::kScene, 5);
+  EXPECT_THROW(write_pnm(img, "/dev/full"), std::runtime_error);
+}
+
 TEST(Image, PsnrIdenticalIsInfinite) {
   const Image img = make_synthetic(16, 16, Pattern::kGradient, 1);
   EXPECT_TRUE(std::isinf(psnr(img, img)));

@@ -518,9 +518,8 @@ TEST(AlertEngineFleet, NodeCrashFiresPerNodeLabeledAlert) {
   spec.server.balancer.policy = core::BalancerPolicy::kPowerOfTwo;
   spec.server.balancer.health.enabled = true;
 
-  metrics::Registry reg;
-  metrics::FlightRecorder rec{reg};
-  AlertEngine eng{reg};
+  const core::Session session{core::Session::kAlerts};
+  AlertEngine& eng = session.alerts();
   ThresholdRule r;
   r.name = "node-down";
   r.instrument = "fleet_node_state";  // 1 healthy, 0.5 half-open, 0 ejected
@@ -528,9 +527,7 @@ TEST(AlertEngineFleet, NodeCrashFiresPerNodeLabeledAlert) {
   r.fire_below = 0.75;
   r.clear_above = 0.9;
   eng.add_threshold(r);
-  eng.attach(rec);
-  spec.registry = &reg;
-  spec.recorder = &rec;
+  session.attach(spec);
 
   sim::FaultPlan faults;
   faults.node_crash(1, sim::seconds(1.0), sim::seconds(2.5));

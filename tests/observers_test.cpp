@@ -1,7 +1,8 @@
 // Tests for the observability wiring both runners share: the attachment
 // rules between the observer pointers (checked before anything runs), the
-// single fault-window annotation, and the fleet's exported run-wide counters
-// against the FleetResult fields they report.
+// Session that owns and wires a run's observers, the single fault-window
+// annotation, and the fleet's exported run-wide counters against the
+// FleetResult fields they report.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -10,10 +11,14 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "core/experiment.h"
 #include "core/fleet.h"
+#include "metrics/export.h"
 #include "models/model_zoo.h"
+#include "obs/capacity_plane.h"
+#include "workload/arrivals.h"
 
 namespace serve::core {
 namespace {
@@ -131,6 +136,36 @@ TEST(ObserverRules, ExperimentRejectsMiswiredAlerts) {
     spec.alerts = &p.other_alerts;
     expect_rule([&] { (void)run_experiment(spec); }, "alerts must watch registry", p.registry);
   }
+  {
+    // Watches the right registry but was never attached: it would never run.
+    Parts p;
+    ExperimentSpec spec = small_experiment();
+    spec.registry = &p.registry;
+    spec.recorder = &p.recorder;
+    spec.alerts = &p.alerts;
+    expect_rule([&] { (void)run_experiment(spec); }, "alerts must ride recorder", p.registry);
+  }
+  {
+    Parts p;
+    metrics::FlightRecorder second{p.registry};
+    p.alerts.attach(second);
+    ExperimentSpec spec = small_experiment();
+    spec.registry = &p.registry;
+    spec.recorder = &p.recorder;
+    spec.alerts = &p.alerts;
+    expect_rule([&] { (void)run_experiment(spec); }, "alerts must ride recorder", p.registry);
+  }
+}
+
+TEST(ObserverRules, PlanesRejectARecorderOverAnotherRegistry) {
+  Parts p;
+  obs::CapacityPlane plane{p.registry};
+  EXPECT_THROW(plane.attach(p.other_recorder), std::invalid_argument);
+  EXPECT_THROW(p.alerts.attach(p.other_recorder), std::invalid_argument);
+  EXPECT_EQ(p.alerts.recorder(), nullptr);
+  EXPECT_EQ(p.other_recorder.ticks(), 0u);
+  p.alerts.attach(p.recorder);
+  EXPECT_EQ(p.alerts.recorder(), &p.recorder);
 }
 
 TEST(ObserverRules, CorrectlyWiredRunsAttachEverything) {
@@ -162,6 +197,182 @@ TEST(ObserverRules, CorrectlyWiredRunsAttachEverything) {
   EXPECT_GT(q.trace.span_count(), 0u);
   EXPECT_GT(q.recorder.ticks(), 0u);
   EXPECT_FALSE(q.recorder.running());
+}
+
+// ---------------------------------------------------------------------------
+// Session: one owner that builds and wires a run's observers.
+
+TEST(Session, EachLayerBringsInTheLayersItNeeds) {
+  using L = Session::Layer;
+  const struct {
+    unsigned mask;
+    unsigned implied;
+  } cases[] = {
+      {L::kRegistry, L::kRegistry},
+      {L::kRecorder, L::kRecorder | L::kRegistry},
+      {L::kAlerts, L::kAlerts | L::kRecorder | L::kRegistry},
+      {L::kCapacity, L::kCapacity | L::kRecorder | L::kRegistry},
+      {L::kCapacity | L::kAlerts, L::kCapacity | L::kAlerts | L::kRecorder | L::kRegistry},
+      {L::kAlerts | L::kTracer, L::kAlerts | L::kRecorder | L::kRegistry | L::kTracer | L::kTrace},
+      {L::kTracer, L::kTracer | L::kTrace},
+  };
+  const unsigned all = L::kRegistry | L::kRecorder | L::kAlerts | L::kCapacity | L::kTrace |
+                       L::kTracer;
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.mask);
+    const Session s{c.mask, {.trace_max_events = 9}};
+    EXPECT_TRUE(s.has(c.implied));
+    for (unsigned bit = 1; bit <= all; bit <<= 1) {
+      EXPECT_EQ(s.has(bit), (c.implied & bit) != 0) << "layer bit " << bit;
+    }
+    // The wiring the runners' rules ask for holds by construction.
+    if (s.has(L::kRecorder)) {
+      EXPECT_EQ(&s.recorder().registry(), &s.registry());
+    }
+    if (s.has(L::kAlerts)) {
+      EXPECT_EQ(&s.alerts().registry(), &s.registry());
+      EXPECT_EQ(s.alerts().recorder(), &s.recorder());
+    }
+    if (s.has(L::kTrace)) {
+      EXPECT_EQ(s.trace().max_events(), 9u);
+    } else {
+      EXPECT_THROW((void)s.trace(), std::logic_error);
+    }
+    if (s.has(L::kTracer)) {
+      EXPECT_EQ(s.tracer().recorder(), &s.trace());
+    }
+    if (!s.has(L::kRegistry)) {
+      EXPECT_THROW((void)s.registry(), std::logic_error);
+    }
+  }
+}
+
+TEST(Session, EveryRunnerAcceptsAnAttachedSpec) {
+  const unsigned all = Session::kCapacity | Session::kAlerts | Session::kTracer;
+  {
+    const Session s{all};
+    ExperimentSpec spec = small_experiment();
+    spec.server.audit = true;
+    s.attach(spec);
+    EXPECT_EQ(spec.alerts, &s.alerts());
+    const auto r = run_experiment(spec);
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.audit_violations, 0u);
+    EXPECT_GT(s.recorder().ticks(), 0u);
+    EXPECT_GT(s.capacity().intervals(), 0u);
+    EXPECT_GT(s.trace().span_count(), 0u);
+  }
+  {
+    const Session s{all};
+    ExperimentSpec spec = small_experiment();
+    spec.server.audit = true;
+    s.attach(spec);
+    const auto r = run_open_loop(spec, workload::poisson_arrivals(500.0));
+    EXPECT_GT(r.completed, 0u);
+    EXPECT_EQ(r.audit_violations, 0u);
+    EXPECT_GT(s.capacity().intervals(), 0u);
+  }
+  {
+    const Session s{all};
+    FleetSpec spec = small_fleet();
+    s.attach(spec);  // a fleet has no `alerts` field: the engine rides the recorder
+    const auto f = run_fleet(spec);
+    EXPECT_TRUE(f.conserved());
+    EXPECT_EQ(f.audit_violations, 0u);
+    EXPECT_GT(s.recorder().ticks(), 0u);
+    EXPECT_GT(s.trace().span_count(), 0u);
+  }
+}
+
+TEST(Session, AttachLeavesAbsentLayersAlone) {
+  Parts p;
+  ExperimentSpec spec = small_experiment();
+  spec.trace = &p.trace;
+  spec.tracer = &p.tracer;
+  const Session registry_only{Session::kRegistry};
+  registry_only.attach(spec);
+  EXPECT_EQ(spec.registry, &registry_only.registry());
+  EXPECT_EQ(spec.recorder, nullptr);
+  EXPECT_EQ(spec.alerts, nullptr);
+  EXPECT_EQ(spec.trace, &p.trace);
+  EXPECT_EQ(spec.tracer, &p.tracer);
+
+  // And the other way round: a traced session over a spec that already
+  // carries a registry, recorder and alert engine.
+  ExperimentSpec other = small_experiment();
+  other.registry = &p.registry;
+  other.recorder = &p.recorder;
+  other.alerts = &p.alerts;
+  const Session traced{Session::kTracer};
+  traced.attach(other);
+  EXPECT_EQ(other.trace, &traced.trace());
+  EXPECT_EQ(other.tracer, &traced.tracer());
+  EXPECT_EQ(other.registry, &p.registry);
+  EXPECT_EQ(other.recorder, &p.recorder);
+  EXPECT_EQ(other.alerts, &p.alerts);
+}
+
+/// One audited, traced run with recorder, alerts and capacity plane: its
+/// telemetry export and Chrome trace, as bytes.
+std::pair<std::string, std::string> exported(ExperimentSpec spec, obs::AlertEngine& alerts,
+                                             const std::function<void(metrics::TelemetryExport&)>&
+                                                 capture,
+                                             const sim::TraceRecorder& trace) {
+  obs::ThresholdRule depth;
+  depth.name = "queue-depth";
+  depth.instrument = "serving_queue_depth";
+  depth.fire_above = 4.0;
+  alerts.add_threshold(depth);
+  spec.server.audit = true;
+  spec.server.trace_sampler.rate = 0.25;
+  (void)run_experiment(spec);
+  metrics::TelemetryExport ex;
+  capture(ex);
+  std::ostringstream json, chrome;
+  ex.write_json(json);
+  trace.write_chrome_json(chrome);
+  return {json.str(), chrome.str()};
+}
+
+TEST(Session, WiresExactlyLikeHandWiring) {
+  const metrics::FlightRecorder::Options rec_opts{.period = sim::milliseconds(50)};
+  const obs::CapacityPlane::Options cap_opts{.little_tolerance = 0.3};
+
+  const Session s{Session::kCapacity | Session::kAlerts | Session::kTracer,
+                  {.recorder = rec_opts, .capacity = cap_opts, .trace_max_events = 5000}};
+  ExperimentSpec by_session = small_experiment();
+  s.attach(by_session);
+  const auto a = exported(by_session, s.alerts(),
+                          [&](metrics::TelemetryExport& ex) { s.capture(ex); }, s.trace());
+
+  metrics::Registry registry;
+  metrics::FlightRecorder recorder{registry, rec_opts};
+  obs::CapacityPlane plane{registry, cap_opts};
+  obs::AlertEngine alerts{registry};
+  plane.attach(recorder);
+  alerts.attach(recorder);
+  sim::TraceRecorder trace;
+  trace.set_max_events(5000);
+  trace::CausalTracer tracer{&trace};
+  ExperimentSpec by_hand = small_experiment();
+  by_hand.registry = &registry;
+  by_hand.recorder = &recorder;
+  by_hand.alerts = &alerts;
+  by_hand.trace = &trace;
+  by_hand.tracer = &tracer;
+  const auto b = exported(by_hand, alerts,
+                          [&](metrics::TelemetryExport& ex) {
+                            ex.capture_instruments(registry);
+                            ex.capture_series(recorder);
+                            ex.set_capacity(plane.snapshot());
+                          },
+                          trace);
+
+  EXPECT_GT(s.alerts().fired_total(), 0u);
+  EXPECT_GT(trace.dropped_events(), 0u);  // the cap reached both traces
+  EXPECT_NE(a.first.find("\"capacity\""), std::string::npos);
+  EXPECT_EQ(a.first, b.first);
+  EXPECT_EQ(a.second, b.second);
 }
 
 // ---------------------------------------------------------------------------

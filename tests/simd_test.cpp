@@ -8,7 +8,7 @@
 // unaligned row pointers (heap allocation + 1 element), and exact-size
 // buffers so the ASan job catches any tail over-read the `avail` contracts
 // forbid. Tiers are capped at cpu::detected_tier(), which honors
-// SERVESCOPE_FORCE_SCALAR / SERVESCOPE_SIMD — the forced-scalar CI leg
+// SERVESCOPE_SIMD — the forced-scalar CI leg (SERVESCOPE_SIMD=scalar)
 // runs these tests against the scalar table only, by design.
 #include <gtest/gtest.h>
 
@@ -50,7 +50,7 @@ void for_each_simd_tier(Fn&& fn) {
   }
   if (swept == 0) {
     GTEST_LOG_(INFO) << "no SIMD tier available (scalar-only build, host, or "
-                        "SERVESCOPE_FORCE_SCALAR); oracle-vs-oracle is vacuous";
+                        "SERVESCOPE_SIMD=scalar); oracle-vs-oracle is vacuous";
   }
 }
 

@@ -211,17 +211,15 @@ core::ExperimentSpec small_spec() {
 }
 
 std::string recorded_json(int concurrency) {
-  Registry reg;
-  FlightRecorder rec{reg, {.period = sim::milliseconds(50), .capacity = 64}};
+  const core::Session session{core::Session::kRecorder,
+                              {.recorder = {.period = sim::milliseconds(50), .capacity = 64}}};
   auto spec = small_spec();
   spec.concurrency = concurrency;
-  spec.registry = &reg;
-  spec.recorder = &rec;
+  session.attach(spec);
   (void)core::run_experiment(spec);
   TelemetryExport exp;
   exp.set_context("figure", "determinism-test");
-  exp.capture_instruments(reg);
-  exp.capture_series(rec);
+  session.capture(exp);
   std::ostringstream json, csv;
   exp.write_json(json);
   exp.write_csv(csv);
