@@ -6,6 +6,8 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "core/experiment.h"
@@ -696,6 +698,121 @@ TEST(ConfigFile, LoadFromDisk) {
   EXPECT_EQ(cfg.model.name, "vit-base");
   std::filesystem::remove(path);
   EXPECT_THROW((void)serving::load_server_config(path), std::invalid_argument);
+}
+
+/// format_server_config of a default resnet-50 deployment: every key, in
+/// write order, with its default's spelling.
+constexpr const char* kDefaultConfigText = R"(model = resnet-50
+backend = tensorrt
+preprocessing = gpu
+mode = end_to_end
+ingress = jpeg
+ingress_cache = false
+ingress_cache_image_mb = 64
+ingress_cache_tensor_mb = 64
+ingress_cache_lookup_us = 20
+dynamic_batching = true
+max_batch = 64
+instance_count = 1
+fixed_batch = 64
+max_queue_delay_us = 0
+shed_deadline_ms = 0
+audit = false
+validate_payloads = false
+retry = false
+retry_max_attempts = 3
+retry_timeout_ms = 0
+retry_backoff_base_ms = 5
+retry_backoff_cap_ms = 500
+retry_budget = 64
+retry_budget_refill = 0.1
+circuit_breaker = false
+breaker_queue_depth = 2048
+breaker_error_rate = 0.5
+breaker_open_ms = 100
+breaker_half_open_probes = 8
+degrade = false
+degrade_hysteresis_ms = 50
+broker_publish = false
+broker_retry = false
+broker_max_attempts = 3
+broker_backoff_ms = 2
+broker_poll_ms = 10
+balancer_policy = round_robin
+health_checks = false
+health_probe_interval_ms = 50
+health_probe_timeout_ms = 25
+health_probe_cost_us = 200
+health_ewma_alpha = 0.2
+health_eject_score = 0.5
+health_eject_probe_failures = 3
+health_eject_ms = 500
+health_rejoin_probes = 3
+hedge = false
+hedge_deadline_ms = 50
+hedge_budget = 64
+hedge_budget_refill = 0.1
+)";
+
+TEST(ConfigFile, DefaultFormatMatchesGolden) {
+  serving::ServerConfig cfg;
+  cfg.model = models::resnet50();
+  EXPECT_EQ(serving::format_server_config(cfg), kDefaultConfigText);
+}
+
+/// What parse_server_config makes of `text`: the config it formats to, or
+/// the exception's type and message.
+std::string config_outcome(const std::string& text) {
+  try {
+    return serving::format_server_config(serving::parse_server_config(text));
+  } catch (const std::invalid_argument& e) {
+    return std::string("invalid_argument: ") + e.what();
+  } catch (const std::out_of_range& e) {
+    return std::string("out_of_range: ") + e.what();
+  } catch (const std::exception& e) {
+    return std::string("exception: ") + e.what();
+  }
+}
+
+/// Value tokens at the edges of every key kind: int limits, junk, C-literal
+/// forms, non-finite doubles, sub-ns and exponent times, every enum and
+/// boolean spelling (and a display spelling config text must reject).
+const std::vector<std::string> kEdgeTokens = {
+    "0", "1", "-1", "2147483648", "-2147483648", "12junk", "0x10", "nan", "inf", "-0",
+    "0.0000001", "1.2.3", "2e+06", "true", "false", "yes", "no", "tensorrt", "onnxruntime",
+    "pytorch", "cpu", "gpu", "end_to_end", "preprocess_only", "inference_only", "jpeg", "tensor",
+    "round_robin", "random", "least_outstanding", "p2c", "latency_weighted", "round-robin",
+    "resnet-50", "vit-base", "maybe", " 5", "+5", ".5", "5."};
+
+TEST(ConfigFile, OutcomeCorpusMatchesGolden) {
+  // Every key of the golden text with every edge token, then whole files:
+  // empty, comment-only, model missing, repeated keys, CRLF and padding,
+  // and malformed lines.
+  std::vector<std::string> inputs;
+  std::istringstream golden{kDefaultConfigText};
+  for (std::string line; std::getline(golden, line);) {
+    const std::string key = line.substr(0, line.find(" = "));
+    for (const auto& token : kEdgeTokens) {
+      inputs.push_back("model = resnet-50\n" + key + " = " + token + "\n");
+    }
+  }
+  for (const char* text :
+       {"", "# comment only\n\n", "backend = pytorch\n",
+        "model = vit-base\nmodel = resnet-50\nbackend = pytorch\nbackend = onnxruntime\n",
+        "  model = resnet-50  \r\n\t# indented comment\r\nmax_batch=7\r\n",
+        "model = resnet-50\nno equals here\n", "model = resnet-50\n = 5\n",
+        "model = resnet-50\nmax_batch =\n", "model = resnet-50\nMAX_BATCH = 3\n",
+        "model = resnet-50\nmax_batch = 1 # trailing comment\n"}) {
+    inputs.emplace_back(text);
+  }
+  std::uint64_t hash = 14695981039346656037ULL;  // FNV-1a over outcomes
+  for (const auto& input : inputs) {
+    for (const char c : config_outcome(input) + '\0') {
+      hash = (hash ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(inputs.size(), 2010u);
+  EXPECT_EQ(hash, 0x10498019f654c485ULL) << std::hex << hash;
 }
 
 }  // namespace
