@@ -1,12 +1,15 @@
 #include "serving/config_file.h"
 
 #include <algorithm>
+#include <array>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
+#include <utility>
 
 #include "metrics/export.h"
 
@@ -25,12 +28,6 @@ std::string trim(const std::string& s) {
 
 [[noreturn]] void fail(int line_no, const std::string& msg) {
   throw std::invalid_argument("server config line " + std::to_string(line_no) + ": " + msg);
-}
-
-bool parse_bool(int line_no, const std::string& key, const std::string& v) {
-  if (v == "true" || v == "1" || v == "yes") return true;
-  if (v == "false" || v == "0" || v == "no") return false;
-  fail(line_no, "bad boolean for '" + key + "': " + v);
 }
 
 int parse_int(int line_no, const std::string& key, const std::string& v, int min_value,
@@ -56,7 +53,7 @@ int parse_int(int line_no, const std::string& key, const std::string& v, int min
 /// moving the exponent before the one rounding to binary.
 double shifted_stod(const std::string& v, int shift) {
   const auto e = v.find_first_of("eE");
-  const int exp = e == std::string::npos ? 0 : std::stoi(v.substr(e + 1));
+  const long long exp = e == std::string::npos ? 0 : std::stoll(v.substr(e + 1));
   return std::stod(v.substr(0, e) + "e" + std::to_string(exp - shift));
 }
 
@@ -78,7 +75,8 @@ double parse_double(int line_no, const std::string& key, const std::string& v, d
     fail(line_no, "'" + key + "' = " + v + " out of range [" + std::to_string(min_value) + ", " +
                       std::to_string(max_value) + "]");
   }
-  return shift == 0 ? out : shifted_stod(v, shift);
+  // A zero needs no shift, and its exponent may be any size ("0e-2147483648").
+  return shift == 0 || out == 0.0 ? out : shifted_stod(v, shift);
 }
 
 /// Shortest decimal that shifted_stod(.., shift) reads back as `v` exactly:
@@ -123,11 +121,188 @@ std::string format_time(sim::Time t, sim::Time unit) {
 constexpr sim::Time kUs = 1'000;
 constexpr sim::Time kMs = 1'000'000;
 
+// The kinds of value a key holds. Each reads the key's text into its field
+// and writes the field as text that reads back exactly.
+
+struct Bool {
+  static bool read(int line_no, const std::string& key, const std::string& v) {
+    if (v == "true" || v == "1" || v == "yes") return true;
+    if (v == "false" || v == "0" || v == "no") return false;
+    fail(line_no, "bad boolean for '" + key + "': " + v);
+  }
+  static std::string write(bool b) { return b ? "true" : "false"; }
+};
+
+/// An int of at least `min`.
+struct Int {
+  int min;
+  int read(int line_no, const std::string& key, const std::string& v) const {
+    return parse_int(line_no, key, v, min);
+  }
+  static std::string write(int i) { return std::to_string(i); }
+};
+
+/// A byte budget in whole MiB.
+struct Mib {
+  static std::int64_t read(int line_no, const std::string& key, const std::string& v) {
+    return static_cast<std::int64_t>(parse_int(line_no, key, v, 0)) << 20;
+  }
+  static std::string write(std::int64_t bytes) { return std::to_string(bytes >> 20); }
+};
+
+/// A double in [min, max], written times 10^shift.
+struct Double {
+  double min;
+  double max;
+  int shift = 0;
+  double read(int line_no, const std::string& key, const std::string& v) const {
+    return parse_double(line_no, key, v, min, max, shift);
+  }
+  std::string write(double d) const {
+    return shift == 0 ? format_double(d) : format_shifted(d, shift);
+  }
+};
+
+/// A sim::Time written in `unit` ns, of at least `min_units`.
+struct Time {
+  sim::Time unit;
+  int min_units = 0;
+  sim::Time read(int line_no, const std::string& key, const std::string& v) const {
+    return parse_time(line_no, key, v, unit, min_units);
+  }
+  std::string write(sim::Time t) const { return format_time(t, unit); }
+};
+
+/// An enum and its spellings; any other text is an "unknown <noun>", the
+/// noun being the key's own name unless one is given.
+template <class E, std::size_t N>
+struct Enum {
+  std::array<std::pair<E, std::string_view>, N> names;
+  std::string_view noun;
+  E read(int line_no, const std::string& key, const std::string& v) const {
+    for (const auto& [e, name] : names) {
+      if (name == v) return e;
+    }
+    fail(line_no, "unknown " + (noun.empty() ? key : std::string(noun)) + " '" + v + "'");
+  }
+  std::string write(E e) const {
+    for (const auto& [value, name] : names) {
+      if (value == e) return std::string(name);
+    }
+    return "?";
+  }
+};
+
+/// An enum spelled by its own name function.
+template <class Name, class E, std::size_t N>
+Enum<E, N> named(Name name, const E (&values)[N], std::string_view noun = {}) {
+  Enum<E, N> kind{{}, noun};
+  for (std::size_t i = 0; i < N; ++i) kind.names[i] = {values[i], name(values[i])};
+  return kind;
+}
+
+/// An enum whose config spellings are listed here.
+template <class E, std::size_t N>
+Enum<E, N> spelled(const std::pair<E, std::string_view> (&names)[N], std::string_view noun) {
+  return {std::to_array(names), noun};
+}
+
+/// A model-zoo name.
+struct Model {
+  static models::ModelDesc read(int line_no, const std::string& /*key*/, const std::string& v) {
+    try {
+      return models::find_model(v);
+    } catch (const std::out_of_range&) {
+      throw std::out_of_range("server config line " + std::to_string(line_no) +
+                              ": unknown model '" + v + "'");
+    }
+  }
+  static std::string write(const models::ModelDesc& m) { return std::string(m.name); }
+};
+
+/// The config text's one list of keys, in write order: calls
+/// visit(name, field, kind) for each key. parse_server_config reads the
+/// matching key through it and format_server_config writes every key.
+template <class Visit>
+void for_each_key(ServerConfig& c, Visit&& visit) {
+  using models::Backend;
+  auto& cache = c.ingress_cache;
+  auto& health = c.balancer.health;
+  auto& hedge = c.balancer.hedge;
+  visit("model", c.model, Model{});
+  visit("backend", c.backend,
+        named(models::backend_name,
+              {Backend::kTensorRT, Backend::kOnnxRuntime, Backend::kPyTorch}));
+  visit("preprocessing", c.preproc,
+        named(preproc_device_name, {PreprocDevice::kCpu, PreprocDevice::kGpu},
+              "preprocessing device"));
+  visit("mode", c.mode,
+        spelled<PipelineMode>({{PipelineMode::kEndToEnd, "end_to_end"},
+                               {PipelineMode::kPreprocessOnly, "preprocess_only"},
+                               {PipelineMode::kInferenceOnly, "inference_only"}},
+                              "pipeline mode"));
+  visit("ingress", c.ingress,
+        named(ingress_format_name, {IngressFormat::kCompressedImage, IngressFormat::kRawTensor},
+              "ingress format"));
+  visit("ingress_cache", cache.enabled, Bool{});
+  visit("ingress_cache_image_mb", cache.image_budget_bytes, Mib{});
+  visit("ingress_cache_tensor_mb", cache.tensor_budget_bytes, Mib{});
+  visit("ingress_cache_lookup_us", cache.lookup_s, Double{0.0, 1e6, 6});
+  visit("dynamic_batching", c.dynamic_batching, Bool{});
+  visit("max_batch", c.max_batch, Int{0});
+  visit("instance_count", c.instance_count, Int{1});
+  visit("fixed_batch", c.fixed_batch, Int{1});
+  visit("max_queue_delay_us", c.max_queue_delay, Time{kUs});
+  visit("shed_deadline_ms", c.shed_deadline, Time{kMs});
+  visit("audit", c.audit, Bool{});
+  visit("validate_payloads", c.validate_payloads, Bool{});
+  visit("retry", c.retry.enabled, Bool{});
+  visit("retry_max_attempts", c.retry.max_attempts, Int{1});
+  visit("retry_timeout_ms", c.retry.timeout, Time{kMs});
+  visit("retry_backoff_base_ms", c.retry.backoff_base, Time{kMs});
+  visit("retry_backoff_cap_ms", c.retry.backoff_cap, Time{kMs});
+  visit("retry_budget", c.retry.retry_budget, Double{0.0, 1e9});
+  visit("retry_budget_refill", c.retry.budget_refill_per_success, Double{0.0, 1e9});
+  visit("circuit_breaker", c.breaker.enabled, Bool{});
+  visit("breaker_queue_depth", c.breaker.queue_depth_open, Int{1});
+  visit("breaker_error_rate", c.breaker.error_rate_open, Double{0.0, 1.0});
+  visit("breaker_open_ms", c.breaker.open_duration, Time{kMs});
+  visit("breaker_half_open_probes", c.breaker.half_open_probes, Int{1});
+  visit("degrade", c.degrade.enabled, Bool{});
+  visit("degrade_hysteresis_ms", c.degrade.hysteresis, Time{kMs});
+  visit("broker_publish", c.broker_publish.publish_results, Bool{});
+  visit("broker_retry", c.broker_publish.retry_enabled, Bool{});
+  visit("broker_max_attempts", c.broker_publish.max_attempts, Int{1});
+  visit("broker_backoff_ms", c.broker_publish.backoff_base, Time{kMs});
+  visit("broker_poll_ms", c.broker_publish.poll_interval, Time{kMs});
+  // Config spellings, not balancer_policy_name's display ones ("round-robin"),
+  // which the fleet trace goldens and ablation_balancer's stdout pin.
+  visit("balancer_policy", c.balancer.policy,
+        spelled<BalancerPolicy>({{BalancerPolicy::kRoundRobin, "round_robin"},
+                                 {BalancerPolicy::kRandom, "random"},
+                                 {BalancerPolicy::kLeastOutstanding, "least_outstanding"},
+                                 {BalancerPolicy::kPowerOfTwo, "p2c"},
+                                 {BalancerPolicy::kLatencyWeighted, "latency_weighted"}},
+                                "balancer policy"));
+  visit("health_checks", health.enabled, Bool{});
+  visit("health_probe_interval_ms", health.probe_interval, Time{kMs, 1});
+  visit("health_probe_timeout_ms", health.probe_timeout, Time{kMs, 1});
+  visit("health_probe_cost_us", health.probe_cost_s, Double{0.0, 1e6, 6});
+  visit("health_ewma_alpha", health.ewma_alpha, Double{1e-6, 1.0});
+  visit("health_eject_score", health.eject_score, Double{0.0, 1.0});
+  visit("health_eject_probe_failures", health.eject_probe_failures, Int{1});
+  visit("health_eject_ms", health.eject_duration, Time{kMs, 1});
+  visit("health_rejoin_probes", health.rejoin_probes, Int{1});
+  visit("hedge", hedge.enabled, Bool{});
+  visit("hedge_deadline_ms", hedge.deadline, Time{kMs, 1});
+  visit("hedge_budget", hedge.budget, Double{0.0, 1e9});
+  visit("hedge_budget_refill", hedge.budget_refill_per_success, Double{0.0, 1e9});
+}
+
 }  // namespace
 
 ServerConfig parse_server_config(const std::string& text) {
   ServerConfig cfg;
-  bool have_model = false;
   std::istringstream in{text};
   std::string line;
   int line_no = 0;
@@ -140,160 +315,15 @@ ServerConfig parse_server_config(const std::string& text) {
     const std::string key = trim(stripped.substr(0, eq));
     const std::string value = trim(stripped.substr(eq + 1));
     if (key.empty() || value.empty()) fail(line_no, "empty key or value");
-
-    if (key == "model") {
-      try {
-        cfg.model = models::find_model(value);
-      } catch (const std::out_of_range&) {
-        throw std::out_of_range("server config line " + std::to_string(line_no) +
-                                ": unknown model '" + value + "'");
-      }
-      have_model = true;
-    } else if (key == "backend") {
-      if (value == "tensorrt") {
-        cfg.backend = models::Backend::kTensorRT;
-      } else if (value == "onnxruntime") {
-        cfg.backend = models::Backend::kOnnxRuntime;
-      } else if (value == "pytorch") {
-        cfg.backend = models::Backend::kPyTorch;
-      } else {
-        fail(line_no, "unknown backend '" + value + "'");
-      }
-    } else if (key == "preprocessing") {
-      if (value == "cpu") {
-        cfg.preproc = PreprocDevice::kCpu;
-      } else if (value == "gpu") {
-        cfg.preproc = PreprocDevice::kGpu;
-      } else {
-        fail(line_no, "unknown preprocessing device '" + value + "'");
-      }
-    } else if (key == "mode") {
-      if (value == "end_to_end") {
-        cfg.mode = PipelineMode::kEndToEnd;
-      } else if (value == "preprocess_only") {
-        cfg.mode = PipelineMode::kPreprocessOnly;
-      } else if (value == "inference_only") {
-        cfg.mode = PipelineMode::kInferenceOnly;
-      } else {
-        fail(line_no, "unknown pipeline mode '" + value + "'");
-      }
-    } else if (key == "ingress") {
-      if (value == "jpeg") {
-        cfg.ingress = IngressFormat::kCompressedImage;
-      } else if (value == "tensor") {
-        cfg.ingress = IngressFormat::kRawTensor;
-      } else {
-        fail(line_no, "unknown ingress format '" + value + "'");
-      }
-    } else if (key == "ingress_cache") {
-      cfg.ingress_cache.enabled = parse_bool(line_no, key, value);
-    } else if (key == "ingress_cache_image_mb") {
-      cfg.ingress_cache.image_budget_bytes =
-          static_cast<std::int64_t>(parse_int(line_no, key, value, 0)) << 20;
-    } else if (key == "ingress_cache_tensor_mb") {
-      cfg.ingress_cache.tensor_budget_bytes =
-          static_cast<std::int64_t>(parse_int(line_no, key, value, 0)) << 20;
-    } else if (key == "ingress_cache_lookup_us") {
-      cfg.ingress_cache.lookup_s = parse_double(line_no, key, value, 0.0, 1e6, 6);
-    } else if (key == "dynamic_batching") {
-      cfg.dynamic_batching = parse_bool(line_no, key, value);
-    } else if (key == "max_batch") {
-      cfg.max_batch = parse_int(line_no, key, value, 0);
-    } else if (key == "instance_count") {
-      cfg.instance_count = parse_int(line_no, key, value, 1);
-    } else if (key == "fixed_batch") {
-      cfg.fixed_batch = parse_int(line_no, key, value, 1);
-    } else if (key == "max_queue_delay_us") {
-      cfg.max_queue_delay = parse_time(line_no, key, value, kUs, 0);
-    } else if (key == "shed_deadline_ms") {
-      cfg.shed_deadline = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "audit") {
-      cfg.audit = parse_bool(line_no, key, value);
-    } else if (key == "validate_payloads") {
-      cfg.validate_payloads = parse_bool(line_no, key, value);
-    } else if (key == "retry") {
-      cfg.retry.enabled = parse_bool(line_no, key, value);
-    } else if (key == "retry_max_attempts") {
-      cfg.retry.max_attempts = parse_int(line_no, key, value, 1);
-    } else if (key == "retry_timeout_ms") {
-      cfg.retry.timeout = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "retry_backoff_base_ms") {
-      cfg.retry.backoff_base = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "retry_backoff_cap_ms") {
-      cfg.retry.backoff_cap = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "retry_budget") {
-      cfg.retry.retry_budget = parse_double(line_no, key, value, 0.0, 1e9);
-    } else if (key == "retry_budget_refill") {
-      cfg.retry.budget_refill_per_success = parse_double(line_no, key, value, 0.0, 1e9);
-    } else if (key == "circuit_breaker") {
-      cfg.breaker.enabled = parse_bool(line_no, key, value);
-    } else if (key == "breaker_queue_depth") {
-      cfg.breaker.queue_depth_open = parse_int(line_no, key, value, 1);
-    } else if (key == "breaker_error_rate") {
-      cfg.breaker.error_rate_open = parse_double(line_no, key, value, 0.0, 1.0);
-    } else if (key == "breaker_open_ms") {
-      cfg.breaker.open_duration = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "breaker_half_open_probes") {
-      cfg.breaker.half_open_probes = parse_int(line_no, key, value, 1);
-    } else if (key == "degrade") {
-      cfg.degrade.enabled = parse_bool(line_no, key, value);
-    } else if (key == "degrade_hysteresis_ms") {
-      cfg.degrade.hysteresis = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "broker_publish") {
-      cfg.broker_publish.publish_results = parse_bool(line_no, key, value);
-    } else if (key == "broker_retry") {
-      cfg.broker_publish.retry_enabled = parse_bool(line_no, key, value);
-    } else if (key == "broker_max_attempts") {
-      cfg.broker_publish.max_attempts = parse_int(line_no, key, value, 1);
-    } else if (key == "broker_backoff_ms") {
-      cfg.broker_publish.backoff_base = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "broker_poll_ms") {
-      cfg.broker_publish.poll_interval = parse_time(line_no, key, value, kMs, 0);
-    } else if (key == "balancer_policy") {
-      if (value == "round_robin") {
-        cfg.balancer.policy = BalancerPolicy::kRoundRobin;
-      } else if (value == "random") {
-        cfg.balancer.policy = BalancerPolicy::kRandom;
-      } else if (value == "least_outstanding") {
-        cfg.balancer.policy = BalancerPolicy::kLeastOutstanding;
-      } else if (value == "p2c") {
-        cfg.balancer.policy = BalancerPolicy::kPowerOfTwo;
-      } else if (value == "latency_weighted") {
-        cfg.balancer.policy = BalancerPolicy::kLatencyWeighted;
-      } else {
-        fail(line_no, "unknown balancer policy '" + value + "'");
-      }
-    } else if (key == "health_checks") {
-      cfg.balancer.health.enabled = parse_bool(line_no, key, value);
-    } else if (key == "health_probe_interval_ms") {
-      cfg.balancer.health.probe_interval = parse_time(line_no, key, value, kMs, 1);
-    } else if (key == "health_probe_timeout_ms") {
-      cfg.balancer.health.probe_timeout = parse_time(line_no, key, value, kMs, 1);
-    } else if (key == "health_probe_cost_us") {
-      cfg.balancer.health.probe_cost_s = parse_double(line_no, key, value, 0.0, 1e6, 6);
-    } else if (key == "health_ewma_alpha") {
-      cfg.balancer.health.ewma_alpha = parse_double(line_no, key, value, 1e-6, 1.0);
-    } else if (key == "health_eject_score") {
-      cfg.balancer.health.eject_score = parse_double(line_no, key, value, 0.0, 1.0);
-    } else if (key == "health_eject_probe_failures") {
-      cfg.balancer.health.eject_probe_failures = parse_int(line_no, key, value, 1);
-    } else if (key == "health_eject_ms") {
-      cfg.balancer.health.eject_duration = parse_time(line_no, key, value, kMs, 1);
-    } else if (key == "health_rejoin_probes") {
-      cfg.balancer.health.rejoin_probes = parse_int(line_no, key, value, 1);
-    } else if (key == "hedge") {
-      cfg.balancer.hedge.enabled = parse_bool(line_no, key, value);
-    } else if (key == "hedge_deadline_ms") {
-      cfg.balancer.hedge.deadline = parse_time(line_no, key, value, kMs, 1);
-    } else if (key == "hedge_budget") {
-      cfg.balancer.hedge.budget = parse_double(line_no, key, value, 0.0, 1e9);
-    } else if (key == "hedge_budget_refill") {
-      cfg.balancer.hedge.budget_refill_per_success = parse_double(line_no, key, value, 0.0, 1e9);
-    } else {
-      fail(line_no, "unknown key '" + key + "'");
-    }
+    bool known = false;
+    for_each_key(cfg, [&](std::string_view name, auto& field, const auto& kind) {
+      if (name != key) return;
+      field = kind.read(line_no, key, value);
+      known = true;
+    });
+    if (!known) fail(line_no, "unknown key '" + key + "'");
   }
-  if (!have_model) throw std::invalid_argument("server config: 'model' is required");
+  if (cfg.model.name.empty()) throw std::invalid_argument("server config: 'model' is required");
   (void)cfg.effective_max_batch();  // validate batch bounds now, not at deploy
   return cfg;
 }
@@ -307,74 +337,12 @@ ServerConfig load_server_config(const std::filesystem::path& path) {
 }
 
 std::string format_server_config(const ServerConfig& config) {
+  ServerConfig c = config;
+  c.max_batch = config.effective_max_batch();
   std::ostringstream out;
-  out << "model = " << config.model.name << "\n";
-  out << "backend = " << models::backend_name(config.backend) << "\n";
-  out << "preprocessing = " << preproc_device_name(config.preproc) << "\n";
-  out << "mode = "
-      << (config.mode == PipelineMode::kEndToEnd
-              ? "end_to_end"
-              : config.mode == PipelineMode::kPreprocessOnly ? "preprocess_only"
-                                                             : "inference_only")
-      << "\n";
-  out << "ingress = " << ingress_format_name(config.ingress) << "\n";
-  out << "ingress_cache = " << (config.ingress_cache.enabled ? "true" : "false") << "\n";
-  out << "ingress_cache_image_mb = " << (config.ingress_cache.image_budget_bytes >> 20) << "\n";
-  out << "ingress_cache_tensor_mb = " << (config.ingress_cache.tensor_budget_bytes >> 20) << "\n";
-  out << "ingress_cache_lookup_us = " << format_shifted(config.ingress_cache.lookup_s, 6) << "\n";
-  out << "dynamic_batching = " << (config.dynamic_batching ? "true" : "false") << "\n";
-  out << "max_batch = " << config.effective_max_batch() << "\n";
-  out << "instance_count = " << config.instance_count << "\n";
-  out << "fixed_batch = " << config.fixed_batch << "\n";
-  out << "max_queue_delay_us = " << format_time(config.max_queue_delay, kUs) << "\n";
-  out << "shed_deadline_ms = " << format_time(config.shed_deadline, kMs) << "\n";
-  out << "audit = " << (config.audit ? "true" : "false") << "\n";
-  out << "validate_payloads = " << (config.validate_payloads ? "true" : "false") << "\n";
-  out << "retry = " << (config.retry.enabled ? "true" : "false") << "\n";
-  out << "retry_max_attempts = " << config.retry.max_attempts << "\n";
-  out << "retry_timeout_ms = " << format_time(config.retry.timeout, kMs) << "\n";
-  out << "retry_backoff_base_ms = " << format_time(config.retry.backoff_base, kMs) << "\n";
-  out << "retry_backoff_cap_ms = " << format_time(config.retry.backoff_cap, kMs) << "\n";
-  out << "retry_budget = " << format_double(config.retry.retry_budget) << "\n";
-  out << "retry_budget_refill = " << format_double(config.retry.budget_refill_per_success)
-      << "\n";
-  out << "circuit_breaker = " << (config.breaker.enabled ? "true" : "false") << "\n";
-  out << "breaker_queue_depth = " << config.breaker.queue_depth_open << "\n";
-  out << "breaker_error_rate = " << format_double(config.breaker.error_rate_open) << "\n";
-  out << "breaker_open_ms = " << format_time(config.breaker.open_duration, kMs) << "\n";
-  out << "breaker_half_open_probes = " << config.breaker.half_open_probes << "\n";
-  out << "degrade = " << (config.degrade.enabled ? "true" : "false") << "\n";
-  out << "degrade_hysteresis_ms = " << format_time(config.degrade.hysteresis, kMs) << "\n";
-  out << "broker_publish = " << (config.broker_publish.publish_results ? "true" : "false") << "\n";
-  out << "broker_retry = " << (config.broker_publish.retry_enabled ? "true" : "false") << "\n";
-  out << "broker_max_attempts = " << config.broker_publish.max_attempts << "\n";
-  out << "broker_backoff_ms = " << format_time(config.broker_publish.backoff_base, kMs) << "\n";
-  out << "broker_poll_ms = " << format_time(config.broker_publish.poll_interval, kMs) << "\n";
-  out << "balancer_policy = "
-      << (config.balancer.policy == BalancerPolicy::kRoundRobin          ? "round_robin"
-          : config.balancer.policy == BalancerPolicy::kRandom            ? "random"
-          : config.balancer.policy == BalancerPolicy::kLeastOutstanding  ? "least_outstanding"
-          : config.balancer.policy == BalancerPolicy::kPowerOfTwo        ? "p2c"
-                                                                         : "latency_weighted")
-      << "\n";
-  out << "health_checks = " << (config.balancer.health.enabled ? "true" : "false") << "\n";
-  out << "health_probe_interval_ms = "
-      << format_time(config.balancer.health.probe_interval, kMs) << "\n";
-  out << "health_probe_timeout_ms = "
-      << format_time(config.balancer.health.probe_timeout, kMs) << "\n";
-  out << "health_probe_cost_us = " << format_shifted(config.balancer.health.probe_cost_s, 6)
-      << "\n";
-  out << "health_ewma_alpha = " << format_double(config.balancer.health.ewma_alpha) << "\n";
-  out << "health_eject_score = " << format_double(config.balancer.health.eject_score) << "\n";
-  out << "health_eject_probe_failures = " << config.balancer.health.eject_probe_failures << "\n";
-  out << "health_eject_ms = " << format_time(config.balancer.health.eject_duration, kMs)
-      << "\n";
-  out << "health_rejoin_probes = " << config.balancer.health.rejoin_probes << "\n";
-  out << "hedge = " << (config.balancer.hedge.enabled ? "true" : "false") << "\n";
-  out << "hedge_deadline_ms = " << format_time(config.balancer.hedge.deadline, kMs) << "\n";
-  out << "hedge_budget = " << format_double(config.balancer.hedge.budget) << "\n";
-  out << "hedge_budget_refill = " << format_double(config.balancer.hedge.budget_refill_per_success)
-      << "\n";
+  for_each_key(c, [&](std::string_view name, const auto& field, const auto& kind) {
+    out << name << " = " << kind.write(field) << "\n";
+  });
   return out.str();
 }
 

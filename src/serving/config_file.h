@@ -14,6 +14,10 @@
 //
 // Unknown keys, malformed values and missing models are hard errors — a
 // serving config typo should fail deployment, not silently default.
+//
+// Every key is declared once, in for_each_key (config_file.cpp): its name,
+// its ServerConfig field and its kind (type, unit, range, spellings). Parse
+// and format both walk that list.
 #pragma once
 
 #include <filesystem>

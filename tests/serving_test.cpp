@@ -3,11 +3,14 @@
 // behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/experiment.h"
@@ -813,6 +816,120 @@ TEST(ConfigFile, OutcomeCorpusMatchesGolden) {
   }
   EXPECT_EQ(inputs.size(), 2010u);
   EXPECT_EQ(hash, 0x10498019f654c485ULL) << std::hex << hash;
+}
+
+TEST(ConfigFile, HugeExponentsOnMicrosecondKeys) {
+  // In-range zeros whose exponent overflows an int, before or after the
+  // shift to seconds, on both *_us keys: each reads as exactly 0 and
+  // round-trips.
+  for (const char* zero : {"0e-2147483648", "0e99999999999", "0.000e-99999999999",
+                           "0e-9223372036854775808"}) {
+    const std::string text = std::string("model = vit-base\ningress_cache_lookup_us = ") + zero +
+                             "\nhealth_probe_cost_us = " + zero + "\n";
+    SCOPED_TRACE(text);
+    serving::ServerConfig cfg;
+    ASSERT_NO_THROW(cfg = serving::parse_server_config(text));
+    EXPECT_EQ(cfg.ingress_cache.lookup_s, 0.0);
+    EXPECT_EQ(cfg.balancer.health.probe_cost_s, 0.0);
+    expect_exact_round_trip(cfg);
+  }
+}
+
+std::vector<std::string> split_lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream in{text};
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+std::string join_lines(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const auto& line : lines) text += line + "\n";
+  return text;
+}
+
+TEST(ConfigFile, MutatedTextDecodesOrErrors) {
+  // Formatted configs with edge values swapped in, bytes flipped, inserted
+  // or deleted, and lines duplicated or dropped. Each input either fails
+  // with a "server config" std::invalid_argument / std::out_of_range, or
+  // parses to a config whose format -> parse -> format is a fixed point.
+  serving::ServerConfig tuned;
+  tuned.model = models::tiny_vit();
+  tuned.backend = models::Backend::kPyTorch;
+  tuned.preproc = serving::PreprocDevice::kCpu;
+  tuned.mode = serving::PipelineMode::kPreprocessOnly;
+  tuned.ingress = serving::IngressFormat::kRawTensor;
+  tuned.ingress_cache = {.enabled = true, .tensor_budget_bytes = 4LL << 20, .lookup_s = 1e-6 / 3};
+  tuned.max_queue_delay = 1'500;
+  tuned.retry.enabled = true;
+  tuned.retry.budget_refill_per_success = 0.1 + 0.2;
+  tuned.balancer.policy = serving::BalancerPolicy::kLatencyWeighted;
+  tuned.balancer.health.probe_cost_s = 0.1 + 0.2;
+  tuned.balancer.hedge.deadline = sim::milliseconds(35);
+  serving::ServerConfig plain;
+  plain.model = models::vit_base();
+  const std::string bases[] = {serving::format_server_config(plain),
+                               serving::format_server_config(tuned)};
+
+  std::vector<std::string> tokens = kEdgeTokens;
+  tokens.insert(tokens.end(), {"1e99999999999", "0e99999999999", "0e-2147483648",
+                               std::string(200, '9'), std::string(199, '0') + "1",
+                               "1" + std::string(199, '0') + "e-199",
+                               "0." + std::string(199, '0') + "5"});
+
+  std::mt19937_64 rng{0x5eedc0f1};
+  const auto pick = [&](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+  const auto mutate = [&](std::string text) {
+    const std::size_t pos = pick(text.size());
+    auto lines = split_lines(text);
+    const auto at = lines.begin() + static_cast<std::ptrdiff_t>(pick(lines.size()));
+    switch (pick(6)) {
+      case 0:
+        *at = at->substr(0, at->find('=') + 1) + " " + tokens[pick(tokens.size())];
+        return join_lines(lines);
+      case 1: lines.insert(at, std::string(*at)); return join_lines(lines);
+      case 2: lines.erase(at); return join_lines(lines);
+      case 3: text[pos] = static_cast<char>(text[pos] ^ (1 << pick(8))); return text;
+      case 4: text.insert(pos, 1, static_cast<char>(pick(256))); return text;
+      default: text.erase(pos, 1); return text;
+    }
+  };
+  const auto server_config_error = [](const std::exception& e) {
+    return std::string_view(e.what()).starts_with("server config");
+  };
+
+  int decoded = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    std::string text = bases[pick(2)];
+    for (std::size_t edits = 1 + pick(3); edits > 0; --edits) text = mutate(text);
+    std::string formatted;
+    try {
+      formatted = serving::format_server_config(serving::parse_server_config(text));
+    } catch (const std::invalid_argument& e) {
+      EXPECT_TRUE(server_config_error(e)) << e.what() << "\n" << text;
+      ++rejected;
+      continue;
+    } catch (const std::out_of_range& e) {
+      EXPECT_TRUE(server_config_error(e)) << e.what() << "\n" << text;
+      ++rejected;
+      continue;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "unexpected exception: " << e.what() << "\n" << text;
+      continue;
+    }
+    try {
+      EXPECT_EQ(serving::format_server_config(serving::parse_server_config(formatted)),
+                formatted)
+          << text;
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "formatted text does not parse back: " << e.what() << "\n" << formatted;
+    }
+    ++decoded;
+  }
+  // Both outcomes are exercised, not just one.
+  EXPECT_GT(decoded, 100);
+  EXPECT_GT(rejected, 100);
 }
 
 }  // namespace
