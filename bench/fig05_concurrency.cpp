@@ -67,43 +67,11 @@ double rate_over(const std::vector<double>& cum, std::size_t lo, std::size_t hi,
   return (cum[hi - 1] - cum[lo]) / (static_cast<double>(hi - 1 - lo) * period_s);
 }
 
-int run_record_mode(bench::Reporter& rep, int concurrency) {
-  std::printf("\nRecord mode: GPU preprocessing @ concurrency %d, 100 ms cadence\n", concurrency);
-
-  const auto wall = [](auto&& fn) {
-    const auto t0 = std::chrono::steady_clock::now();
-    fn();
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  };
-
-  // Identical run with telemetry off: the enabled-vs-disabled wall-clock
-  // delta reported below (informational; the gating check uses the
-  // recorder's own self-time instrument, which is robust to machine noise).
-  core::ExperimentResult plain;
-  const double plain_s = wall([&] { plain = core::run_experiment(gpu_spec(concurrency)); });
-
-  // The SLO watch plane rides the recorder cadence; its rules here mirror
-  // the production set (burn rate + queue depth) so the <1% overhead bound
-  // covers alert evaluation, not just sampling.
-  const core::Session session{core::Session::kAlerts};
-  metrics::FlightRecorder& recorder = session.recorder();
-  obs::AlertEngine& alerts = session.alerts();
-  {
-    obs::BurnRateRule burn;
-    burn.name = "slo-burn-rate";
-    burn.slo_s = 0.5;
-    alerts.add_burn_rate(burn);
-    obs::ThresholdRule depth;
-    depth.name = "queue-depth-high";
-    depth.instrument = "serving_queue_depth";
-    depth.fire_above = 1e9;  // overhead-measurement rule; not meant to fire
-    alerts.add_threshold(depth);
-  }
-  ExperimentSpec spec = gpu_spec(concurrency);
-  session.attach(spec);
-  core::ExperimentResult r;
-  const double telemetry_s = wall([&] { r = core::run_experiment(spec); });
-
+/// Exports one recorded run and checks its trajectory over thirds of the
+/// recorded window: the sweep's "declines at 4096" claim, replayed inside
+/// one run.
+void report_trajectory(bench::Reporter& rep, const core::Session& session,
+                       const core::ExperimentResult& r, int concurrency) {
   rep.context("mode", "record");
   rep.context("concurrency", std::to_string(concurrency));
   session.capture(rep.exporter());
@@ -112,8 +80,7 @@ int run_record_mode(bench::Reporter& rep, int concurrency) {
                  {"p99_ms", r.p99_latency_s * 1e3},
                  {"gpu_evictions", static_cast<double>(r.gpu_evictions)}});
 
-  // Trajectory over thirds of the recorded window: the sweep's "declines at
-  // 4096" claim, replayed inside one run.
+  const metrics::FlightRecorder& recorder = session.recorder();
   const auto series = recorder.series();
   const double period_s = sim::to_seconds(recorder.period());
   const auto completed = summed_series(series, "serving_requests_completed_total");
@@ -137,13 +104,6 @@ int run_record_mode(bench::Reporter& rep, int concurrency) {
   }
   rep.table("trajectory", traj);
 
-  const double self_s = recorder.self_seconds() + alerts.self_seconds();
-  const double self_share = telemetry_s > 0 ? self_s / telemetry_s : 0.0;
-  std::printf("\nTelemetry + alert-engine self-overhead: %.4f s of %.2f s run wall time "
-              "(%.3f%%; recorder %.6f s, alert engine %.6f s); disabled-telemetry run: %.2f s\n",
-              self_s, telemetry_s, 100.0 * self_share, recorder.self_seconds(),
-              alerts.self_seconds(), plain_s);
-
   // The within-run decline is gentler than the sweep's peak-vs-4096 gap
   // (the whole window already thrashes); ~5% first-to-last third observed.
   rep.check("recorded GPU-preproc throughput declines within the run (staging thrash)",
@@ -155,22 +115,95 @@ int run_record_mode(bench::Reporter& rep, int concurrency) {
             "mean depth " + std::to_string(qdepth[0]) + " -> " + std::to_string(qdepth[2]));
   rep.check("evictions keep accumulating in the last third (not a one-off warmup burst)",
             evict[2] > 0, std::to_string(evict[2]) + " evictions in last third");
-  // Bounded separately: the recorder's sampling bound dates from PR 4, the
-  // alert engine carries its own 1% budget on top — a combined bound would
-  // let one layer silently eat the other's headroom.
-  const double recorder_share = telemetry_s > 0 ? recorder.self_seconds() / telemetry_s : 0.0;
-  const double alerts_share = telemetry_s > 0 ? alerts.self_seconds() / telemetry_s : 0.0;
+}
+
+int run_record_mode(bench::Reporter& rep, int concurrency) {
+  std::printf("\nRecord mode: GPU preprocessing @ concurrency %d, 100 ms cadence\n", concurrency);
+
+  const auto wall = [](auto&& fn) {
+    const auto t0 = std::chrono::steady_clock::now();
+    fn();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+  };
+
+  // Identical run with telemetry off: the enabled-vs-disabled wall-clock
+  // delta reported below (informational; the gating check uses the
+  // recorder's own self-time instrument, which is robust to machine noise).
+  core::ExperimentResult plain;
+  const double plain_s = wall([&] { plain = core::run_experiment(gpu_spec(concurrency)); });
+
+  // The SLO watch plane rides the recorder cadence; its rules here mirror
+  // the production set (burn rate + queue depth) so the <1% overhead bound
+  // covers alert evaluation, not just sampling.
+  const auto add_rules = [](obs::AlertEngine& alerts) {
+    obs::BurnRateRule burn;
+    burn.name = "slo-burn-rate";
+    burn.slo_s = 0.5;
+    alerts.add_burn_rate(burn);
+    obs::ThresholdRule depth;
+    depth.name = "queue-depth-high";
+    depth.instrument = "serving_queue_depth";
+    depth.fire_above = 1e9;  // overhead-measurement rule; not meant to fire
+    alerts.add_threshold(depth);
+  };
+
+  // One run is a few tens of ms of wall time against a fraction of a ms of
+  // self time, so timer and scheduler noise alone can move its share past
+  // 1%. The recorded run is therefore repeated, each time on a fresh
+  // session, and each layer is gated on its summed self time over the
+  // summed wall time. The first repetition is the one exported.
+  constexpr int kRepeats = 10;
+  std::vector<double> wall_s, recorder_s, alerts_s;
+  for (int i = 0; i < kRepeats; ++i) {
+    const core::Session session{core::Session::kAlerts};
+    add_rules(session.alerts());
+    ExperimentSpec spec = gpu_spec(concurrency);
+    session.attach(spec);
+    core::ExperimentResult r;
+    wall_s.push_back(wall([&] { r = core::run_experiment(spec); }));
+    recorder_s.push_back(session.recorder().self_seconds());
+    alerts_s.push_back(session.alerts().self_seconds());
+    if (i == 0) report_trajectory(rep, session, r, concurrency);
+  }
+
+  const auto sum = [](const std::vector<double>& v) {
+    double total = 0.0;
+    for (const double x : v) total += x;
+    return total;
+  };
+  const double telemetry_s = sum(wall_s);
+  const double recorder_share = sum(recorder_s) / telemetry_s;
+  const double alerts_share = sum(alerts_s) / telemetry_s;
+  std::printf("\nTelemetry + alert-engine self-overhead over %d runs: %.4f s of %.2f s run wall "
+              "time (%.3f%%; recorder %.6f s, alert engine %.6f s); mean run %.3f s, "
+              "disabled-telemetry run %.3f s\n",
+              kRepeats, sum(recorder_s) + sum(alerts_s), telemetry_s,
+              100.0 * (recorder_share + alerts_share), sum(recorder_s), sum(alerts_s),
+              telemetry_s / kRepeats, plain_s);
+
+  // Per-repetition shares: min / median / max, so a gate near its bound
+  // shows whether one run or all of them sit there.
+  const auto spread = [&](const std::vector<double>& self) {
+    std::vector<double> share(self.size());
+    for (std::size_t i = 0; i < self.size(); ++i) share[i] = 100.0 * self[i] / wall_s[i];
+    std::sort(share.begin(), share.end());
+    return "per run min/median/max " + std::to_string(share.front()) + "/" +
+           std::to_string(share[share.size() / 2]) + "/" + std::to_string(share.back()) + "%";
+  };
+  // Bounded separately: the alert engine carries its own 1% budget on top
+  // of the recorder's — a combined bound would let one layer silently eat
+  // the other's headroom.
   rep.check("flight-recorder sampling self-overhead below 1% of run wall time",
             recorder_share < 0.01,
             std::to_string(100.0 * recorder_share) + "% (self " +
-                std::to_string(recorder.self_seconds()) + " s of " +
-                std::to_string(telemetry_s) + " s; disabled run " + std::to_string(plain_s) +
-                " s)");
+                std::to_string(sum(recorder_s)) + " s of " + std::to_string(telemetry_s) +
+                " s over " + std::to_string(kRepeats) + " runs; " + spread(recorder_s) +
+                "; disabled run " + std::to_string(plain_s) + " s)");
   rep.check("alert-engine rule evaluation self-overhead below 1% of run wall time",
             alerts_share < 0.01,
-            std::to_string(100.0 * alerts_share) + "% (self " +
-                std::to_string(alerts.self_seconds()) + " s of " + std::to_string(telemetry_s) +
-                " s)");
+            std::to_string(100.0 * alerts_share) + "% (self " + std::to_string(sum(alerts_s)) +
+                " s of " + std::to_string(telemetry_s) + " s over " +
+                std::to_string(kRepeats) + " runs; " + spread(alerts_s) + ")");
   return rep.finish();
 }
 
