@@ -82,10 +82,6 @@ class Breakdown {
     return t > 0.0 ? mean(s) / t : 0.0;
   }
 
-  [[nodiscard]] const StatAccumulator& stage_stats(Stage s) const noexcept {
-    return per_stage_[static_cast<std::size_t>(s)];
-  }
-
   void reset() noexcept {
     for (auto& a : per_stage_) a.reset();
     total_.reset();

@@ -139,8 +139,6 @@ class CapacityPlane {
   /// sustainable request rate at the observed mix. 0 when no interval
   /// qualified (idle or saturated run).
   [[nodiscard]] double sustainable_rps() const;
-  /// Per-interval arrival rate λ (Δ serving_requests_submitted_total / dt).
-  [[nodiscard]] const std::vector<double>& demand_rps() const noexcept { return lambda_; }
 
   // --- export ----------------------------------------------------------------
 

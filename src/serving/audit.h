@@ -146,7 +146,6 @@ class RequestAuditor final : public ChargeObserver {
   /// dropped) across the whole run — the reference the causal traces'
   /// critical-path shares are validated against.
   [[nodiscard]] const metrics::Breakdown& breakdown() const noexcept { return breakdown_; }
-  [[nodiscard]] std::uint64_t traced_requests() const noexcept { return sampler_.sampled_count(); }
 
   /// Mutable sampler access for triggered capture: the alert engine flips
   /// the sampler into full-sampling while an alert is firing so the

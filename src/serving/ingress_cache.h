@@ -80,7 +80,6 @@ class IngressCache {
   [[nodiscard]] std::int64_t tensor_resident_bytes() const noexcept {
     return tensor_level_.resident_bytes;
   }
-  [[nodiscard]] std::size_t image_entries() const noexcept { return image_level_.entries.size(); }
   [[nodiscard]] std::size_t tensor_entries() const noexcept {
     return tensor_level_.entries.size();
   }

@@ -217,8 +217,6 @@ class FaultPlan {
     return u < serve_fraction;
   }
 
-  [[nodiscard]] double corruption_probability() const noexcept { return corruption_p_; }
-
   /// Deterministic per-request corruption verdict.
   [[nodiscard]] bool corrupts_payload(std::uint64_t request_id) const noexcept {
     if (corruption_p_ <= 0.0) return false;

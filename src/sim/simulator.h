@@ -27,7 +27,6 @@ class Simulator {
 
   [[nodiscard]] Time now() const noexcept { return now_; }
   [[nodiscard]] std::uint64_t steps() const noexcept { return steps_; }
-  [[nodiscard]] std::size_t pending_events() const noexcept { return queue_.size(); }
   [[nodiscard]] std::size_t live_processes() const noexcept { return live_count_; }
   /// Event slab cells ever created (see EventQueue::slab_cells).
   [[nodiscard]] std::size_t event_slab_cells() const noexcept { return queue_.slab_cells(); }

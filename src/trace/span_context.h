@@ -136,7 +136,6 @@ class TraceSampler {
     return hit;
   }
 
-  [[nodiscard]] std::uint64_t sampled_count() const noexcept { return taken_ + forced_taken_; }
   [[nodiscard]] std::uint64_t forced_count() const noexcept { return forced_taken_; }
   [[nodiscard]] const SamplerOptions& options() const noexcept { return opts_; }
 
