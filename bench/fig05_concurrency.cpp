@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <string_view>
 
 #include "bench_util.h"
@@ -166,44 +167,35 @@ int run_record_mode(bench::Reporter& rep, int concurrency) {
     if (i == 0) report_trajectory(rep, session, r, concurrency);
   }
 
-  const auto sum = [](const std::vector<double>& v) {
-    double total = 0.0;
-    for (const double x : v) total += x;
-    return total;
+  const auto total = [](const std::vector<double>& v) {
+    return std::accumulate(v.begin(), v.end(), 0.0);
   };
-  const double telemetry_s = sum(wall_s);
-  const double recorder_share = sum(recorder_s) / telemetry_s;
-  const double alerts_share = sum(alerts_s) / telemetry_s;
+  const double wall_total = total(wall_s);
+  const double self_total = total(recorder_s) + total(alerts_s);
   std::printf("\nTelemetry + alert-engine self-overhead over %d runs: %.4f s of %.2f s run wall "
               "time (%.3f%%; recorder %.6f s, alert engine %.6f s); mean run %.3f s, "
               "disabled-telemetry run %.3f s\n",
-              kRepeats, sum(recorder_s) + sum(alerts_s), telemetry_s,
-              100.0 * (recorder_share + alerts_share), sum(recorder_s), sum(alerts_s),
-              telemetry_s / kRepeats, plain_s);
+              kRepeats, self_total, wall_total, 100.0 * self_total / wall_total,
+              total(recorder_s), total(alerts_s), wall_total / kRepeats, plain_s);
 
-  // Per-repetition shares: min / median / max, so a gate near its bound
-  // shows whether one run or all of them sit there.
-  const auto spread = [&](const std::vector<double>& self) {
-    std::vector<double> share(self.size());
-    for (std::size_t i = 0; i < self.size(); ++i) share[i] = 100.0 * self[i] / wall_s[i];
-    std::sort(share.begin(), share.end());
-    return "per run min/median/max " + std::to_string(share.front()) + "/" +
-           std::to_string(share[share.size() / 2]) + "/" + std::to_string(share.back()) + "%";
-  };
   // Bounded separately: the alert engine carries its own 1% budget on top
   // of the recorder's — a combined bound would let one layer silently eat
-  // the other's headroom.
-  rep.check("flight-recorder sampling self-overhead below 1% of run wall time",
-            recorder_share < 0.01,
-            std::to_string(100.0 * recorder_share) + "% (self " +
-                std::to_string(sum(recorder_s)) + " s of " + std::to_string(telemetry_s) +
-                " s over " + std::to_string(kRepeats) + " runs; " + spread(recorder_s) +
-                "; disabled run " + std::to_string(plain_s) + " s)");
-  rep.check("alert-engine rule evaluation self-overhead below 1% of run wall time",
-            alerts_share < 0.01,
-            std::to_string(100.0 * alerts_share) + "% (self " + std::to_string(sum(alerts_s)) +
-                " s of " + std::to_string(telemetry_s) + " s over " +
-                std::to_string(kRepeats) + " runs; " + spread(alerts_s) + ")");
+  // the other's headroom. The detail adds each run's share (min / median /
+  // max), so a gate near its bound shows whether one run or all sit there.
+  const auto gate = [&](std::string claim, const std::vector<double>& self_s) {
+    const double share = total(self_s) / wall_total;
+    std::vector<double> runs(self_s.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) runs[i] = 100.0 * self_s[i] / wall_s[i];
+    std::sort(runs.begin(), runs.end());
+    rep.check(std::move(claim), share < 0.01,
+              std::to_string(100.0 * share) + "% (self " + std::to_string(total(self_s)) +
+                  " s of " + std::to_string(wall_total) + " s over " +
+                  std::to_string(kRepeats) + " runs; per run min/median/max " +
+                  std::to_string(runs.front()) + "/" + std::to_string(runs[runs.size() / 2]) +
+                  "/" + std::to_string(runs.back()) + "%)");
+  };
+  gate("flight-recorder sampling self-overhead below 1% of run wall time", recorder_s);
+  gate("alert-engine rule evaluation self-overhead below 1% of run wall time", alerts_s);
   return rep.finish();
 }
 
