@@ -15,8 +15,10 @@
 #include <string>
 #include <vector>
 
+#include "codec/cpu_features.h"
 #include "codec/jpeg.h"
 #include "codec/png.h"
+#include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
 
 namespace serve::codec {
@@ -98,10 +100,13 @@ TEST(CodecFuzz, SeedCorpusDecodesCleanly) {
   }
 }
 
-TEST(CodecFuzz, ByteFlipsEitherDecodeOrThrowCodecError) {
-  const auto corpus = build_corpus();
+// The three seeded mutation streams. Each calls `visit(seed, label, bytes)`
+// once per mutant, in a fixed order.
+
+/// 150 mutants per seed input, each with 1..8 flipped bytes.
+template <typename Visit>
+void for_each_byte_flip(const std::vector<SeedInput>& corpus, Visit&& visit) {
   XorShift rng{0x5eed5eed5eed5eedULL};
-  int decoded = 0, rejected = 0;
   for (const auto& seed : corpus) {
     for (int round = 0; round < 150; ++round) {
       auto mutated = seed.bytes;
@@ -109,10 +114,48 @@ TEST(CodecFuzz, ByteFlipsEitherDecodeOrThrowCodecError) {
       for (int f = 0; f < flips; ++f) {
         mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
       }
-      SCOPED_TRACE(seed.name + " round " + std::to_string(round));
-      decode_or_codec_error(seed.format, mutated) ? ++decoded : ++rejected;
+      visit(seed, " round " + std::to_string(round), std::span<const std::uint8_t>{mutated});
     }
   }
+}
+
+/// 60 random prefixes per seed input.
+template <typename Visit>
+void for_each_truncation(const std::vector<SeedInput>& corpus, Visit&& visit) {
+  XorShift rng{0xfeedfacecafebeefULL};
+  for (const auto& seed : corpus) {
+    for (int round = 0; round < 60; ++round) {
+      const std::size_t keep = rng.below(seed.bytes.size());
+      visit(seed, " truncated to " + std::to_string(keep),
+            std::span<const std::uint8_t>{seed.bytes.data(), keep});
+    }
+  }
+}
+
+/// 60 mutants per seed input, each a random prefix with 1..4 flipped bytes.
+template <typename Visit>
+void for_each_flip_and_truncate(const std::vector<SeedInput>& corpus, Visit&& visit) {
+  XorShift rng{0x0123456789abcdefULL};
+  for (const auto& seed : corpus) {
+    for (int round = 0; round < 60; ++round) {
+      auto mutated = seed.bytes;
+      mutated.resize(1 + rng.below(mutated.size()));
+      const int flips = 1 + static_cast<int>(rng.below(4));
+      for (int f = 0; f < flips; ++f) {
+        mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+      }
+      visit(seed, " round " + std::to_string(round), std::span<const std::uint8_t>{mutated});
+    }
+  }
+}
+
+TEST(CodecFuzz, ByteFlipsEitherDecodeOrThrowCodecError) {
+  int decoded = 0, rejected = 0;
+  for_each_byte_flip(build_corpus(), [&](const SeedInput& seed, const std::string& label,
+                                         std::span<const std::uint8_t> bytes) {
+    SCOPED_TRACE(seed.name + label);
+    decode_or_codec_error(seed.format, bytes) ? ++decoded : ++rejected;
+  });
   // Both outcomes must actually occur, or the harness is testing nothing:
   // flips in entropy data often still decode, flips in headers must reject.
   EXPECT_GT(decoded, 0);
@@ -121,14 +164,12 @@ TEST(CodecFuzz, ByteFlipsEitherDecodeOrThrowCodecError) {
 
 TEST(CodecFuzz, TruncationsEitherDecodeOrThrowCodecError) {
   const auto corpus = build_corpus();
-  XorShift rng{0xfeedfacecafebeefULL};
+  for_each_truncation(corpus, [](const SeedInput& seed, const std::string& label,
+                                 std::span<const std::uint8_t> bytes) {
+    SCOPED_TRACE(seed.name + label);
+    decode_or_codec_error(seed.format, bytes);
+  });
   for (const auto& seed : corpus) {
-    for (int round = 0; round < 60; ++round) {
-      const std::size_t keep = rng.below(seed.bytes.size());
-      SCOPED_TRACE(seed.name + " truncated to " + std::to_string(keep));
-      decode_or_codec_error(seed.format,
-                            std::span<const std::uint8_t>{seed.bytes.data(), keep});
-    }
     // Every prefix of the header region, exhaustively.
     for (std::size_t keep = 0; keep < 64 && keep < seed.bytes.size(); ++keep) {
       SCOPED_TRACE(seed.name + " header prefix " + std::to_string(keep));
@@ -139,20 +180,56 @@ TEST(CodecFuzz, TruncationsEitherDecodeOrThrowCodecError) {
 }
 
 TEST(CodecFuzz, CombinedFlipAndTruncate) {
+  for_each_flip_and_truncate(build_corpus(), [](const SeedInput& seed, const std::string& label,
+                                                std::span<const std::uint8_t> bytes) {
+    SCOPED_TRACE(seed.name + label);
+    decode_or_codec_error(seed.format, bytes);
+  });
+}
+
+std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  return h;
+}
+
+TEST(CodecFuzz, MutationOutcomesMatchGolden) {
+  // The serving stack turns decode accept/reject into simulated outcomes
+  // (corrupted payloads), so which mutants decode, the message each
+  // rejected one throws, and the pixels of each accepted one are pinned.
+  // Both hashes are checked under every SIMD tier, as the goldens in
+  // codec_test.cpp are.
+  constexpr std::uint64_t kOutcomes = 0x88b57d8c6fc7c467ULL;
+  constexpr std::uint64_t kPixels = 0x83a0da2f917dcf87ULL;
   const auto corpus = build_corpus();
-  XorShift rng{0x0123456789abcdefULL};
-  for (const auto& seed : corpus) {
-    for (int round = 0; round < 60; ++round) {
-      auto mutated = seed.bytes;
-      mutated.resize(1 + rng.below(mutated.size()));
-      const int flips = 1 + static_cast<int>(rng.below(4));
-      for (int f = 0; f < flips; ++f) {
-        mutated[rng.below(mutated.size())] ^= static_cast<std::uint8_t>(1 + rng.below(255));
+  const cpu::SimdTier original = cpu::active_tier();
+  for (cpu::SimdTier t : {cpu::SimdTier::kScalar, cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
+    if (!simd::tier_compiled(t)) continue;
+    if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
+    cpu::set_active_tier(t);
+    std::uint64_t outcomes = 0xcbf29ce484222325ULL;
+    std::uint64_t pixels = outcomes;
+    const auto replay = [&](const SeedInput& seed, const std::string&,
+                            std::span<const std::uint8_t> bytes) {
+      try {
+        const Image img = seed.format == Format::kJpeg ? decode_jpeg(bytes) : decode_png(bytes);
+        outcomes = fnv1a("ok", 2, outcomes);
+        const int shape[3] = {img.width(), img.height(), img.channels()};
+        pixels = fnv1a(shape, sizeof shape, pixels);
+        pixels = fnv1a(img.data().data(), img.data().size(), pixels);
+      } catch (const jpeg::CodecError& e) {
+        const std::string what = e.what();
+        outcomes = fnv1a(what.data(), what.size() + 1, outcomes);
       }
-      SCOPED_TRACE(seed.name + " round " + std::to_string(round));
-      decode_or_codec_error(seed.format, mutated);
-    }
+    };
+    for_each_byte_flip(corpus, replay);
+    for_each_truncation(corpus, replay);
+    for_each_flip_and_truncate(corpus, replay);
+    SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
+    EXPECT_EQ(outcomes, kOutcomes) << "outcomes: got 0x" << std::hex << outcomes;
+    EXPECT_EQ(pixels, kPixels) << "pixels: got 0x" << std::hex << pixels;
   }
+  cpu::set_active_tier(original);
 }
 
 TEST(CodecFuzz, CorruptedDimensionsAreCappedNotAllocated) {

@@ -6,15 +6,19 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
+#include <iterator>
+#include <string>
 #include <tuple>
 
 #include "codec/batch_preprocess.h"
 #include "codec/bit_io.h"
+#include "codec/cpu_features.h"
 #include "codec/dct.h"
 #include "codec/image.h"
 #include "codec/jpeg.h"
 #include "codec/jpeg_huffman.h"
 #include "codec/jpeg_tables.h"
+#include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
 #include "codec/transform.h"
 #include "sim/rng.h"
@@ -702,6 +706,175 @@ TEST(BatchPreprocessor, RejectsBadConfiguration) {
   opts.target_side = 0;
   EXPECT_THROW((void)pool.run(std::vector<std::vector<std::uint8_t>>{}, opts),
                std::invalid_argument);
+}
+
+// --- Golden hashes: decoded, resized and batch-preprocessed bytes ---
+//
+// Each case's FNV-1a hash is checked under every SIMD tier this build and
+// host can run. The kernel contracts allow a tier ±1 LSB (simd_test.cpp),
+// but today every tier gives these bytes exactly, so one hash pins all of
+// them. A refactor of the decoder, resize or pool must leave every hash
+// unchanged; a change of output re-pins them on purpose.
+
+constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+
+std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h = kFnvBasis) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  return h;
+}
+
+std::uint64_t image_hash(const Image& img) {
+  const int shape[3] = {img.width(), img.height(), img.channels()};
+  return fnv1a(img.data().data(), img.data().size(), fnv1a(shape, sizeof shape));
+}
+
+/// Runs `fn()` with dispatch pinned to each tier this build compiles and the
+/// host (capped by SERVESCOPE_SIMD) runs.
+template <typename Fn>
+void for_each_golden_tier(Fn&& fn) {
+  const cpu::SimdTier original = cpu::active_tier();
+  for (cpu::SimdTier t : {cpu::SimdTier::kScalar, cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
+    if (!simd::tier_compiled(t)) continue;
+    if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
+    cpu::set_active_tier(t);
+    SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
+    fn();
+  }
+  cpu::set_active_tier(original);
+}
+
+void expect_golden(const std::string& name, std::uint64_t got, std::uint64_t want) {
+  EXPECT_EQ(got, want) << name << ": got 0x" << std::hex << got;
+}
+
+Image gray_of(const Image& rgb) {
+  Image gray{rgb.width(), rgb.height(), 1};
+  for (int y = 0; y < rgb.height(); ++y) {
+    for (int x = 0; x < rgb.width(); ++x) gray.at(x, y, 0) = rgb.at(x, y, 1);
+  }
+  return gray;
+}
+
+struct DecodeGolden {
+  std::string name;
+  int w, h;
+  Pattern pattern;
+  bool gray;
+  JpegEncodeOptions enc;
+  bool reference_idct;
+  std::uint64_t hash;
+};
+
+TEST(CodecGolden, DecodedPixelsMatchGolden) {
+  using S = Subsampling;
+  const DecodeGolden cases[] = {
+      {"444", 96, 64, Pattern::kScene, false, {.quality = 90, .subsampling = S::k444}, false,
+       0xca5fbf3f23cb1121ULL},
+      {"422", 96, 64, Pattern::kScene, false, {.quality = 85, .subsampling = S::k422}, false,
+       0xf0bab4c3c7879ecbULL},
+      {"420", 96, 64, Pattern::kScene, false, {.quality = 85, .subsampling = S::k420}, false,
+       0x3c5456bc63c5d8a5ULL},
+      {"gray", 96, 64, Pattern::kScene, true, {.quality = 85}, false, 0x9e03507f522834c8ULL},
+      {"420 1x1", 1, 1, Pattern::kScene, false, {.quality = 85}, false, 0x62aa593bf01331c0ULL},
+      {"444 1x1", 1, 1, Pattern::kScene, false, {.quality = 85, .subsampling = S::k444}, false,
+       0x62aa593bf01331c0ULL},
+      {"gray 1x1", 1, 1, Pattern::kScene, true, {.quality = 85}, false, 0x73605c582dbc6c93ULL},
+      {"420 17x9", 17, 9, Pattern::kScene, false, {.quality = 85}, false, 0xcba6c613dec3b72aULL},
+      {"422 17x9", 17, 9, Pattern::kTexture, false, {.quality = 80, .subsampling = S::k422},
+       false, 0x72b62dbb9e56a578ULL},
+      {"444 17x9", 17, 9, Pattern::kScene, false, {.quality = 85, .subsampling = S::k444}, false,
+       0xd67f6f5f269ad232ULL},
+      {"420 333x251", 333, 251, Pattern::kScene, false, {.quality = 85}, false, 0x81876aecc113d5c5ULL},
+      {"422 333x251 texture", 333, 251, Pattern::kTexture, false,
+       {.quality = 95, .subsampling = S::k422}, false, 0x8eb8ae3b0c395250ULL},
+      {"gray 333x251", 333, 251, Pattern::kScene, true, {.quality = 75}, false, 0x201395b010b6c0c6ULL},
+      {"420 restart 3", 97, 61, Pattern::kScene, false,
+       {.quality = 75, .restart_interval_mcus = 3}, false, 0xb91a617d596c23c4ULL},
+      {"444 restart 1", 33, 17, Pattern::kCheckers, false,
+       {.quality = 90, .subsampling = S::k444, .restart_interval_mcus = 1}, false, 0x2c96f73f8da70694ULL},
+      {"gray restart 2", 64, 40, Pattern::kTexture, true,
+       {.quality = 85, .restart_interval_mcus = 2}, false, 0x699f80d7cf47a6aULL},
+      {"420 optimized", 97, 61, Pattern::kScene, false,
+       {.quality = 85, .optimize_huffman = true}, false, 0xbeeb55da307bc8dfULL},
+      {"444 optimized restart 5", 120, 80, Pattern::kTexture, false,
+       {.quality = 90, .subsampling = S::k444, .restart_interval_mcus = 5,
+        .optimize_huffman = true},
+       false, 0x211b7ba5f3ca578eULL},
+      {"gray optimized", 61, 47, Pattern::kCheckers, true,
+       {.quality = 70, .optimize_huffman = true}, false, 0x71cdba359af6ddb5ULL},
+      {"420 q100 texture", 64, 64, Pattern::kTexture, false, {.quality = 100}, false,
+       0x61a7662f1dca7980ULL},
+      {"420 q50 checkers", 80, 80, Pattern::kCheckers, false, {.quality = 50}, false,
+       0x3d38e868bca603b6ULL},
+      {"420 reference idct", 97, 61, Pattern::kScene, false, {.quality = 85}, true, 0xbeeb55da307bc8dfULL},
+      {"gray reference idct", 17, 9, Pattern::kTexture, true, {.quality = 85}, true, 0x82c283108bf0dbebULL},
+      {"420 medium", 500, 375, Pattern::kScene, false, {.quality = 85}, false, 0x733bcc9a1898762ULL},
+  };
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (const auto& c : cases) {
+    const Image rgb = make_synthetic(c.w, c.h, c.pattern, 29);
+    wires.push_back(encode_jpeg(c.gray ? gray_of(rgb) : rgb, c.enc));
+  }
+  for_each_golden_tier([&] {
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      const Image img = decode_jpeg(wires[i], {.use_reference_idct = cases[i].reference_idct});
+      expect_golden(cases[i].name, image_hash(img), cases[i].hash);
+    }
+  });
+}
+
+TEST(CodecGolden, ResizedPixelsMatchGolden) {
+  struct Case {
+    std::string name;
+    int sw, sh;
+    bool gray;
+    int dw, dh;
+    std::uint64_t hash;
+  };
+  const Case cases[] = {
+      {"500x375 -> 224x224", 500, 375, false, 224, 224, 0xbb27bb39c4d48d2aULL},
+      {"97x61 -> 300x200 upscale", 97, 61, false, 300, 200, 0x88c7a9e602a2c076ULL},
+      {"500x375 -> 37x500", 500, 375, false, 37, 500, 0xcaf2540057c71169ULL},
+      {"500x375 -> 300x100", 500, 375, false, 300, 100, 0xcee1dbb9d1d58236ULL},
+      {"500x375 -> 1000x800", 500, 375, false, 1000, 800, 0x91ab603ed04581b4ULL},
+      {"1000x700 -> 224x224", 1000, 700, false, 224, 224, 0xdc0158a234db96fULL},
+      {"gray 333x251 -> 224x224", 333, 251, true, 224, 224, 0x26601d23d8c3ad9bULL},
+      {"1x1 -> 5x3", 1, 1, false, 5, 3, 0x713b969734a648c1ULL},
+      {"64x48 -> 1x1", 64, 48, false, 1, 1, 0xa29c23859124e99ULL},
+      {"224x224 identity", 224, 224, false, 224, 224, 0x5d5de1c99a84f02cULL},
+  };
+  for_each_golden_tier([&] {
+    for (const auto& c : cases) {
+      const Image rgb = make_synthetic(c.sw, c.sh, Pattern::kScene, 31);
+      const Image out = resize(c.gray ? gray_of(rgb) : rgb, c.dw, c.dh);
+      expect_golden(c.name, image_hash(out), c.hash);
+    }
+  });
+}
+
+TEST(CodecGolden, BatchPreprocessorTensorsMatchGolden) {
+  std::vector<std::vector<std::uint8_t>> jpegs;
+  for (int i = 0; i < 5; ++i) {
+    const Image img = make_synthetic(500 - 37 * i, 375 - 23 * i, Pattern::kScene,
+                                     static_cast<unsigned>(40 + i));
+    jpegs.push_back(encode_jpeg(img, {.quality = 85}));
+  }
+  constexpr std::uint64_t kPlain = 0x47cd404baf1f1e62ULL;
+  constexpr std::uint64_t kCropped = 0xadaa399ce4aada7cULL;
+  BatchPreprocessor pool{2};
+  const auto tensors_hash = [](const std::vector<std::vector<float>>& tensors) {
+    std::uint64_t h = kFnvBasis;
+    for (const auto& t : tensors) h = fnv1a(t.data(), t.size() * sizeof(float), h);
+    return h;
+  };
+  for_each_golden_tier([&] {
+    expect_golden("224x224", tensors_hash(pool.run(jpegs, {})), kPlain);
+    BatchPreprocessOptions crop;
+    crop.center_crop_side = 256;
+    crop.target_side = 160;
+    expect_golden("crop 256 -> 160", tensors_hash(pool.run(jpegs, crop)), kCropped);
+  });
 }
 
 TEST(FullPreprocessingPipeline, MatchesPaperStages) {
