@@ -5,6 +5,7 @@
 // build machine documents what "one preprocessing worker" does, while the
 // simulator uses the calibrated i9-13900K/libjpeg-turbo-class rates.
 #include <benchmark/benchmark.h>
+#include <sys/resource.h>
 
 #include "codec/batch_preprocess.h"
 #include "codec/dct.h"
@@ -13,11 +14,39 @@
 #include "codec/png.h"
 #include "codec/synthetic.h"
 #include "codec/transform.h"
+#include "heap_counter.h"
 #include "workload/corpus.h"
 
 using namespace serve;
 
 namespace {
+
+/// Minor page faults of the whole process so far.
+std::int64_t minor_faults() {
+  rusage u{};
+  getrusage(RUSAGE_SELF, &u);
+  return u.ru_minflt;
+}
+
+/// Counts what the timed loop of a per-image benchmark costs besides time:
+/// `allocs_per_req`, every operator new per image (threads included; a
+/// bench-check ceiling), and `minflt_per_img`, minor page faults per image
+/// (informational: glibc's trimming makes it vary with the host).
+class ImageCost {
+ public:
+  ImageCost() : allocs_(bench::heap_allocs()), faults_(minor_faults()) {}
+
+  void report(benchmark::State& state, std::int64_t images) const {
+    if (images <= 0) return;
+    const auto n = static_cast<double>(images);
+    state.counters["allocs_per_req"] = static_cast<double>(bench::heap_allocs() - allocs_) / n;
+    state.counters["minflt_per_img"] = static_cast<double>(minor_faults() - faults_) / n;
+  }
+
+ private:
+  std::uint64_t allocs_;
+  std::int64_t faults_;
+};
 
 const workload::CorpusEntry& corpus_entry(hw::ImageSpec spec) {
   static const auto small = workload::make_corpus(hw::kSmallImage, 1, 7)[0];
@@ -78,11 +107,13 @@ BENCHMARK(BM_Normalize224);
 void BM_FullPreprocessPipelineMedium(benchmark::State& state) {
   // The paper's complete preprocessing stage: decode -> resize -> normalize.
   const auto& entry = corpus_entry(hw::kMediumImage);
+  const ImageCost cost;
   for (auto _ : state) {
     const codec::Image decoded = codec::decode_jpeg(entry.jpeg);
     const codec::Image resized = codec::resize(decoded, 224, 224);
     benchmark::DoNotOptimize(codec::normalize_chw(resized));
   }
+  cost.report(state, state.iterations());
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_FullPreprocessPipelineMedium);
@@ -148,7 +179,9 @@ void BM_BatchPreprocessMedium(benchmark::State& state) {
     return j;
   }();
   codec::BatchPreprocessor pool{static_cast<int>(state.range(0))};
+  const ImageCost cost;
   for (auto _ : state) benchmark::DoNotOptimize(pool.run(jpegs, {}));
+  cost.report(state, state.iterations() * static_cast<std::int64_t>(jpegs.size()));
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jpegs.size()));
 }
 BENCHMARK(BM_BatchPreprocessMedium)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();

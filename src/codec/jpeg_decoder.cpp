@@ -15,19 +15,16 @@ namespace serve::codec {
 namespace jpeg {
 namespace {
 
-/// Sign extension of an ssss-bit magnitude (T.81 F.12).
-int extend(int v, int ssss) noexcept {
-  return v < (1 << (ssss - 1)) ? v - (1 << ssss) + 1 : v;
-}
-
 struct Component {
   int id = 0;
   int h = 1, v = 1;        ///< sampling factors
   int quant_id = 0;
   int dc_table = 0, ac_table = 0;
-  int plane_w = 0, plane_h = 0;        ///< subsampled plane dims
-  int blocks_w = 0, blocks_h = 0;      ///< plane dims in 8x8 blocks (MCU-padded)
-  std::vector<float> plane;            ///< decoded samples
+  int blocks_w = 0;        ///< plane width in 8x8 blocks (MCU-padded)
+  /// Decoded samples of the current MCU row only: `v * 8` rows of
+  /// `blocks_w * 8` floats, colour-converted before the next row overwrites
+  /// them, so a decode never holds a full-image float plane.
+  std::vector<float> band;
   int dc_pred = 0;
   /// Dequantization table in natural order. In the fast path the AAN IDCT's
   /// per-coefficient prescale is folded in, so entropy decode writes
@@ -98,11 +95,12 @@ void parse_dht(Parser& p, DecoderState& st, std::uint16_t seg_len) {
       count += b;
     }
     if (count > 256) throw CodecError("DHT: too many codes");
-    std::vector<std::uint8_t> vals(static_cast<std::size_t>(count));
-    for (auto& v : vals) v = p.u8();
+    std::uint8_t vals[256];
+    for (int i = 0; i < count; ++i) vals[i] = p.u8();
     auto& table = cls == 0 ? st.dc_tables[static_cast<std::size_t>(id)]
                            : st.ac_tables[static_cast<std::size_t>(id)];
-    table.build(bits, vals.data(), count);
+    table.build(bits, vals, count);
+    if (cls == 1) table.build_fast_ac();
     if (remaining < 17u + static_cast<std::size_t>(count)) throw CodecError("DHT: truncated");
     remaining -= 17u + static_cast<std::size_t>(count);
   }
@@ -256,13 +254,20 @@ inline bool decode_block(BitReader& br, Component& c, const DecodeTable& dc,
   bool dc_only = true;
   while (k < 64) {
     const std::uint32_t w = br.peek(kWindow);
-    const std::uint16_t entry = ac.lookup[w >> (kWindow - kHuffLookupBits)];
-    int run, size, v = 0;
-    if (entry != 0 && (entry & 0xFF) + ((entry >> 8) & 0x0F) <= kWindow) {
+    const std::uint32_t w9 = w >> (kWindow - kHuffLookupBits);
+    int run, v = 0;
+    if (const std::int32_t fast = ac.fast_ac[w9]; fast != 0) {
+      // Code and magnitude both inside the primary window: one load yields
+      // the run, the coefficient and the bit count.
+      br.consume(fast & 0x0F);
+      run = (fast >> 4) & 0x0F;
+      v = fast >> 8;
+    } else if (const std::uint16_t entry = ac.lookup[w9];
+               entry != 0 && (entry & 0xFF) + ((entry >> 8) & 0x0F) <= kWindow) {
       const int len = entry & 0xFF;
       const int rs = entry >> 8;
+      const int size = rs & 0x0F;
       run = rs >> 4;
-      size = rs & 0x0F;
       if (size > 0) {
         v = extend(static_cast<int>((w >> (kWindow - len - size)) &
                                     ((1u << size) - 1u)),
@@ -273,11 +278,13 @@ inline bool decode_block(BitReader& br, Component& c, const DecodeTable& dc,
       }
     } else {
       const std::uint8_t rs = entry != 0 ? ac.decode(br) : ac.decode_slow(br);
+      const int size = rs & 0x0F;
       run = rs >> 4;
-      size = rs & 0x0F;
       if (size > 0) v = extend(static_cast<int>(br.get_bits(size)), size);
     }
-    if (size == 0) {
+    // A coefficient with a nonzero size never extends to 0, so v == 0 is
+    // exactly the size-0 symbols.
+    if (v == 0) {
       if (run == 15) {
         k += 16;  // ZRL
         continue;
@@ -334,12 +341,8 @@ Image decode_jpeg(std::span<const std::uint8_t> data, const JpegDecodeOptions& o
     if (!st.quant_present[static_cast<std::size_t>(c.quant_id)]) {
       throw CodecError("missing quantization table");
     }
-    c.plane_w = (st.width * c.h + hmax - 1) / hmax;
-    c.plane_h = (st.height * c.v + vmax - 1) / vmax;
     c.blocks_w = mcus_x * c.h;
-    c.blocks_h = mcus_y * c.v;
-    c.plane.assign(static_cast<std::size_t>(c.blocks_w) * 8 * static_cast<std::size_t>(c.blocks_h) * 8,
-                   0.0f);
+    c.band.resize(static_cast<std::size_t>(c.blocks_w) * 8 * static_cast<std::size_t>(c.v) * 8);
     const auto& quant = st.quant[static_cast<std::size_t>(c.quant_id)];
     const auto& prescale = idct_prescale();
     for (int i = 0; i < kBlockSize; ++i) {
@@ -350,6 +353,29 @@ Image decode_jpeg(std::span<const std::uint8_t> data, const JpegDecodeOptions& o
   }
 
   const auto& K = simd::kernels();
+  const bool gray = st.comps.size() == 1;
+  Image img{st.width, st.height, gray ? 1 : 3};
+  std::uint8_t* out = img.data().data();
+  // Full-resolution scratch rows for horizontally subsampled components,
+  // and the band row each one holds (vertically subsampled chroma serves
+  // two image rows from one band row).
+  std::vector<float> upsampled(static_cast<std::size_t>(st.width) * st.comps.size());
+  std::array<const float*, 3> upsampled_from{};
+  // Row `y` of the current MCU row for component `ci`, at full horizontal
+  // resolution. Sampling factors are 1 or 2, so a component is either at
+  // full resolution (its band row feeds the kernels as is) or exactly half
+  // (dst[x] = src[x >> 1]); vertically, band row y * v / vmax is nearest.
+  auto full_row = [&](std::size_t ci, int y) -> const float* {
+    const Component& c = st.comps[ci];
+    const float* src = &c.band[static_cast<std::size_t>(y * c.v / vmax) *
+                               static_cast<std::size_t>(c.blocks_w) * 8u];
+    if (c.h == hmax) return src;
+    float* dst = upsampled.data() + ci * static_cast<std::size_t>(st.width);
+    if (upsampled_from[ci] != src) K.upsample2_row(src, dst, st.width);
+    upsampled_from[ci] = src;
+    return dst;
+  };
+
   BitReader br{data.data() + st.scan_start, data.size() - st.scan_start};
   alignas(32) float coeffs[64];
   alignas(32) float samples[64];
@@ -365,14 +391,13 @@ Image decode_jpeg(std::span<const std::uint8_t> data, const JpegDecodeOptions& o
         const auto& dc = st.dc_tables[static_cast<std::size_t>(c.dc_table)];
         const auto& ac = st.ac_tables[static_cast<std::size_t>(c.ac_table)];
         if (!dc.present || !ac.present) throw CodecError("missing Huffman table");
+        const int stride = c.blocks_w * 8;
         for (int by = 0; by < c.v; ++by) {
           for (int bx = 0; bx < c.h; ++bx) {
             const bool dc_only = decode_block(br, c, dc, ac, coeffs);
             const int px = (mx * c.h + bx) * 8;
-            const int py = (my * c.v + by) * 8;
-            const int stride = c.blocks_w * 8;
-            float* dst0 = &c.plane[static_cast<std::size_t>(py) * static_cast<std::size_t>(stride) +
-                                   static_cast<std::size_t>(px)];
+            float* dst0 = &c.band[static_cast<std::size_t>(by) * 8u * static_cast<std::size_t>(stride) +
+                                  static_cast<std::size_t>(px)];
             if (dc_only && fast_idct) {
               // A DC-only block is flat: every sample equals the folded DC
               // coefficient (the AAN prescale already includes the /8).
@@ -405,60 +430,18 @@ Image decode_jpeg(std::span<const std::uint8_t> data, const JpegDecodeOptions& o
         }
       }
     }
-  }
 
-  // Upsample (nearest) and convert to the output image. Source indices per
-  // axis are precomputed per component, so the pixel loop is a gather plus
-  // the YCbCr matrix — no divisions.
-  const bool gray = st.comps.size() == 1;
-  Image img{st.width, st.height, gray ? 1 : 3};
-  std::array<std::vector<int>, 3> xmap;
-  for (std::size_t ci = 0; ci < st.comps.size(); ++ci) {
-    const auto& c = st.comps[ci];
-    xmap[ci].resize(static_cast<std::size_t>(st.width));
-    for (int x = 0; x < st.width; ++x) {
-      xmap[ci][static_cast<std::size_t>(x)] = std::min(x * c.h / hmax, c.plane_w - 1);
-    }
-  }
-  auto comp_row = [&](const Component& c, int y) -> const float* {
-    const int sy = std::min(y * c.v / vmax, c.plane_h - 1);
-    return &c.plane[static_cast<std::size_t>(sy) * static_cast<std::size_t>(c.blocks_w) * 8u];
-  };
-  // Color conversion runs on full-resolution rows through the dispatched row
-  // kernels (codec/cpu_features.h). Components at full horizontal sampling
-  // (xmap is identity) feed their plane row straight in; subsampled chroma is
-  // gathered into a scratch row first.
-  std::array<bool, 3> identity{};
-  for (std::size_t ci = 0; ci < st.comps.size(); ++ci) {
-    identity[ci] = st.comps[ci].h == hmax && st.comps[ci].plane_w >= st.width;
-  }
-  std::vector<float> gather_buf(static_cast<std::size_t>(st.width) *
-                                st.comps.size());
-  auto full_row = [&](std::size_t ci, int y) -> const float* {
-    const float* src = comp_row(st.comps[ci], y);
-    if (identity[ci]) return src;
-    float* dst = gather_buf.data() + ci * static_cast<std::size_t>(st.width);
-    if (st.comps[ci].h * 2 == hmax) {
-      // The only supported sampling factors are 1 and 2, so every
-      // non-identity horizontal map is exactly dst[x] = src[x >> 1].
-      K.upsample2_row(src, dst, st.width);
-    } else {
-      const int* xm = xmap[ci].data();
-      for (int x = 0; x < st.width; ++x) dst[x] = src[xm[x]];
-    }
-    return dst;
-  };
-  std::uint8_t* out = img.data().data();
-  for (int y = 0; y < st.height; ++y) {
-    if (gray) {
-      K.gray_to_u8_row(full_row(0, y), out, st.width);
-      out += st.width;
-    } else {
-      const float* yrow = full_row(0, y);
-      const float* cbrow = full_row(1, y);
-      const float* crrow = full_row(2, y);
-      K.ycbcr_to_rgb_row(yrow, cbrow, crrow, out, st.width);
-      out += static_cast<std::size_t>(st.width) * 3;
+    // Colour-convert this MCU row's image rows while its bands are in cache.
+    upsampled_from.fill(nullptr);  // the bands now hold new rows
+    const int rows = std::min(mcu_h, st.height - my * mcu_h);
+    for (int y = 0; y < rows; ++y) {
+      if (gray) {
+        K.gray_to_u8_row(full_row(0, y), out, st.width);
+        out += st.width;
+      } else {
+        K.ycbcr_to_rgb_row(full_row(0, y), full_row(1, y), full_row(2, y), out, st.width);
+        out += static_cast<std::size_t>(st.width) * 3;
+      }
     }
   }
   return img;

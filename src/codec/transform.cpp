@@ -74,43 +74,37 @@ Image resize_bilinear_two_pass(const Image& src, int dst_w, int dst_h) {
   const AxisPlan xp = make_axis_plan(src.width(), dst_w);
   const AxisPlan yp = make_axis_plan(src.height(), dst_h);
 
-  // Only source rows referenced by the vertical plan get a horizontal pass
-  // (a heavy downscale touches far fewer than src_h rows); `row_slot` maps a
-  // source row to its slot in the compact intermediate buffer.
-  std::vector<int> row_slot(static_cast<std::size_t>(src.height()), -1);
-  for (int y = 0; y < dst_h; ++y) {
-    row_slot[static_cast<std::size_t>(yp.i0[static_cast<std::size_t>(y)])] = 0;
-    row_slot[static_cast<std::size_t>(yp.i1[static_cast<std::size_t>(y)])] = 0;
-  }
-  int n_slots = 0;
-  for (auto& slot : row_slot) {
-    if (slot == 0) slot = n_slots++;
-  }
-
+  // The vertical taps never move backwards (i0 and i1 are nondecreasing and
+  // i1 <= i0 + 1), so a window of the last two horizontally resampled source
+  // rows serves every output row: each referenced source row gets exactly
+  // one horizontal pass, and an evicted row is never needed again.
   const std::size_t mid_row = static_cast<std::size_t>(dst_w) * static_cast<std::size_t>(ch);
-  std::vector<float> mid(static_cast<std::size_t>(n_slots) * mid_row);
+  std::vector<float> window(2 * mid_row);
+  int held[2] = {-1, -1};  ///< source row in each window slot
   const std::uint8_t* sdata = src.data().data();
   const std::size_t src_size = src.data().size();
   const std::size_t src_row = static_cast<std::size_t>(src.width()) * static_cast<std::size_t>(ch);
   const auto& K = simd::kernels();
-  for (int sy = 0; sy < src.height(); ++sy) {
-    const int slot = row_slot[static_cast<std::size_t>(sy)];
-    if (slot < 0) continue;
+  // Source row `sy`, resampled; evicts the slot not holding `keep`.
+  auto hrow = [&](int sy, int keep) -> const float* {
+    for (std::size_t s = 0; s < 2; ++s) {
+      if (held[s] == sy) return window.data() + s * mid_row;
+    }
+    const std::size_t s = held[0] == keep ? 1 : 0;
+    held[s] = sy;
     const std::size_t row_off = static_cast<std::size_t>(sy) * src_row;
     // Bytes readable from the row start: the rest of the image buffer, so a
     // vector load may legally run past the row end into the next row.
-    K.resize_hpass_row(sdata + row_off, mid.data() + static_cast<std::size_t>(slot) * mid_row,
-                       xp.i0.data(), xp.i1.data(), xp.w1.data(), dst_w, ch,
-                       src_size - row_off);
-  }
+    K.resize_hpass_row(sdata + row_off, window.data() + s * mid_row, xp.i0.data(), xp.i1.data(),
+                       xp.w1.data(), dst_w, ch, src_size - row_off);
+    return window.data() + s * mid_row;
+  };
 
   std::uint8_t* out = dst.data().data();
   for (int y = 0; y < dst_h; ++y) {
     const auto yi = static_cast<std::size_t>(y);
-    const float* r0 = mid.data() +
-        static_cast<std::size_t>(row_slot[static_cast<std::size_t>(yp.i0[yi])]) * mid_row;
-    const float* r1 = mid.data() +
-        static_cast<std::size_t>(row_slot[static_cast<std::size_t>(yp.i1[yi])]) * mid_row;
+    const float* r0 = hrow(yp.i0[yi], yp.i1[yi]);
+    const float* r1 = hrow(yp.i1[yi], yp.i0[yi]);
     K.resize_vpass_row(r0, r1, yp.w1[yi], out, mid_row);
     out += mid_row;
   }

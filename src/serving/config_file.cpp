@@ -5,7 +5,6 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string_view>
@@ -30,8 +29,8 @@ std::string trim(const std::string& s) {
   throw std::invalid_argument("server config line " + std::to_string(line_no) + ": " + msg);
 }
 
-int parse_int(int line_no, const std::string& key, const std::string& v, int min_value,
-              int max_value = std::numeric_limits<int>::max()) {
+/// An integer in [min_value, inf].
+int parse_int(int line_no, const std::string& key, const std::string& v, int min_value) {
   std::size_t used = 0;
   int out = 0;
   try {
@@ -40,11 +39,9 @@ int parse_int(int line_no, const std::string& key, const std::string& v, int min
     fail(line_no, "bad integer for '" + key + "': " + v);
   }
   if (used != v.size()) fail(line_no, "trailing junk for '" + key + "': " + v);
-  if (out < min_value || out > max_value) {
-    fail(line_no, "'" + key + "' = " + v + " out of range [" + std::to_string(min_value) + ", " +
-                      (max_value == std::numeric_limits<int>::max() ? std::string("inf")
-                                                                    : std::to_string(max_value)) +
-                      "]");
+  if (out < min_value) {
+    fail(line_no, "'" + key + "' = " + v + " out of range [" + std::to_string(min_value) +
+                      ", inf]");
   }
   return out;
 }

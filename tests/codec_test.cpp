@@ -647,6 +647,83 @@ TEST(HuffmanTable, InvalidDhtCountsThrowInBuild) {
   EXPECT_THROW(table.build(bits, vals, 3), jpeg::CodecError);
 }
 
+/// The AC tables carried in the DHT segments of an encoder-written stream.
+std::vector<jpeg::DecodeTable> ac_tables_of(const std::vector<std::uint8_t>& jpg) {
+  std::vector<jpeg::DecodeTable> tables;
+  for (std::size_t i = 2; i + 4 <= jpg.size() && jpg[i + 1] != 0xDA;) {
+    const std::size_t end = i + 2 + (static_cast<std::size_t>(jpg[i + 2]) << 8 | jpg[i + 3]);
+    for (std::size_t p = i + 4; jpg[i + 1] == 0xC4 && p < end;) {
+      int count = 0;
+      for (int l = 0; l < 16; ++l) count += jpg[p + 1 + static_cast<std::size_t>(l)];
+      if (jpg[p] >> 4 == 1) {
+        tables.emplace_back();
+        tables.back().build(&jpg[p + 1], &jpg[p + 17], count);
+        tables.back().build_fast_ac();
+      }
+      p += 17 + static_cast<std::size_t>(count);
+    }
+    i = end;
+  }
+  return tables;
+}
+
+TEST(HuffmanTable, FastAcTableMatchesLookupAndExtend) {
+  // Every 9-bit window of the Annex K AC tables and of two optimized ones:
+  // a fast entry must consume exactly the bits, and give the run and value,
+  // that the symbol lookup plus a separate magnitude read give; a zero entry
+  // must mean the window does not hold both.
+  std::vector<jpeg::DecodeTable> tables(2);
+  tables[0].build(jpeg::kLumaAc.bits.data(), jpeg::kLumaAc.vals.data(), jpeg::kLumaAc.val_count);
+  tables[1].build(jpeg::kChromaAc.bits.data(), jpeg::kChromaAc.vals.data(),
+                  jpeg::kChromaAc.val_count);
+  for (auto& t : tables) t.build_fast_ac();
+  const auto optimized = ac_tables_of(encode_jpeg(make_synthetic(97, 61, Pattern::kTexture, 5),
+                                                  {.quality = 90, .optimize_huffman = true}));
+  ASSERT_EQ(optimized.size(), 2u);
+  tables.insert(tables.end(), optimized.begin(), optimized.end());
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    const auto& table = tables[t];
+    int hits = 0;
+    for (std::uint32_t w = 0; w < (1u << jpeg::kHuffLookupBits); ++w) {
+      SCOPED_TRACE("table " + std::to_string(t) + " window " + std::to_string(w));
+      const std::int32_t fast = table.fast_ac[w];
+      const std::uint16_t entry = table.lookup[w];
+      if (entry == 0) {
+        EXPECT_EQ(fast, 0);
+        continue;
+      }
+      // The window, then 1-bits.
+      std::vector<std::uint8_t> stream;
+      jpeg::BitWriter bw(stream);
+      bw.put_bits(w, jpeg::kHuffLookupBits);
+      bw.put_bits(0xFFFF, 16);
+      bw.finish();
+      jpeg::BitReader br(stream.data(), stream.size());
+      const std::uint8_t rs = table.decode(br);
+      const int size = rs & 0x0F;
+      const int used = (entry & 0xFF) + size;
+      if (used > jpeg::kHuffLookupBits) {
+        EXPECT_EQ(fast, 0);
+        continue;
+      }
+      ASSERT_NE(fast, 0);
+      ++hits;
+      int value = 0;
+      if (size > 0) {
+        const int m = static_cast<int>(br.get_bits(size));
+        value = m >= (1 << (size - 1)) ? m : m - (1 << size) + 1;
+      }
+      EXPECT_EQ(fast & 0x0F, used);
+      EXPECT_EQ((fast >> 4) & 0x0F, rs >> 4);
+      EXPECT_EQ(fast >> 8, value);
+      // The reader now stands right after the used bits.
+      const int rest = jpeg::kHuffLookupBits - used;
+      EXPECT_EQ(br.peek(rest + 1), ((w & ((1u << rest) - 1u)) << 1) | 1u);
+    }
+    EXPECT_GT(hits, 256) << "table " << t;
+  }
+}
+
 // --- BatchPreprocessor: parallel decode->resize->normalize worker pool ---
 
 TEST(BatchPreprocessor, MatchesSequentialPipelineAcrossThreadCounts) {
