@@ -833,19 +833,18 @@ Image gray_of(const Image& rgb) {
   return gray;
 }
 
-struct DecodeGolden {
-  std::string name;
-  int w, h;
-  Pattern pattern;
-  bool gray;
-  JpegEncodeOptions enc;
-  bool reference_idct;
-  std::uint64_t hash;
-};
-
 TEST(CodecGolden, DecodedPixelsMatchGolden) {
+  struct Case {
+    std::string name;
+    int w, h;
+    Pattern pattern;
+    bool gray;
+    JpegEncodeOptions enc;
+    bool reference_idct;
+    std::uint64_t hash;
+  };
   using S = Subsampling;
-  const DecodeGolden cases[] = {
+  const Case cases[] = {
       {"444", 96, 64, Pattern::kScene, false, {.quality = 90, .subsampling = S::k444}, false,
        0xca5fbf3f23cb1121ULL},
       {"422", 96, 64, Pattern::kScene, false, {.quality = 85, .subsampling = S::k422}, false,
