@@ -36,6 +36,12 @@ struct XorShift {
   std::size_t below(std::size_t n) { return static_cast<std::size_t>(next() % n); }
 };
 
+std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
+  const auto* p = static_cast<const std::uint8_t*>(data);
+  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
+  return h;
+}
+
 enum class Format { kJpeg, kPng };
 
 struct SeedInput {
@@ -101,13 +107,20 @@ TEST(CodecFuzz, SeedCorpusDecodesCleanly) {
 }
 
 // The three seeded mutation streams. Each calls `visit(seed, label, bytes)`
-// once per mutant, in a fixed order.
+// once per mutant, in a fixed order. Every seed input draws from its own
+// xorshift stream, seeded by the stream's seed and the input's name, so
+// adding or removing a seed input leaves the other inputs' mutants as they
+// were.
+
+XorShift stream_for(std::uint64_t stream_seed, const SeedInput& seed) {
+  return XorShift{fnv1a(seed.name.data(), seed.name.size(), stream_seed) | 1};  // never zero
+}
 
 /// 150 mutants per seed input, each with 1..8 flipped bytes.
 template <typename Visit>
 void for_each_byte_flip(const std::vector<SeedInput>& corpus, Visit&& visit) {
-  XorShift rng{0x5eed5eed5eed5eedULL};
   for (const auto& seed : corpus) {
+    XorShift rng = stream_for(0x5eed5eed5eed5eedULL, seed);
     for (int round = 0; round < 150; ++round) {
       auto mutated = seed.bytes;
       const int flips = 1 + static_cast<int>(rng.below(8));
@@ -122,8 +135,8 @@ void for_each_byte_flip(const std::vector<SeedInput>& corpus, Visit&& visit) {
 /// 60 random prefixes per seed input.
 template <typename Visit>
 void for_each_truncation(const std::vector<SeedInput>& corpus, Visit&& visit) {
-  XorShift rng{0xfeedfacecafebeefULL};
   for (const auto& seed : corpus) {
+    XorShift rng = stream_for(0xfeedfacecafebeefULL, seed);
     for (int round = 0; round < 60; ++round) {
       const std::size_t keep = rng.below(seed.bytes.size());
       visit(seed, " truncated to " + std::to_string(keep),
@@ -135,8 +148,8 @@ void for_each_truncation(const std::vector<SeedInput>& corpus, Visit&& visit) {
 /// 60 mutants per seed input, each a random prefix with 1..4 flipped bytes.
 template <typename Visit>
 void for_each_flip_and_truncate(const std::vector<SeedInput>& corpus, Visit&& visit) {
-  XorShift rng{0x0123456789abcdefULL};
   for (const auto& seed : corpus) {
+    XorShift rng = stream_for(0x0123456789abcdefULL, seed);
     for (int round = 0; round < 60; ++round) {
       auto mutated = seed.bytes;
       mutated.resize(1 + rng.below(mutated.size()));
@@ -187,47 +200,49 @@ TEST(CodecFuzz, CombinedFlipAndTruncate) {
   });
 }
 
-std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
-  const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < n; ++i) h = (h ^ p[i]) * 0x100000001b3ULL;
-  return h;
-}
-
 TEST(CodecFuzz, MutationOutcomesMatchGolden) {
   // The serving stack turns decode accept/reject into simulated outcomes
   // (corrupted payloads), so which mutants decode, the message each
   // rejected one throws, and the pixels of each accepted one are pinned.
-  // Both hashes are checked under every SIMD tier, as the goldens in
-  // codec_test.cpp are.
-  constexpr std::uint64_t kOutcomes = 0x88b57d8c6fc7c467ULL;
-  constexpr std::uint64_t kPixels = 0x83a0da2f917dcf87ULL;
+  // Each format has its own pair of hashes, checked under every SIMD tier
+  // as the goldens in codec_test.cpp are.
+  struct Hashes {
+    std::uint64_t outcomes = 0xcbf29ce484222325ULL;
+    std::uint64_t pixels = 0xcbf29ce484222325ULL;
+  };
+  constexpr Hashes kJpeg{0x874a11529efe0ca6ULL, 0xcbb1ae905d694ec2ULL};
+  // No PNG mutant decodes (each breaks a chunk CRC or the zlib stream), so
+  // its pixel hash stays the FNV offset basis.
+  constexpr Hashes kPng{0x8dc60f8a42377d2dULL, 0xcbf29ce484222325ULL};
   const auto corpus = build_corpus();
   const cpu::SimdTier original = cpu::active_tier();
   for (cpu::SimdTier t : {cpu::SimdTier::kScalar, cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
     if (!simd::tier_compiled(t)) continue;
     if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
     cpu::set_active_tier(t);
-    std::uint64_t outcomes = 0xcbf29ce484222325ULL;
-    std::uint64_t pixels = outcomes;
+    Hashes jpeg, png;
     const auto replay = [&](const SeedInput& seed, const std::string&,
                             std::span<const std::uint8_t> bytes) {
+      Hashes& h = seed.format == Format::kJpeg ? jpeg : png;
       try {
         const Image img = seed.format == Format::kJpeg ? decode_jpeg(bytes) : decode_png(bytes);
-        outcomes = fnv1a("ok", 2, outcomes);
+        h.outcomes = fnv1a("ok", 2, h.outcomes);
         const int shape[3] = {img.width(), img.height(), img.channels()};
-        pixels = fnv1a(shape, sizeof shape, pixels);
-        pixels = fnv1a(img.data().data(), img.data().size(), pixels);
+        h.pixels = fnv1a(shape, sizeof shape, h.pixels);
+        h.pixels = fnv1a(img.data().data(), img.data().size(), h.pixels);
       } catch (const jpeg::CodecError& e) {
         const std::string what = e.what();
-        outcomes = fnv1a(what.data(), what.size() + 1, outcomes);
+        h.outcomes = fnv1a(what.data(), what.size() + 1, h.outcomes);
       }
     };
     for_each_byte_flip(corpus, replay);
     for_each_truncation(corpus, replay);
     for_each_flip_and_truncate(corpus, replay);
     SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
-    EXPECT_EQ(outcomes, kOutcomes) << "outcomes: got 0x" << std::hex << outcomes;
-    EXPECT_EQ(pixels, kPixels) << "pixels: got 0x" << std::hex << pixels;
+    EXPECT_EQ(jpeg.outcomes, kJpeg.outcomes) << "jpeg outcomes: 0x" << std::hex << jpeg.outcomes;
+    EXPECT_EQ(jpeg.pixels, kJpeg.pixels) << "jpeg pixels: 0x" << std::hex << jpeg.pixels;
+    EXPECT_EQ(png.outcomes, kPng.outcomes) << "png outcomes: 0x" << std::hex << png.outcomes;
+    EXPECT_EQ(png.pixels, kPng.pixels) << "png pixels: 0x" << std::hex << png.pixels;
   }
   cpu::set_active_tier(original);
 }
