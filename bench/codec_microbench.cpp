@@ -9,9 +9,7 @@
 
 #include "codec/batch_preprocess.h"
 #include "codec/dct.h"
-#include "codec/deflate.h"
 #include "codec/jpeg.h"
-#include "codec/png.h"
 #include "codec/synthetic.h"
 #include "codec/transform.h"
 #include "heap_counter.h"
@@ -195,44 +193,6 @@ void BM_JpegEncodeOptimizedHuffman(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_JpegEncodeOptimizedHuffman);
-
-void BM_PngEncodeMedium(benchmark::State& state) {
-  const codec::Image img = codec::make_synthetic(500, 375, codec::Pattern::kScene, 3);
-  for (auto _ : state) benchmark::DoNotOptimize(codec::encode_png(img));
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_PngEncodeMedium);
-
-void BM_PngDecodeMedium(benchmark::State& state) {
-  const codec::Image img = codec::make_synthetic(500, 375, codec::Pattern::kScene, 3);
-  const auto bytes = codec::encode_png(img);
-  for (auto _ : state) benchmark::DoNotOptimize(codec::decode_png(bytes));
-  state.SetItemsProcessed(state.iterations());
-  state.counters["MPix/s"] = benchmark::Counter(
-      static_cast<double>(state.iterations()) * 500 * 375 / 1e6, benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_PngDecodeMedium);
-
-void BM_DeflateText(benchmark::State& state) {
-  std::vector<std::uint8_t> data(256 * 1024);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>("serving overheads dominate "[i % 27]);
-  }
-  for (auto _ : state) benchmark::DoNotOptimize(codec::deflate(data));
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_DeflateText);
-
-void BM_InflateText(benchmark::State& state) {
-  std::vector<std::uint8_t> data(256 * 1024);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<std::uint8_t>("serving overheads dominate "[i % 27]);
-  }
-  const auto compressed = codec::deflate(data);
-  for (auto _ : state) benchmark::DoNotOptimize(codec::inflate(compressed, data.size()));
-  state.SetBytesProcessed(state.iterations() * static_cast<std::int64_t>(data.size()));
-}
-BENCHMARK(BM_InflateText);
 
 void BM_Fdct8x8(benchmark::State& state) {
   float in[64], out[64];

@@ -1,8 +1,7 @@
-// Raster image container + PPM/PGM I/O for the preprocessing substrate.
+// Raster image container for the preprocessing substrate.
 #pragma once
 
 #include <cstdint>
-#include <filesystem>
 #include <stdexcept>
 #include <vector>
 
@@ -67,9 +66,5 @@ class Image {
 
 /// Peak signal-to-noise ratio in dB (infinity for identical images).
 [[nodiscard]] double psnr(const Image& a, const Image& b);
-
-/// Binary PPM (P6, 3-channel) / PGM (P5, 1-channel) round-trip.
-void write_pnm(const Image& img, const std::filesystem::path& path);
-[[nodiscard]] Image read_pnm(const std::filesystem::path& path);
 
 }  // namespace serve::codec

@@ -1,7 +1,7 @@
-// Seeded corruption fuzzing for the JPEG and PNG decoders.
+// Seeded corruption fuzzing for the JPEG decoder.
 //
 // The serving stack feeds decoder errors into the payload-validation fault
-// path, so the decoders must hold a hard contract on hostile bytes: every
+// path, so the decoder must hold a hard contract on hostile bytes: every
 // input either decodes to a well-formed image or throws jpeg::CodecError —
 // never any other exception type, never a crash, hang, or giant allocation.
 // This harness takes valid encoder output as the corpus and applies seeded
@@ -17,24 +17,14 @@
 
 #include "codec/cpu_features.h"
 #include "codec/jpeg.h"
-#include "codec/png.h"
 #include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
+#include "xorshift.h"
 
 namespace serve::codec {
 namespace {
 
-struct XorShift {
-  std::uint64_t state;
-  std::uint64_t next() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  }
-  // Bounded draw; bias is irrelevant for fuzzing.
-  std::size_t below(std::size_t n) { return static_cast<std::size_t>(next() % n); }
-};
+using fuzz::XorShift;
 
 std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   const auto* p = static_cast<const std::uint8_t*>(data);
@@ -42,11 +32,8 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h) {
   return h;
 }
 
-enum class Format { kJpeg, kPng };
-
 struct SeedInput {
   std::string name;
-  Format format;
   std::vector<std::uint8_t> bytes;
 };
 
@@ -67,25 +54,23 @@ std::vector<SeedInput> build_corpus() {
       opts.restart_interval_mcus = sub == Subsampling::k420 ? 4 : 0;
       corpus.push_back({std::string("jpeg/") + pname +
                             (sub == Subsampling::k444 ? "/444" : "/420"),
-                        Format::kJpeg, encode_jpeg(rgb, opts)});
+                        encode_jpeg(rgb, opts)});
     }
-    corpus.push_back({std::string("png/") + pname, Format::kPng, encode_png(rgb)});
   }
   Image gray{64, 64, 1};
   const Image scene = make_synthetic(64, 64, Pattern::kScene, 9);
   for (int y = 0; y < 64; ++y) {
     for (int x = 0; x < 64; ++x) gray.at(x, y, 0) = scene.at(x, y, 1);
   }
-  corpus.push_back({"jpeg/gray", Format::kJpeg, encode_jpeg(gray)});
-  corpus.push_back({"png/gray", Format::kPng, encode_png(gray)});
+  corpus.push_back({"jpeg/gray", encode_jpeg(gray)});
   return corpus;
 }
 
 // Decodes and returns true, throws CodecError and returns false, or fails the
 // test on any other outcome (the contract violation this harness exists for).
-bool decode_or_codec_error(Format format, std::span<const std::uint8_t> data) {
+bool decode_or_codec_error(std::span<const std::uint8_t> data) {
   try {
-    const Image img = format == Format::kJpeg ? decode_jpeg(data) : decode_png(data);
+    const Image img = decode_jpeg(data);
     EXPECT_GT(img.width(), 0);
     EXPECT_GT(img.height(), 0);
     EXPECT_EQ(img.data().size(), static_cast<std::size_t>(img.width()) *
@@ -102,7 +87,7 @@ bool decode_or_codec_error(Format format, std::span<const std::uint8_t> data) {
 TEST(CodecFuzz, SeedCorpusDecodesCleanly) {
   for (const auto& seed : build_corpus()) {
     SCOPED_TRACE(seed.name);
-    EXPECT_TRUE(decode_or_codec_error(seed.format, seed.bytes));
+    EXPECT_TRUE(decode_or_codec_error(seed.bytes));
   }
 }
 
@@ -167,7 +152,7 @@ TEST(CodecFuzz, ByteFlipsEitherDecodeOrThrowCodecError) {
   for_each_byte_flip(build_corpus(), [&](const SeedInput& seed, const std::string& label,
                                          std::span<const std::uint8_t> bytes) {
     SCOPED_TRACE(seed.name + label);
-    decode_or_codec_error(seed.format, bytes) ? ++decoded : ++rejected;
+    decode_or_codec_error(bytes) ? ++decoded : ++rejected;
   });
   // Both outcomes must actually occur, or the harness is testing nothing:
   // flips in entropy data often still decode, flips in headers must reject.
@@ -180,14 +165,14 @@ TEST(CodecFuzz, TruncationsEitherDecodeOrThrowCodecError) {
   for_each_truncation(corpus, [](const SeedInput& seed, const std::string& label,
                                  std::span<const std::uint8_t> bytes) {
     SCOPED_TRACE(seed.name + label);
-    decode_or_codec_error(seed.format, bytes);
+    decode_or_codec_error(bytes);
   });
   for (const auto& seed : corpus) {
     // Every prefix of the header region, exhaustively.
     for (std::size_t keep = 0; keep < 64 && keep < seed.bytes.size(); ++keep) {
       SCOPED_TRACE(seed.name + " header prefix " + std::to_string(keep));
       EXPECT_FALSE(decode_or_codec_error(
-          seed.format, std::span<const std::uint8_t>{seed.bytes.data(), keep}));
+          std::span<const std::uint8_t>{seed.bytes.data(), keep}));
     }
   }
 }
@@ -196,7 +181,7 @@ TEST(CodecFuzz, CombinedFlipAndTruncate) {
   for_each_flip_and_truncate(build_corpus(), [](const SeedInput& seed, const std::string& label,
                                                 std::span<const std::uint8_t> bytes) {
     SCOPED_TRACE(seed.name + label);
-    decode_or_codec_error(seed.format, bytes);
+    decode_or_codec_error(bytes);
   });
 }
 
@@ -204,56 +189,46 @@ TEST(CodecFuzz, MutationOutcomesMatchGolden) {
   // The serving stack turns decode accept/reject into simulated outcomes
   // (corrupted payloads), so which mutants decode, the message each
   // rejected one throws, and the pixels of each accepted one are pinned.
-  // Each format has its own pair of hashes, checked under every SIMD tier
-  // as the goldens in codec_test.cpp are.
-  struct Hashes {
-    std::uint64_t outcomes = 0xcbf29ce484222325ULL;
-    std::uint64_t pixels = 0xcbf29ce484222325ULL;
-  };
-  constexpr Hashes kJpeg{0x874a11529efe0ca6ULL, 0xcbb1ae905d694ec2ULL};
-  // No PNG mutant decodes (each breaks a chunk CRC or the zlib stream), so
-  // its pixel hash stays the FNV offset basis.
-  constexpr Hashes kPng{0x8dc60f8a42377d2dULL, 0xcbf29ce484222325ULL};
+  // Both hashes are checked under every SIMD tier, as the goldens in
+  // codec_test.cpp are.
+  constexpr std::uint64_t kOutcomes = 0x874a11529efe0ca6ULL;
+  constexpr std::uint64_t kPixels = 0xcbb1ae905d694ec2ULL;
   const auto corpus = build_corpus();
   const cpu::SimdTier original = cpu::active_tier();
   for (cpu::SimdTier t : {cpu::SimdTier::kScalar, cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
     if (!simd::tier_compiled(t)) continue;
     if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
     cpu::set_active_tier(t);
-    Hashes jpeg, png;
-    const auto replay = [&](const SeedInput& seed, const std::string&,
+    std::uint64_t outcomes = 0xcbf29ce484222325ULL;
+    std::uint64_t pixels = outcomes;
+    const auto replay = [&](const SeedInput&, const std::string&,
                             std::span<const std::uint8_t> bytes) {
-      Hashes& h = seed.format == Format::kJpeg ? jpeg : png;
       try {
-        const Image img = seed.format == Format::kJpeg ? decode_jpeg(bytes) : decode_png(bytes);
-        h.outcomes = fnv1a("ok", 2, h.outcomes);
+        const Image img = decode_jpeg(bytes);
+        outcomes = fnv1a("ok", 2, outcomes);
         const int shape[3] = {img.width(), img.height(), img.channels()};
-        h.pixels = fnv1a(shape, sizeof shape, h.pixels);
-        h.pixels = fnv1a(img.data().data(), img.data().size(), h.pixels);
+        pixels = fnv1a(shape, sizeof shape, pixels);
+        pixels = fnv1a(img.data().data(), img.data().size(), pixels);
       } catch (const jpeg::CodecError& e) {
         const std::string what = e.what();
-        h.outcomes = fnv1a(what.data(), what.size() + 1, h.outcomes);
+        outcomes = fnv1a(what.data(), what.size() + 1, outcomes);
       }
     };
     for_each_byte_flip(corpus, replay);
     for_each_truncation(corpus, replay);
     for_each_flip_and_truncate(corpus, replay);
     SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
-    EXPECT_EQ(jpeg.outcomes, kJpeg.outcomes) << "jpeg outcomes: 0x" << std::hex << jpeg.outcomes;
-    EXPECT_EQ(jpeg.pixels, kJpeg.pixels) << "jpeg pixels: 0x" << std::hex << jpeg.pixels;
-    EXPECT_EQ(png.outcomes, kPng.outcomes) << "png outcomes: 0x" << std::hex << png.outcomes;
-    EXPECT_EQ(png.pixels, kPng.pixels) << "png pixels: 0x" << std::hex << png.pixels;
+    EXPECT_EQ(outcomes, kOutcomes) << "outcomes: got 0x" << std::hex << outcomes;
+    EXPECT_EQ(pixels, kPixels) << "pixels: got 0x" << std::hex << pixels;
   }
   cpu::set_active_tier(original);
 }
 
 TEST(CodecFuzz, CorruptedDimensionsAreCappedNotAllocated) {
-  // Force absurd dimensions directly into the headers: the decoders must
+  // Force absurd dimensions directly into the header: the decoder must
   // reject past their pixel cap instead of attempting a multi-GB allocation
   // (the exact failure payload corruption produces in the serving path).
-  const Image img = make_synthetic(32, 32, Pattern::kScene, 1);
-
-  auto jpg = encode_jpeg(img);
+  auto jpg = encode_jpeg(make_synthetic(32, 32, Pattern::kScene, 1));
   // Find the SOF0 marker and overwrite height/width with 65535 x 65535.
   for (std::size_t i = 0; i + 8 < jpg.size(); ++i) {
     if (jpg[i] == 0xFF && jpg[i + 1] == 0xC0) {
@@ -262,13 +237,6 @@ TEST(CodecFuzz, CorruptedDimensionsAreCappedNotAllocated) {
     }
   }
   EXPECT_THROW((void)decode_jpeg(jpg), jpeg::CodecError);
-
-  auto png = encode_png(img);
-  // IHDR is always the first chunk: width at offset 16, height at 20. A CRC
-  // fixup is not needed — the size check must fire either way, and the decoder
-  // is free to reject on CRC instead; both are CodecError.
-  for (std::size_t off : {16u, 17u, 18u, 20u, 21u, 22u}) png[off] = 0x7F;
-  EXPECT_THROW((void)decode_png(png), jpeg::CodecError);
 }
 
 TEST(CodecFuzz, MutationStreamIsDeterministic) {

@@ -5,7 +5,6 @@
 
 #include <cmath>
 #include <cstdlib>
-#include <filesystem>
 #include <iterator>
 #include <string>
 #include <tuple>
@@ -39,24 +38,6 @@ TEST(Image, AccessorsAndBounds) {
 TEST(Image, RejectsBadShapes) {
   EXPECT_THROW((Image{0, 4, 3}), std::invalid_argument);
   EXPECT_THROW((Image{4, 4, 2}), std::invalid_argument);
-}
-
-TEST(Image, PnmRoundTrip) {
-  const auto dir = std::filesystem::temp_directory_path() / "servescope_pnm_test";
-  std::filesystem::create_directories(dir);
-  const Image img = make_synthetic(37, 23, Pattern::kScene, 5);
-  write_pnm(img, dir / "t.ppm");
-  const Image back = read_pnm(dir / "t.ppm");
-  EXPECT_EQ(img, back);
-  std::filesystem::remove_all(dir);
-}
-
-TEST(Image, PnmWriteFailureThrows) {
-  // /dev/full opens fine and fails every write; a 4x4 image fits in the
-  // stream buffer, so only the flush can see the failure.
-  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "/dev/full does not exist";
-  const Image img = make_synthetic(4, 4, Pattern::kScene, 5);
-  EXPECT_THROW(write_pnm(img, "/dev/full"), std::runtime_error);
 }
 
 TEST(Image, PsnrIdenticalIsInfinite) {
