@@ -2,9 +2,10 @@
 # and rate counters in their better direction, using the committed
 # BENCH_sim.json: the baseline compared with itself passes, and a copy whose
 # heap_allocs_per_req rose by 0.5, or whose events/s fell to a tenth, must
-# make it exit non-zero. A candidate truncated inside its second benchmark
-# object must be rejected as malformed (exit 2), not read as "benchmarks
-# missing".
+# make it exit non-zero. So must a copy that lacks its first benchmark object:
+# a deleted or renamed benchmark fails the gate instead of dropping out of
+# it. A candidate truncated inside its second benchmark object must be
+# rejected as malformed (exit 2), not read as "benchmarks missing".
 #
 #   cmake -DSERVESCOPE=<servescope> -DBASELINE=<BENCH_sim.json> \
 #         -DWORK_DIR=<dir> -P bench_check_ceiling_test.cmake
@@ -40,6 +41,25 @@ execute_process(COMMAND "${SERVESCOPE}" bench-check "${BASELINE}" "${slowed}"
                 RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR "bench-check on a slowed events/s: expected exit 1, got ${rc}:\n${out}")
+endif()
+
+# Drop the first benchmark object, from its opening brace to the next one's.
+string(FIND "${text}" "\"benchmarks\": [\n    {" first)
+string(FIND "${text}" "\n    },\n    {" second)
+if(first EQUAL -1 OR second EQUAL -1)
+  message(FATAL_ERROR "fewer than two benchmark objects in ${BASELINE}")
+endif()
+math(EXPR first "${first} + 15")
+math(EXPR second "${second} + 8")
+string(SUBSTRING "${text}" 0 ${first} head)
+string(SUBSTRING "${text}" ${second} -1 tail)
+set(dropped "${WORK_DIR}/BENCH_sim.dropped_bench.json")
+file(WRITE "${dropped}" "${head}${tail}")
+execute_process(COMMAND "${SERVESCOPE}" bench-check "${BASELINE}" "${dropped}"
+                RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE out)
+if(NOT rc EQUAL 1 OR NOT out MATCHES "REGRESSION: missing from current run")
+  message(FATAL_ERROR "bench-check on a candidate without its first benchmark: expected exit 1 "
+                      "naming the missing row, got ${rc}:\n${out}")
 endif()
 
 # Repeated runs are compared by their median aggregate: one slow repetition

@@ -853,8 +853,9 @@ bool check_build_type(const char* role, const std::string& path, const std::stri
 // - 1 over the tolerance). Counters named `*allocs_per_req` are hard
 // ceilings instead: allocation counts do not jitter, so one exceeding its
 // baseline by more than kAllocSlack fails whatever the tolerance.
-// Benchmarks and counters present on only one side are warned about but
-// never fail the check.
+// A baseline benchmark or gated counter missing from the current run fails
+// too, so a renamed or deleted benchmark cannot drop out of the gate
+// unnoticed; one that only the current run has is noted and passes.
 int run_bench_check(const Command& cmd, int argc, char** argv) {
   double tolerance = 0.30;
   bool allow_debug = false;
@@ -873,20 +874,23 @@ int run_bench_check(const Command& cmd, int argc, char** argv) {
   if (!builds_ok) return 1;
 
   int regressions = 0;
+  const auto missing = [&regressions](const std::string& row_name) {
+    std::printf("%-44s %12s %12s %8s  REGRESSION: missing from current run\n", row_name.c_str(),
+                "-", "-", "-");
+    ++regressions;
+  };
   std::printf("%-44s %12s %12s %8s\n", "benchmark", "baseline", "current", "delta");
   for (const auto& [name, base] : baseline) {
     const auto it = current.find(name);
     if (it == current.end()) {
-      std::printf("%-44s %12s %12s %8s  WARN: missing from current run\n", name.c_str(), "-", "-",
-                  "-");
+      missing(name);
       continue;
     }
     for (const auto& [counter, ceiling] : base.alloc_ceilings) {
       const std::string row_name = name + "/" + counter;
       const auto cur = it->second.alloc_ceilings.find(counter);
       if (cur == it->second.alloc_ceilings.end()) {
-        std::printf("%-44s %12s %12s %8s  WARN: missing from current run\n", row_name.c_str(),
-                    "-", "-", "-");
+        missing(row_name);
         continue;
       }
       const bool bad = cur->second > ceiling + kAllocSlack;
@@ -898,8 +902,7 @@ int run_bench_check(const Command& cmd, int argc, char** argv) {
       const std::string row_name = name + "/" + counter;
       const auto cur = it->second.rates.find(counter);
       if (cur == it->second.rates.end()) {
-        std::printf("%-44s %12s %12s %8s  WARN: missing from current run\n", row_name.c_str(),
-                    "-", "-", "-");
+        missing(row_name);
         continue;
       }
       if (base_rate <= 0.0) continue;
@@ -927,7 +930,8 @@ int run_bench_check(const Command& cmd, int argc, char** argv) {
   if (regressions > 0) {
     std::fprintf(stderr,
                  "servescope bench-check: %d regression(s): real_time or a rate counter past the "
-                 "%.0f%% tolerance, or an allocs_per_req counter over its ceiling\n",
+                 "%.0f%% tolerance, an allocs_per_req counter over its ceiling, or a baseline "
+                 "row missing from the current run\n",
                  regressions, tolerance * 100.0);
     return 1;
   }
