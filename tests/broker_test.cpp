@@ -3,6 +3,7 @@
 // recovery).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -357,6 +358,62 @@ TEST_F(FileLogTest, FullyWrittenCorruptTailRecordStillThrowsWhenTolerant) {
     f.put('X');
   }
   EXPECT_THROW(FileLogBroker({.dir = dir_, .tolerate_torn_tail = true}), std::runtime_error);
+}
+
+TEST_F(FileLogTest, TornWriteAtEveryByteOffsetRecovers) {
+  // A crash can cut the segment at any byte. Strict recovery must either
+  // recover exactly the complete records (the cut falls on a record
+  // boundary) or throw std::runtime_error; tolerant recovery must recover
+  // exactly the complete records and then append cleanly. Any other
+  // exception escapes and fails the test.
+  const std::vector<std::string> records = {"first", "second-record", ""};
+  const auto source = dir_ / "source";
+  {
+    FileLogBroker log{{.dir = source}};
+    for (const auto& r : records) log.publish(r);
+  }
+  const auto segment = source / "00000000.log";
+  const auto full_size = std::filesystem::file_size(segment);
+  std::vector<std::uintmax_t> ends;  // end offset of each record
+  for (const auto& r : records) ends.push_back((ends.empty() ? 0 : ends.back()) + 8 + r.size());
+  ASSERT_EQ(ends.back(), full_size);
+
+  const auto cut = dir_ / "cut";
+  for (std::uintmax_t size = 0; size <= full_size; ++size) {
+    SCOPED_TRACE("segment cut to " + std::to_string(size) + " bytes");
+    const auto complete = static_cast<std::uint64_t>(
+        std::upper_bound(ends.begin(), ends.end(), size) - ends.begin());
+    const bool on_boundary = size == 0 || std::find(ends.begin(), ends.end(), size) != ends.end();
+    const auto expect_complete_records = [&](const FileLogBroker& log) {
+      ASSERT_EQ(log.size(), complete);
+      for (std::uint64_t i = 0; i < complete; ++i) EXPECT_EQ(log.read(i).value(), records[i]);
+    };
+    const auto fresh_cut = [&] {
+      std::filesystem::remove_all(cut);
+      std::filesystem::create_directories(cut);
+      std::filesystem::copy_file(segment, cut / segment.filename());
+      std::filesystem::resize_file(cut / segment.filename(), size);
+    };
+
+    fresh_cut();
+    try {
+      const FileLogBroker strict{{.dir = cut}};
+      EXPECT_TRUE(on_boundary) << "strict recovery accepted a torn record";
+      expect_complete_records(strict);
+    } catch (const std::runtime_error&) {
+      EXPECT_FALSE(on_boundary) << "strict recovery refused an intact log";
+    }
+
+    fresh_cut();
+    {
+      FileLogBroker tolerant{{.dir = cut, .tolerate_torn_tail = true}};
+      expect_complete_records(tolerant);
+      EXPECT_EQ(tolerant.publish("after-crash"), complete);
+    }
+    const FileLogBroker reopened{{.dir = cut}};
+    ASSERT_EQ(reopened.size(), complete + 1);
+    EXPECT_EQ(reopened.read(complete).value(), "after-crash");
+  }
 }
 
 TEST_F(FileLogTest, FsyncCadenceSurvivesSegmentRotation) {

@@ -19,11 +19,15 @@
 #include <unistd.h>
 
 #include "broker/file_log_broker.h"
+#include "core/experiment.h"
 #include "core/face_pipeline.h"
+#include "core/observers.h"
 #include "core/video_pipeline.h"
 #include "hw/image_spec.h"
 #include "hw/tracing.h"
 #include "metrics/breakdown.h"
+#include "metrics/export.h"
+#include "models/model_zoo.h"
 #include "serving/audit.h"
 #include "serving/request.h"
 #include "sim/simulator.h"
@@ -33,6 +37,7 @@
 #include "trace/span_context.h"
 
 #include "../tools/json_mini.h"
+#include "xorshift.h"
 
 using namespace serve;
 using metrics::Stage;
@@ -252,6 +257,53 @@ TEST(JsonMini, AcceptsOnlyJsonNumbers) {
     jsonmini::Parser p{bad};
     EXPECT_FALSE(p.parse().has_value()) << bad;
   }
+}
+
+TEST(JsonMini, MutatedDocumentsParseOrError) {
+  // Two real documents from one short audited run, a telemetry export and a
+  // Chrome trace, under seeded byte flips, truncations, and both. Each
+  // mutant either parses or fails with a message; no exception escapes.
+  const core::Session session{core::Session::kRecorder | core::Session::kTracer,
+                              {.recorder = {.period = sim::milliseconds(50), .capacity = 16}}};
+  core::ExperimentSpec spec;
+  spec.server.model = models::resnet50();
+  spec.server.audit = true;
+  spec.concurrency = 4;
+  spec.warmup = sim::milliseconds(20);
+  spec.measure = sim::milliseconds(50);
+  session.attach(spec);
+  (void)core::run_experiment(spec);
+  metrics::TelemetryExport telemetry;
+  session.capture(telemetry);
+  std::ostringstream telemetry_json;
+  telemetry.write_json(telemetry_json);
+  const std::string docs[] = {telemetry_json.str(), to_json(session.trace())};
+
+  int parsed = 0, rejected = 0;
+  for (std::uint64_t d = 0; d < std::size(docs); ++d) {
+    ASSERT_TRUE(jsonmini::Parser{docs[d]}.parse().has_value()) << "document " << d;
+    fuzz::XorShift rng{0x6a736f6e6d696e69ULL + d};
+    for (int round = 0; round < 300; ++round) {
+      std::string text = docs[d];
+      const int kind = round % 3;  // 0: flips, 1: a truncation, 2: a truncation and flips
+      if (kind == 1) text.resize(rng.below(text.size()));
+      if (kind == 2) text.resize(1 + rng.below(text.size()));
+      const std::size_t flips = kind == 1 ? 0 : 1 + rng.below(8);
+      for (std::size_t f = 0; f < flips; ++f) {
+        text[rng.below(text.size())] ^= static_cast<char>(1 + rng.below(255));
+      }
+      jsonmini::Parser p{text};
+      if (p.parse().has_value()) {
+        ++parsed;
+      } else {
+        ++rejected;
+        EXPECT_FALSE(p.error().empty()) << "document " << d << " round " << round;
+      }
+    }
+  }
+  // Both outcomes occur: a flip inside a string or a digit still parses.
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 // --- SpanContext wire format -------------------------------------------------
