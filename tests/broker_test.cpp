@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -16,6 +17,7 @@
 #include "core/face_pipeline.h"
 #include "sim/process.h"
 #include "sim/simulator.h"
+#include "xorshift.h"
 
 namespace serve::broker {
 namespace {
@@ -429,9 +431,113 @@ TEST_F(FileLogTest, FsyncCadenceSurvivesSegmentRotation) {
   EXPECT_EQ(log.fsync_count(), 2u);  // exactly the two rotations
 }
 
+TEST_F(FileLogTest, TornWriteInTailSegmentKeepsEarlierSegments) {
+  // Six 18-byte records in 24-byte segments: two records per segment, three
+  // segments. A crash can only tear the tail segment; recovery must keep the
+  // two full segments before it. A cut in an earlier segment is corruption,
+  // which even tolerant recovery refuses.
+  constexpr std::uint64_t kSegmentBytes = 24, kRecordBytes = 18;
+  const auto payload = [](std::uint64_t i) { return "payload-0" + std::to_string(i); };
+  const auto source = dir_ / "source";
+  {
+    FileLogBroker log{{.dir = source, .segment_bytes = kSegmentBytes}};
+    for (std::uint64_t i = 0; i < 6; ++i) log.publish(payload(i));
+    ASSERT_EQ(log.segment_count(), 3u);
+  }
+  const auto cut = dir_ / "cut";
+  const auto fresh_cut = [&](const char* segment, std::uintmax_t size) {
+    std::filesystem::remove_all(cut);
+    std::filesystem::copy(source, cut);
+    std::filesystem::resize_file(cut / segment, size);
+  };
+
+  for (std::uint64_t size = 0; size <= 2 * kRecordBytes; ++size) {
+    SCOPED_TRACE("tail segment cut to " + std::to_string(size) + " bytes");
+    const std::uint64_t kept = 4 + size / kRecordBytes;
+    const auto expect_kept_records = [&](const FileLogBroker& log) {
+      ASSERT_EQ(log.size(), kept);
+      for (std::uint64_t i = 0; i < kept; ++i) EXPECT_EQ(log.read(i).value(), payload(i));
+    };
+    fresh_cut("00000002.log", size);
+    try {
+      const FileLogBroker strict{{.dir = cut, .segment_bytes = kSegmentBytes}};
+      EXPECT_EQ(size % kRecordBytes, 0u) << "strict recovery accepted a torn record";
+      expect_kept_records(strict);
+    } catch (const std::runtime_error&) {
+      EXPECT_NE(size % kRecordBytes, 0u) << "strict recovery refused an intact log";
+    }
+
+    fresh_cut("00000002.log", size);
+    {
+      FileLogBroker tolerant{
+          {.dir = cut, .segment_bytes = kSegmentBytes, .tolerate_torn_tail = true}};
+      expect_kept_records(tolerant);
+      EXPECT_EQ(tolerant.publish("after-crash"), kept);
+    }
+    const FileLogBroker reopened{{.dir = cut, .segment_bytes = kSegmentBytes}};
+    ASSERT_EQ(reopened.size(), kept + 1);
+    EXPECT_EQ(reopened.read(kept).value(), "after-crash");
+  }
+
+  for (std::uint64_t size = 1; size < 2 * kRecordBytes; ++size) {
+    if (size == kRecordBytes) continue;
+    SCOPED_TRACE("first segment cut to " + std::to_string(size) + " bytes");
+    fresh_cut("00000000.log", size);
+    EXPECT_THROW(FileLogBroker({.dir = cut, .segment_bytes = kSegmentBytes,
+                                .tolerate_torn_tail = true}),
+                 std::runtime_error);
+  }
+}
+
 TEST(FileLogCrc, MatchesKnownVector) {
   // CRC32("123456789") = 0xCBF43926 (IEEE 802.3 check value).
   EXPECT_EQ(FileLogBroker::crc32("123456789", 9), 0xCBF43926u);
+}
+
+// More IEEE CRC-32 reference values, from the empty input to 1000 bytes.
+struct CrcVector {
+  std::string input;
+  std::uint32_t crc;
+};
+
+class FileLogCrcVectorTest : public ::testing::TestWithParam<CrcVector> {};
+
+TEST_P(FileLogCrcVectorTest, MatchesReferenceValue) {
+  const auto& [input, crc] = GetParam();
+  EXPECT_EQ(FileLogBroker::crc32(input.data(), input.size()), crc) << '"' << input << '"';
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ieee, FileLogCrcVectorTest,
+    ::testing::Values(CrcVector{"", 0x00000000u}, CrcVector{"a", 0xE8B7BE43u},
+                      CrcVector{"abc", 0x352441C2u}, CrcVector{"message digest", 0x20159D7Fu},
+                      CrcVector{"abcdefghijklmnopqrstuvwxyz", 0x4C2750BDu},
+                      CrcVector{"The quick brown fox jumps over the lazy dog", 0x414FA339u},
+                      CrcVector{std::string(1000, 'a'), 0x9A38DA03u}));
+
+TEST(FileLogCrc, DetectsEveryBurstUpTo32Bits) {
+  // A degree-32 generator with a nonzero constant term catches every error
+  // burst of at most 32 bits, single-bit flips included. Each burst flips its
+  // first and last bit and a seeded mix of the bits between; bit k is bit
+  // k % 8 of byte k / 8, the order in which the reflected CRC consumes them.
+  const std::string record = "torn-write burst";
+  const std::uint32_t clean = FileLogBroker::crc32(record.data(), record.size());
+  fuzz::XorShift rng{0x6275727374ULL};
+  for (std::size_t len = 1; len <= 32; ++len) {
+    const std::uint64_t ends = 1ULL | 1ULL << (len - 1);
+    const std::uint64_t inner = len > 2 ? (1ULL << (len - 1)) - 2 : 0;
+    for (std::size_t first = 0; first + len <= 8 * record.size(); ++first) {
+      for (int draw = 0; draw < 4; ++draw) {
+        std::string burst = record;
+        const std::uint64_t mask = ends | (rng.next() & inner);
+        for (std::size_t b = 0; b < len; ++b) {
+          if (mask >> b & 1) burst[(first + b) / 8] ^= static_cast<char>(1 << ((first + b) % 8));
+        }
+        ASSERT_NE(FileLogBroker::crc32(burst.data(), burst.size()), clean)
+            << len << "-bit burst at bit " << first;
+      }
+    }
+  }
 }
 
 }  // namespace

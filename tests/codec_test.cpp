@@ -8,6 +8,7 @@
 #include <iterator>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "codec/batch_preprocess.h"
 #include "codec/bit_io.h"
@@ -44,6 +45,19 @@ TEST(Image, PsnrIdenticalIsInfinite) {
   const Image img = make_synthetic(16, 16, Pattern::kGradient, 1);
   EXPECT_TRUE(std::isinf(psnr(img, img)));
   EXPECT_DOUBLE_EQ(mean_abs_diff(img, img), 0.0);
+}
+
+TEST(Image, PsnrOfKnownErrorMatchesFormula) {
+  Image a{8, 4, 3};
+  Image b{8, 4, 3};
+  for (std::size_t i = 0; i < a.data().size(); ++i) {
+    a.data()[i] = 100;
+    b.data()[i] = i % 2 == 0 ? 100 : 110;  // half the samples off by 10: MSE 50
+  }
+  EXPECT_NEAR(psnr(a, b), 10.0 * std::log10(255.0 * 255.0 / 50.0), 1e-9);
+  EXPECT_DOUBLE_EQ(psnr(b, a), psnr(a, b));
+  EXPECT_DOUBLE_EQ(mean_abs_diff(a, b), 5.0);
+  EXPECT_THROW((void)psnr(a, Image{8, 4, 1}), std::invalid_argument);
 }
 
 TEST(JpegTables, QualityScalingMonotoneAndClamped) {
@@ -195,6 +209,63 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(Subsampling::k444, Subsampling::k420),
                        ::testing::Values(Pattern::kGradient, Pattern::kScene,
                                          Pattern::kCheckers)));
+
+// Property sweep: restart markers change only the entropy-coded stream. For
+// every interval, component layout and table choice the stream decodes to the
+// pixels of the stream without restarts, and its scan carries one RSTn marker
+// per interval boundary, numbered modulo 8.
+enum class Layout { kGray, k444, k422, k420 };
+
+class JpegRestartTest : public ::testing::TestWithParam<std::tuple<int, Layout, bool>> {};
+
+TEST_P(JpegRestartTest, MarkersChangeOnlyTheEntropyStream) {
+  const auto [interval, layout, optimize] = GetParam();
+  constexpr int kW = 97, kH = 61;  // partial MCUs on both edges
+  Image img = make_synthetic(kW, kH, Pattern::kScene, 21);
+  if (layout == Layout::kGray) {
+    Image gray{kW, kH, 1};
+    for (std::size_t i = 0; i < gray.data().size(); ++i) gray.data()[i] = img.data()[3 * i + 1];
+    img = gray;
+  }
+  const Subsampling sub = layout == Layout::k422   ? Subsampling::k422
+                          : layout == Layout::k420 ? Subsampling::k420
+                                                   : Subsampling::k444;
+  JpegEncodeOptions opts{.quality = 85, .subsampling = sub, .optimize_huffman = optimize};
+  const auto plain = encode_jpeg(img, opts);
+  opts.restart_interval_mcus = interval;
+  const auto bytes = encode_jpeg(img, opts);
+
+  const JpegInfo info = peek_jpeg_info(bytes);
+  EXPECT_EQ(info.components, img.channels());
+  EXPECT_EQ(info.subsampling, sub);
+  EXPECT_EQ(decode_jpeg(bytes).data(), decode_jpeg(plain).data());
+
+  // Scan the entropy data after the SOS segment; stuffed 0xFF bytes are
+  // followed by 0x00, so every 0xFF 0xD0..0xD7 pair is a restart marker.
+  std::size_t pos = 2;
+  bool sos = false;
+  for (; !sos; pos += 2 + (static_cast<std::size_t>(bytes[pos + 2]) << 8 | bytes[pos + 3])) {
+    sos = bytes[pos + 1] == 0xDA;
+  }
+  std::vector<int> markers;
+  for (; pos + 1 < bytes.size(); ++pos) {
+    if (bytes[pos] == 0xFF && bytes[pos + 1] >= 0xD0 && bytes[pos + 1] <= 0xD7) {
+      markers.push_back(bytes[pos + 1] - 0xD0);
+    }
+  }
+  const int mcu_w = sub == Subsampling::k444 ? 8 : 16;
+  const int mcu_h = sub == Subsampling::k420 ? 16 : 8;
+  const int mcus = ((kW + mcu_w - 1) / mcu_w) * ((kH + mcu_h - 1) / mcu_h);
+  ASSERT_EQ(markers.size(), static_cast<std::size_t>((mcus + interval - 1) / interval - 1));
+  for (std::size_t i = 0; i < markers.size(); ++i) EXPECT_EQ(markers[i], static_cast<int>(i % 8));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Grid, JpegRestartTest,
+    ::testing::Combine(::testing::Values(1, 5, 64),
+                       ::testing::Values(Layout::kGray, Layout::k444, Layout::k422,
+                                         Layout::k420),
+                       ::testing::Bool()));
 
 
 TEST(Jpeg, Subsampling422RoundTrip) {
