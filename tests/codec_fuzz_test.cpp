@@ -11,14 +11,18 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <string>
+#include <typeinfo>
 #include <vector>
 
+#include "codec/batch_preprocess.h"
 #include "codec/cpu_features.h"
 #include "codec/jpeg.h"
 #include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
+#include "codec/transform.h"
 #include "xorshift.h"
 
 namespace serve::codec {
@@ -222,6 +226,60 @@ TEST(CodecFuzz, MutationOutcomesMatchGolden) {
     EXPECT_EQ(pixels, kPixels) << "pixels: got 0x" << std::hex << pixels;
   }
   cpu::set_active_tier(original);
+}
+
+/// What a preprocessing call gave: its tensor, or the dynamic type and
+/// message of the exception it threw.
+struct Outcome {
+  std::vector<float> tensor;
+  std::string error;
+  bool operator==(const Outcome&) const = default;
+};
+
+template <typename Fn>
+Outcome outcome_of(Fn&& fn) {
+  try {
+    return {fn(), {}};
+  } catch (const std::exception& e) {
+    return {{}, std::string(typeid(e).name()) + ": " + e.what()};
+  }
+}
+
+TEST(BatchPreprocessor, SingleImageErrorsMatchSerialPipeline) {
+  // A one-image batch on a two-thread pool must fail exactly as the serial
+  // decode -> resize -> normalize does: same exception type and message,
+  // and the same tensor whenever the mutant decodes.
+  const auto corpus = build_corpus();
+  BatchPreprocessor pool{2};
+  int decoded = 0, rejected = 0;
+  const auto check = [&](const SeedInput& seed, const std::string& label,
+                         std::span<const std::uint8_t> bytes) {
+    SCOPED_TRACE(seed.name + label);
+    const Outcome serial =
+        outcome_of([&] { return normalize_chw(resize(decode_jpeg(bytes), 224, 224)); });
+    const Outcome pooled = outcome_of(
+        [&] { return pool.run(std::vector<std::span<const std::uint8_t>>{bytes})[0]; });
+    EXPECT_EQ(pooled.error, serial.error);
+    EXPECT_TRUE(pooled.tensor == serial.tensor);
+    serial.error.empty() ? ++decoded : ++rejected;
+  };
+  for_each_byte_flip(corpus, check);
+  for_each_truncation(corpus, check);
+  for_each_flip_and_truncate(corpus, check);
+  EXPECT_GT(decoded, 0);
+  EXPECT_GT(rejected, 0);
+
+  // Grayscale decodes but cannot be normalized; a corrupt grayscale stream
+  // fails in the decoder first, as it does serially.
+  const SeedInput& gray = corpus.back();
+  ASSERT_EQ(gray.name, "jpeg/gray");
+  const std::span<const std::uint8_t> clean{gray.bytes};
+  const std::string rgb_error =
+      outcome_of([&] { return pool.run(std::vector<std::span<const std::uint8_t>>{clean})[0]; })
+          .error;
+  EXPECT_NE(rgb_error.find("normalize_chw: need RGB input"), std::string::npos) << rgb_error;
+  const std::span<const std::uint8_t> cut = clean.first(clean.size() / 2);
+  EXPECT_THROW((void)pool.run(std::vector<std::span<const std::uint8_t>>{cut}), jpeg::CodecError);
 }
 
 TEST(CodecFuzz, CorruptedDimensionsAreCappedNotAllocated) {

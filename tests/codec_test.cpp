@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
+#include <span>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -1002,6 +1003,62 @@ TEST(CodecGolden, BatchPreprocessorTensorsMatchGolden) {
     crop.center_crop_side = 256;
     crop.target_side = 160;
     expect_golden("crop 256 -> 160", tensors_hash(pool.run(jpegs, crop)), kCropped);
+  });
+}
+
+TEST(CodecGolden, SingleImageBatchesMatchGolden) {
+  // One-image batches are every zero-load request. Pools of 1, 2 and 4
+  // threads must give the same tensor bytes, with and without a crop.
+  struct Case {
+    std::string name;
+    int w, h;
+    JpegEncodeOptions enc;
+    int crop;  ///< center_crop_side of the cropped run
+    std::uint64_t plain, cropped;
+  };
+  using S = Subsampling;
+  const Case cases[] = {
+      {"444", 96, 64, {.quality = 90, .subsampling = S::k444}, 48,
+       0x94d5d8673161e941ULL, 0xb982a45201d48b1aULL},
+      {"422", 96, 64, {.quality = 85, .subsampling = S::k422}, 48,
+       0xff8f9985f49171f0ULL, 0x766e5837cfec7c38ULL},
+      {"420 medium", 500, 375, {.quality = 85}, 320,
+       0xb6fddb4c9fd735c9ULL, 0xfde6470b872c9685ULL},
+      {"420 restart 3", 97, 61, {.quality = 75, .restart_interval_mcus = 3}, 50,
+       0xf2d79e700e4619f4ULL, 0xbe5d34270f1917e9ULL},
+      {"444 optimized restart 5", 120, 80,
+       {.quality = 90, .subsampling = S::k444, .restart_interval_mcus = 5,
+        .optimize_huffman = true},
+       64, 0x452a9d11811f78dULL, 0xe184321d291e977dULL},
+      {"420 optimized", 97, 61, {.quality = 85, .optimize_huffman = true}, 56,
+       0x1f5ad691c99c157aULL, 0x22f8cb18e42d5691ULL},
+      {"420 17x9", 17, 9, {.quality = 85}, 8,
+       0x6002afb0f3103af0ULL, 0xc60141e8b92ff9cdULL},
+      {"422 333x251", 333, 251, {.quality = 85, .subsampling = S::k422}, 200,
+       0x4bdd48677df1de00ULL, 0x705d56e0cc08b25bULL},
+      {"420 upscale 60x70", 60, 70, {.quality = 85}, 64,
+       0x2679d8c753f567d2ULL, 0xb25754ca5a86e4fdULL},
+  };
+  std::vector<std::vector<std::uint8_t>> wires;
+  for (const auto& c : cases) {
+    wires.push_back(encode_jpeg(make_synthetic(c.w, c.h, Pattern::kScene, 37), c.enc));
+  }
+  BatchPreprocessor pools[] = {BatchPreprocessor{1}, BatchPreprocessor{2}, BatchPreprocessor{4}};
+  for_each_golden_tier([&] {
+    for (std::size_t i = 0; i < std::size(cases); ++i) {
+      const std::vector<std::span<const std::uint8_t>> batch{wires[i]};
+      BatchPreprocessOptions crop;
+      crop.center_crop_side = cases[i].crop;
+      for (auto& pool : pools) {
+        const std::string name = cases[i].name + " threads=" + std::to_string(pool.threads());
+        const auto plain = pool.run(batch);
+        const auto cropped = pool.run(batch, crop);
+        expect_golden(name, fnv1a(plain[0].data(), plain[0].size() * sizeof(float)),
+                      cases[i].plain);
+        expect_golden(name + " crop", fnv1a(cropped[0].data(), cropped[0].size() * sizeof(float)),
+                      cases[i].cropped);
+      }
+    }
   });
 }
 
