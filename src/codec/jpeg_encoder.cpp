@@ -247,6 +247,14 @@ Block quantize_block(const std::vector<float>& plane, int pw, int ph, int bx, in
 std::vector<std::uint8_t> encode_jpeg(const Image& img, const JpegEncodeOptions& opts) {
   using namespace jpeg;
   if (img.empty()) throw std::invalid_argument("encode_jpeg: empty image");
+  // SOF0 and DRI carry these as 16-bit fields; a larger value would be
+  // written truncated and decode as a different image or stream.
+  if (img.width() > 65535 || img.height() > 65535) {
+    throw std::invalid_argument("encode_jpeg: width and height must be at most 65535");
+  }
+  if (opts.restart_interval_mcus > 65535) {
+    throw std::invalid_argument("encode_jpeg: restart_interval_mcus must be at most 65535");
+  }
   const bool gray = img.channels() == 1;
   // Luma sampling factors per subsampling mode (chroma is always 1x1).
   const int hy = !gray && opts.subsampling != Subsampling::k444 ? 2 : 1;

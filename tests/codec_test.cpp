@@ -131,6 +131,25 @@ TEST(Jpeg, OddDimensionsRoundTrip) {
   }
 }
 
+TEST(Jpeg, EncodeRejectsWidthPastSixteenBits) {
+  // SOF0 holds the width in 16 bits: 65552 would be written as 16.
+  EXPECT_THROW((void)encode_jpeg(Image{65552, 8, 1}), std::invalid_argument);
+  EXPECT_EQ(peek_jpeg_info(encode_jpeg(Image{65535, 8, 1})).width, 65535);
+}
+
+TEST(Jpeg, EncodeRejectsHeightPastSixteenBits) {
+  EXPECT_THROW((void)encode_jpeg(Image{8, 65552, 1}), std::invalid_argument);
+  EXPECT_EQ(peek_jpeg_info(encode_jpeg(Image{8, 65535, 1})).height, 65535);
+}
+
+TEST(Jpeg, EncodeRejectsRestartIntervalPastSixteenBits) {
+  // DRI holds the interval in 16 bits: 65537 would be written as 1.
+  const Image img = make_synthetic(32, 32, Pattern::kScene, 4);
+  EXPECT_THROW((void)encode_jpeg(img, {.restart_interval_mcus = 65537}), std::invalid_argument);
+  EXPECT_EQ(decode_jpeg(encode_jpeg(img, {.restart_interval_mcus = 65535})),
+            decode_jpeg(encode_jpeg(img)));
+}
+
 TEST(Jpeg, RejectsGarbage) {
   const std::vector<std::uint8_t> garbage{0x00, 0x01, 0x02, 0x03};
   EXPECT_THROW(decode_jpeg(garbage), jpeg::CodecError);
