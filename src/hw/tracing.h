@@ -16,9 +16,7 @@ inline void attach_tracer(Platform& platform, sim::TraceRecorder& trace) {
   const auto attach = [&sim, &trace](sim::Resource& res, std::string_view track) {
     const sim::TrackId id = trace.intern(track);
     trace.counter(id, 0.0, sim.now());
-    res.set_change_observer([&sim, &trace, id](std::size_t in_use) {
-      trace.counter(id, static_cast<double>(in_use), sim.now());
-    });
+    res.set_trace(trace, id);
   };
   attach(platform.cpu().cores(), "cpu.cores");
   attach(platform.cpu().preproc_workers(), "cpu.preproc_workers");

@@ -4,13 +4,13 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <stdexcept>
 #include <string>
 #include <utility>
 
 #include "sim/simulator.h"
 #include "sim/time.h"
+#include "sim/trace.h"
 #include "sim/waiter_list.h"
 
 namespace serve::sim {
@@ -109,7 +109,7 @@ class Resource {
     if (amount > in_use_) throw std::logic_error("Resource::release: over-release of '" + name_ + "'");
     touch();
     in_use_ -= amount;
-    if (observer_) observer_(in_use_);
+    if (trace_ != nullptr) trace_->counter(trace_track_, in_use_, sim_.now());
     grant_waiters();
   }
 
@@ -152,10 +152,12 @@ class Resource {
     stats_start_ = sim_.now();
   }
 
-  /// Observer invoked on every occupancy change with the new in-use count
-  /// (used by the tracing layer to emit utilization counters).
-  void set_change_observer(std::function<void(std::size_t)> observer) {
-    observer_ = std::move(observer);
+  /// Records the in-use count on `track` of `trace` at every occupancy
+  /// change (the tracing layer's utilization counters). The recorder must
+  /// outlive the resource's simulation activity.
+  void set_trace(TraceRecorder& trace, TrackId track) noexcept {
+    trace_ = &trace;
+    trace_track_ = track;
   }
 
  private:
@@ -173,7 +175,7 @@ class Resource {
   void grab(std::size_t amount) {
     touch();
     in_use_ += amount;
-    if (observer_) observer_(in_use_);
+    if (trace_ != nullptr) trace_->counter(trace_track_, in_use_, sim_.now());
   }
 
   void grant_waiters() {
@@ -192,7 +194,8 @@ class Resource {
   std::size_t capacity_;
   std::size_t in_use_ = 0;
   WaiterList<AcquireAwaiter> waiters_;  ///< FIFO, linked through the awaiters
-  std::function<void(std::size_t)> observer_;
+  TraceRecorder* trace_ = nullptr;  ///< occupancy counter sink (set_trace)
+  TrackId trace_track_{};
   double usage_integral_ = 0.0;
   double busy_integral_ns_ = 0.0;   ///< monotone; never reset
   double queue_integral_ns_ = 0.0;  ///< monotone; never reset

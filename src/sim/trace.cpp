@@ -152,19 +152,36 @@ std::uint32_t TraceRecorder::intern_id(std::string_view s) {
 }
 
 void TraceRecorder::counter(TrackId track, double value, Time t) {
+  const auto k = static_cast<std::uint64_t>(value >= 0.0 && value < 0x1p53 ? value : 0.0);
+  if (static_cast<double>(k) == value && !std::signbit(value)) {
+    counter(track, k, t);
+    return;
+  }
   if (!admit()) return;
   std::uint8_t buf[2 * kMaxVarintBytes + 1 + sizeof(double)];
   std::uint8_t* p = put_varint(buf, static_cast<std::uint32_t>(track));
   p = put_delta(p, t, counters_.last);
   counters_.last = t;
-  const auto k = static_cast<std::uint64_t>(value >= 0.0 && value < 0x1p53 ? value : 0.0);
-  if (static_cast<double>(k) == value && !std::signbit(value)) {
-    p = put_varint(p, k << 1);
-  } else {
-    *p++ = kRawValueTag;
-    std::memcpy(p, &value, sizeof value);
-    p += sizeof value;
+  *p++ = kRawValueTag;
+  std::memcpy(p, &value, sizeof value);
+  p += sizeof value;
+  counters_.append(buf, static_cast<std::size_t>(p - buf));
+  ++counters_.count;
+}
+
+void TraceRecorder::counter(TrackId track, std::uint64_t value, Time t) {
+  // Past 2^53 a count is stored as the double it converts to, exactly as
+  // the double overload stores it.
+  if (value >= (std::uint64_t{1} << 53)) {
+    counter(track, static_cast<double>(value), t);
+    return;
   }
+  if (!admit()) return;
+  std::uint8_t buf[3 * kMaxVarintBytes];
+  std::uint8_t* p = put_varint(buf, static_cast<std::uint32_t>(track));
+  p = put_delta(p, t, counters_.last);
+  counters_.last = t;
+  p = put_varint(p, value << 1);
   counters_.append(buf, static_cast<std::size_t>(p - buf));
   ++counters_.count;
 }

@@ -127,6 +127,9 @@ class TraceRecorder {
 
   /// Records a counter sample (step function between samples).
   void counter(TrackId track, double value, Time t);
+  /// Integer sample (an occupancy count): the same bytes as the double
+  /// overload given `static_cast<double>(value)`, without the conversion.
+  void counter(TrackId track, std::uint64_t value, Time t);
 
   /// Records an instantaneous marker at time `t` on `track`.
   void instant(std::string_view track, std::string_view name, Time t, TraceArgs args = {}) {

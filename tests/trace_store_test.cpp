@@ -369,6 +369,25 @@ TEST(TraceStore, CounterRecordsStraddlingChunkBoundariesRoundTrip) {
   EXPECT_EQ(to_json(store), ref.json());
 }
 
+TEST(TraceStore, IntegerCountersWriteTheBytesOfTheirDoubles) {
+  // Resources record occupancy through the integer overload; it must store
+  // exactly what the double overload stores for the converted value.
+  sim::TraceRecorder by_int, by_double;
+  const sim::TrackId a = by_int.intern("cpu.cores");
+  const sim::TrackId b = by_double.intern("cpu.cores");
+  const std::uint64_t values[] = {0, 1, 7, 300, std::uint64_t{1} << 40,
+                                  (std::uint64_t{1} << 53) - 1, std::uint64_t{1} << 53,
+                                  (std::uint64_t{1} << 53) + 1, ~std::uint64_t{0}};
+  sim::Time t = 0;
+  for (const std::uint64_t v : values) {
+    by_int.counter(a, v, t);
+    by_double.counter(b, static_cast<double>(v), t);
+    t += 1000;
+  }
+  EXPECT_EQ(by_int.counter_count(), std::size(values));
+  EXPECT_EQ(to_json(by_int), to_json(by_double));
+}
+
 TEST(TraceStore, EventCapDropsTheSameEventsAsTheReference) {
   PairedRecorders r{9};
   r.set_max_events(1'000);
