@@ -7,6 +7,8 @@
 #include <benchmark/benchmark.h>
 #include <sys/resource.h>
 
+#include <span>
+
 #include "codec/batch_preprocess.h"
 #include "codec/dct.h"
 #include "codec/jpeg.h"
@@ -183,6 +185,18 @@ void BM_BatchPreprocessMedium(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jpegs.size()));
 }
 BENCHMARK(BM_BatchPreprocessMedium)->Arg(1)->Arg(2)->Arg(4)->UseRealTime();
+
+void BM_PreprocessOneImageMedium(benchmark::State& state) {
+  // Zero-load latency: one medium JPEG per batch, the substrate benchmark's
+  // p50 condition. On two threads the pool runs the image's entropy
+  // decoding and the rest of its pipeline side by side.
+  const auto& entry = corpus_entry(hw::kMediumImage);
+  const std::vector<std::span<const std::uint8_t>> batch{entry.jpeg};
+  codec::BatchPreprocessor pool{static_cast<int>(state.range(0))};
+  for (auto _ : state) benchmark::DoNotOptimize(pool.run(batch));
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PreprocessOneImageMedium)->Arg(1)->Arg(2)->UseRealTime();
 
 void BM_JpegEncodeOptimizedHuffman(benchmark::State& state) {
   const codec::Image img = codec::make_synthetic(500, 375, codec::Pattern::kScene, 3);

@@ -47,7 +47,14 @@ class BatchPreprocessor {
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// decode -> (optional crop) -> resize -> normalize for each input JPEG;
-  /// results come back in input order as CHW fp32 tensors.
+  /// results come back in input order as CHW fp32 tensors, byte-identical
+  /// to the serial calls (and failing with the exception they throw).
+  /// Each image streams through the stages one MCU row at a time, never
+  /// holding its decoded or resized image. With at least as many images as
+  /// threads, each thread runs whole images; a smaller batch (every
+  /// zero-load request) gives each image a second thread, which runs its
+  /// IDCT, colour conversion, resize and normalization while the first
+  /// entropy-decodes ahead.
   [[nodiscard]] std::vector<std::vector<float>> run(
       const std::vector<std::span<const std::uint8_t>>& jpegs,
       const BatchPreprocessOptions& opts = {});

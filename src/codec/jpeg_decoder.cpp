@@ -6,31 +6,13 @@
 
 #include "codec/dct.h"
 #include "codec/jpeg.h"
+#include "codec/jpeg_stages.h"
 #include "codec/simd_kernels.h"
-#include "codec/jpeg_huffman.h"
-#include "codec/jpeg_tables.h"
 
 namespace serve::codec {
 
 namespace jpeg {
 namespace {
-
-struct Component {
-  int id = 0;
-  int h = 1, v = 1;        ///< sampling factors
-  int quant_id = 0;
-  int dc_table = 0, ac_table = 0;
-  int blocks_w = 0;        ///< plane width in 8x8 blocks (MCU-padded)
-  /// Decoded samples of the current MCU row only: `v * 8` rows of
-  /// `blocks_w * 8` floats, colour-converted before the next row overwrites
-  /// them, so a decode never holds a full-image float plane.
-  std::vector<float> band;
-  int dc_pred = 0;
-  /// Dequantization table in natural order. In the fast path the AAN IDCT's
-  /// per-coefficient prescale is folded in, so entropy decode writes
-  /// IDCT-ready coefficients directly.
-  std::array<float, kBlockSize> dequant{};
-};
 
 struct Parser {
   std::span<const std::uint8_t> data;
@@ -48,18 +30,6 @@ struct Parser {
     if (pos + n > data.size()) throw CodecError("unexpected end of stream");
     pos += n;
   }
-};
-
-struct DecoderState {
-  int width = 0, height = 0;
-  std::vector<Component> comps;
-  std::array<std::array<std::uint16_t, kBlockSize>, 4> quant{};
-  std::array<bool, 4> quant_present{};
-  std::array<DecodeTable, 4> dc_tables;
-  std::array<DecodeTable, 4> ac_tables;
-  int restart_interval = 0;
-  bool have_sof = false;
-  std::size_t scan_start = 0;  ///< offset of entropy data after SOS header
 };
 
 void parse_dqt(Parser& p, DecoderState& st, std::uint16_t seg_len) {
@@ -160,6 +130,8 @@ void parse_sos(Parser& p, DecoderState& st) {
   st.scan_start = p.pos;
 }
 
+}  // namespace
+
 DecoderState parse_headers(std::span<const std::uint8_t> data) {
   Parser p{data};
   DecoderState st;
@@ -215,10 +187,12 @@ DecoderState parse_headers(std::span<const std::uint8_t> data) {
   }
 }
 
+namespace {
+
 /// Entropy-decodes one 8x8 block into `coeffs` (already dequantized via
 /// `c.dequant`). Returns true when the block carries only a DC coefficient,
 /// letting the caller skip the IDCT entirely.
-inline bool decode_block(BitReader& br, Component& c, const DecodeTable& dc,
+inline bool decode_block(BitReader& br, ScanComponent& c, const DecodeTable& dc,
                          const DecodeTable& ac, float coeffs[64]) {
   // Fused symbol+magnitude window: one peek covers the Huffman code (lookup
   // hits are <= kHuffLookupBits bits) and the magnitude bits that follow, so
@@ -307,6 +281,193 @@ inline bool decode_block(BitReader& br, Component& c, const DecodeTable& dc,
 }
 
 }  // namespace
+
+EntropyStage::EntropyStage(std::span<const std::uint8_t> data, bool fast_idct)
+    : st_(parse_headers(data)),
+      fast_idct_(fast_idct),
+      br_(data.data() + st_.scan_start, data.size() - st_.scan_start) {
+  FrameLayout& f = layout_;
+  f.width = st_.width;
+  f.height = st_.height;
+  for (const auto& c : st_.comps) {
+    f.hmax = std::max(f.hmax, c.h);
+    f.vmax = std::max(f.vmax, c.v);
+  }
+  f.mcu_w = 8 * f.hmax;
+  f.mcu_h = 8 * f.vmax;
+  f.mcus_x = (f.width + f.mcu_w - 1) / f.mcu_w;
+  f.mcus_y = (f.height + f.mcu_h - 1) / f.mcu_h;
+  f.comps.reserve(st_.comps.size());
+  for (auto& c : st_.comps) {
+    if (!st_.quant_present[static_cast<std::size_t>(c.quant_id)]) {
+      throw CodecError("missing quantization table");
+    }
+    f.comps.push_back({c.h, c.v, f.mcus_x * c.h, f.blocks_per_mcu});
+    f.blocks_per_mcu += static_cast<std::size_t>(c.h * c.v);
+    const auto& quant = st_.quant[static_cast<std::size_t>(c.quant_id)];
+    const auto& prescale = idct_prescale();
+    for (int i = 0; i < kBlockSize; ++i) {
+      const auto idx = static_cast<std::size_t>(i);
+      c.dequant[idx] = fast_idct ? static_cast<float>(quant[idx]) * prescale[idx]
+                                 : static_cast<float>(quant[idx]);
+    }
+  }
+}
+
+CoeffRow EntropyStage::make_row() const {
+  CoeffRow row;
+  const std::size_t n = static_cast<std::size_t>(layout_.mcus_x) * layout_.blocks_per_mcu;
+  row.coeffs.resize(n * kBlockSize);
+  row.dc_only.resize(n);
+  return row;
+}
+
+template <typename Dest, typename Done>
+void EntropyStage::decode_blocks(Dest&& dest, Done&& done) {
+  // A local reader stays in registers: the member would be reloaded after
+  // every byte store, since those may alias it.
+  BitReader br = br_;
+  std::size_t block = 0;
+  for (int mx = 0; mx < layout_.mcus_x; ++mx) {
+    if (st_.restart_interval > 0 && mcu_count_ > 0 && mcu_count_ % st_.restart_interval == 0) {
+      br.consume_restart_marker();
+      for (auto& c : st_.comps) c.dc_pred = 0;
+    }
+    ++mcu_count_;
+    for (std::size_t ci = 0; ci < st_.comps.size(); ++ci) {
+      ScanComponent& c = st_.comps[ci];
+      const auto& dc = st_.dc_tables[static_cast<std::size_t>(c.dc_table)];
+      const auto& ac = st_.ac_tables[static_cast<std::size_t>(c.ac_table)];
+      if (!dc.present || !ac.present) throw CodecError("missing Huffman table");
+      for (int by = 0; by < c.v; ++by) {
+        for (int bx = 0; bx < c.h; ++bx, ++block) {
+          float* coeffs = dest(block);
+          const bool dc_only = decode_block(br, c, dc, ac, coeffs);
+          if (fast_idct_) {
+            // The IDCT is linear and a pure-DC input is flat, so the +128
+            // level shift folds into the DC coefficient: a DC-only block's
+            // samples all equal it, and the other blocks' IDCT output needs
+            // no shift.
+            coeffs[0] += 128.0f;
+          } else if (dc_only) {
+            std::memset(coeffs + 1, 0, 63 * sizeof(float));
+          }
+          done(block, ci, mx, bx, by, coeffs, dc_only);
+        }
+      }
+    }
+  }
+  br_ = br;
+}
+
+void EntropyStage::decode_row(CoeffRow& out) {
+  float* const coeffs = out.coeffs.data();
+  std::uint8_t* const dc_flags = out.dc_only.data();
+  decode_blocks([coeffs](std::size_t block) { return coeffs + block * kBlockSize; },
+                [dc_flags](std::size_t block, std::size_t, int, int, int, const float*,
+                           bool dc_only) { dc_flags[block] = dc_only ? 1 : 0; });
+}
+
+void EntropyStage::decode_row(PixelStage& pixels) {
+  alignas(32) float coeffs[kBlockSize];
+  decode_blocks([&coeffs](std::size_t) { return coeffs; },
+                [&pixels](std::size_t, std::size_t ci, int mx, int bx, int by,
+                          const float* block, bool dc_only) {
+                  pixels.idct_block(ci, mx, bx, by, block, dc_only);
+                });
+}
+
+PixelStage::PixelStage(const FrameLayout& layout, bool fast_idct)
+    : layout_(layout), fast_idct_(fast_idct), kernels_(&simd::kernels()) {
+  // One allocation: each component's band, then one full-width row per
+  // component for horizontal upsampling.
+  std::size_t size = 0;
+  for (const auto& c : layout_.comps) {
+    size += static_cast<std::size_t>(c.blocks_w) * 8 * static_cast<std::size_t>(c.v) * 8;
+  }
+  samples_.resize(size + static_cast<std::size_t>(layout_.width) * layout_.comps.size());
+  float* p = samples_.data();
+  for (std::size_t ci = 0; ci < layout_.comps.size(); ++ci) {
+    const ComponentLayout& c = layout_.comps[ci];
+    band_stride_[ci] = static_cast<std::size_t>(c.blocks_w) * 8;
+    band_[ci] = p;
+    p += band_stride_[ci] * static_cast<std::size_t>(c.v) * 8;
+  }
+  upsampled_ = p;
+}
+
+void PixelStage::idct_row(const CoeffRow& in) noexcept {
+  std::size_t block = 0;
+  for (int mx = 0; mx < layout_.mcus_x; ++mx) {
+    for (std::size_t ci = 0; ci < layout_.comps.size(); ++ci) {
+      const ComponentLayout& c = layout_.comps[ci];
+      for (int by = 0; by < c.v; ++by) {
+        for (int bx = 0; bx < c.h; ++bx, ++block) {
+          idct_block(ci, mx, bx, by, &in.coeffs[block * kBlockSize], in.dc_only[block] != 0);
+        }
+      }
+    }
+  }
+}
+
+void PixelStage::idct_block(std::size_t ci, int mx, int bx, int by, const float* coeffs,
+                            bool dc_only) noexcept {
+  const std::size_t band_stride = band_stride_[ci];
+  float* dst0 = band_[ci] + static_cast<std::size_t>(by) * 8u * band_stride +
+                static_cast<std::size_t>(mx * layout_.comps[ci].h + bx) * 8u;
+  alignas(32) float samples[64];
+  if (fast_idct_ && dc_only) {
+    // A DC-only block is flat: every sample equals the folded DC
+    // coefficient (the AAN prescale already includes the /8).
+    const float flat = coeffs[0];
+    for (int y = 0; y < 8; ++y) {
+      float* row = dst0 + static_cast<std::size_t>(y) * band_stride;
+      for (int x = 0; x < 8; ++x) row[x] = flat;
+    }
+  } else if (fast_idct_) {
+    kernels_->idct8x8_scaled(coeffs, samples);
+    for (int y = 0; y < 8; ++y) {
+      std::memcpy(dst0 + static_cast<std::size_t>(y) * band_stride, samples + y * 8,
+                  8 * sizeof(float));
+    }
+  } else {
+    idct8x8_ref(coeffs, samples);
+    for (int y = 0; y < 8; ++y) {
+      float* row = dst0 + static_cast<std::size_t>(y) * band_stride;
+      for (int x = 0; x < 8; ++x) row[x] = samples[y * 8 + x] + 128.0f;
+    }
+  }
+}
+
+void PixelStage::colour_row(int my, std::uint8_t* out, std::size_t stride) noexcept {
+  const auto& K = *kernels_;
+  const FrameLayout& f = layout_;
+  // Row `y` of this MCU row for component `ci`, at full horizontal
+  // resolution. Sampling factors are 1 or 2, so a component is either at
+  // full resolution (its band row feeds the kernels as is) or exactly half
+  // (dst[x] = src[x >> 1]); vertically, band row y * v / vmax is nearest,
+  // so vertically subsampled chroma serves two image rows from one band row.
+  std::array<const float*, 3> upsampled_from{};
+  auto full_row = [&](std::size_t ci, int y) -> const float* {
+    const ComponentLayout& c = f.comps[ci];
+    const float* src = band_[ci] + static_cast<std::size_t>(y * c.v / f.vmax) * band_stride_[ci];
+    if (c.h == f.hmax) return src;
+    float* dst = upsampled_ + ci * static_cast<std::size_t>(f.width);
+    if (upsampled_from[ci] != src) K.upsample2_row(src, dst, f.width);
+    upsampled_from[ci] = src;
+    return dst;
+  };
+  const int rows = f.rows_in(my);
+  for (int y = 0; y < rows; ++y) {
+    if (f.comps.size() == 1) {
+      K.gray_to_u8_row(full_row(0, y), out, f.width);
+    } else {
+      K.ycbcr_to_rgb_row(full_row(0, y), full_row(1, y), full_row(2, y), out, f.width);
+    }
+    out += stride;
+  }
+}
+
 }  // namespace jpeg
 
 JpegInfo peek_jpeg_info(std::span<const std::uint8_t> data) {
@@ -325,124 +486,17 @@ JpegInfo peek_jpeg_info(std::span<const std::uint8_t> data) {
 
 Image decode_jpeg(std::span<const std::uint8_t> data, const JpegDecodeOptions& opts) {
   using namespace jpeg;
-  DecoderState st = parse_headers(data);
   const bool fast_idct = !opts.use_reference_idct;
-
-  int hmax = 1, vmax = 1;
-  for (const auto& c : st.comps) {
-    hmax = std::max(hmax, c.h);
-    vmax = std::max(vmax, c.v);
-  }
-  const int mcu_w = 8 * hmax, mcu_h = 8 * vmax;
-  const int mcus_x = (st.width + mcu_w - 1) / mcu_w;
-  const int mcus_y = (st.height + mcu_h - 1) / mcu_h;
-
-  for (auto& c : st.comps) {
-    if (!st.quant_present[static_cast<std::size_t>(c.quant_id)]) {
-      throw CodecError("missing quantization table");
-    }
-    c.blocks_w = mcus_x * c.h;
-    c.band.resize(static_cast<std::size_t>(c.blocks_w) * 8 * static_cast<std::size_t>(c.v) * 8);
-    const auto& quant = st.quant[static_cast<std::size_t>(c.quant_id)];
-    const auto& prescale = idct_prescale();
-    for (int i = 0; i < kBlockSize; ++i) {
-      const auto idx = static_cast<std::size_t>(i);
-      c.dequant[idx] = fast_idct ? static_cast<float>(quant[idx]) * prescale[idx]
-                                 : static_cast<float>(quant[idx]);
-    }
-  }
-
-  const auto& K = simd::kernels();
-  const bool gray = st.comps.size() == 1;
-  Image img{st.width, st.height, gray ? 1 : 3};
+  EntropyStage entropy{data, fast_idct};
+  const FrameLayout& f = entropy.layout();
+  PixelStage pixels{f, fast_idct};
+  Image img{f.width, f.height, entropy.components()};
+  const auto stride = static_cast<std::size_t>(f.width) * static_cast<std::size_t>(img.channels());
   std::uint8_t* out = img.data().data();
-  // Full-resolution scratch rows for horizontally subsampled components,
-  // and the band row each one holds (vertically subsampled chroma serves
-  // two image rows from one band row).
-  std::vector<float> upsampled(static_cast<std::size_t>(st.width) * st.comps.size());
-  std::array<const float*, 3> upsampled_from{};
-  // Row `y` of the current MCU row for component `ci`, at full horizontal
-  // resolution. Sampling factors are 1 or 2, so a component is either at
-  // full resolution (its band row feeds the kernels as is) or exactly half
-  // (dst[x] = src[x >> 1]); vertically, band row y * v / vmax is nearest.
-  auto full_row = [&](std::size_t ci, int y) -> const float* {
-    const Component& c = st.comps[ci];
-    const float* src = &c.band[static_cast<std::size_t>(y * c.v / vmax) *
-                               static_cast<std::size_t>(c.blocks_w) * 8u];
-    if (c.h == hmax) return src;
-    float* dst = upsampled.data() + ci * static_cast<std::size_t>(st.width);
-    if (upsampled_from[ci] != src) K.upsample2_row(src, dst, st.width);
-    upsampled_from[ci] = src;
-    return dst;
-  };
-
-  BitReader br{data.data() + st.scan_start, data.size() - st.scan_start};
-  alignas(32) float coeffs[64];
-  alignas(32) float samples[64];
-  int mcu_count = 0;
-  for (int my = 0; my < mcus_y; ++my) {
-    for (int mx = 0; mx < mcus_x; ++mx) {
-      if (st.restart_interval > 0 && mcu_count > 0 && mcu_count % st.restart_interval == 0) {
-        br.consume_restart_marker();
-        for (auto& c : st.comps) c.dc_pred = 0;
-      }
-      ++mcu_count;
-      for (auto& c : st.comps) {
-        const auto& dc = st.dc_tables[static_cast<std::size_t>(c.dc_table)];
-        const auto& ac = st.ac_tables[static_cast<std::size_t>(c.ac_table)];
-        if (!dc.present || !ac.present) throw CodecError("missing Huffman table");
-        const int stride = c.blocks_w * 8;
-        for (int by = 0; by < c.v; ++by) {
-          for (int bx = 0; bx < c.h; ++bx) {
-            const bool dc_only = decode_block(br, c, dc, ac, coeffs);
-            const int px = (mx * c.h + bx) * 8;
-            float* dst0 = &c.band[static_cast<std::size_t>(by) * 8u * static_cast<std::size_t>(stride) +
-                                  static_cast<std::size_t>(px)];
-            if (dc_only && fast_idct) {
-              // A DC-only block is flat: every sample equals the folded DC
-              // coefficient (the AAN prescale already includes the /8).
-              const float flat = coeffs[0] + 128.0f;
-              for (int y = 0; y < 8; ++y) {
-                float* row = dst0 + static_cast<std::size_t>(y) * static_cast<std::size_t>(stride);
-                for (int x = 0; x < 8; ++x) row[x] = flat;
-              }
-              continue;
-            }
-            if (dc_only) std::memset(coeffs + 1, 0, 63 * sizeof(float));
-            if (fast_idct) {
-              // The IDCT is linear and a pure-DC input is flat (see above), so
-              // the +128 level shift folds into the DC coefficient and the
-              // writeback becomes a plain row copy.
-              coeffs[0] += 128.0f;
-              K.idct8x8_scaled(coeffs, samples);
-              for (int y = 0; y < 8; ++y) {
-                std::memcpy(dst0 + static_cast<std::size_t>(y) * static_cast<std::size_t>(stride),
-                            samples + y * 8, 8 * sizeof(float));
-              }
-            } else {
-              idct8x8_ref(coeffs, samples);
-              for (int y = 0; y < 8; ++y) {
-                float* row = dst0 + static_cast<std::size_t>(y) * static_cast<std::size_t>(stride);
-                for (int x = 0; x < 8; ++x) row[x] = samples[y * 8 + x] + 128.0f;
-              }
-            }
-          }
-        }
-      }
-    }
-
-    // Colour-convert this MCU row's image rows while its bands are in cache.
-    upsampled_from.fill(nullptr);  // the bands now hold new rows
-    const int rows = std::min(mcu_h, st.height - my * mcu_h);
-    for (int y = 0; y < rows; ++y) {
-      if (gray) {
-        K.gray_to_u8_row(full_row(0, y), out, st.width);
-        out += st.width;
-      } else {
-        K.ycbcr_to_rgb_row(full_row(0, y), full_row(1, y), full_row(2, y), out, st.width);
-        out += static_cast<std::size_t>(st.width) * 3;
-      }
-    }
+  for (int my = 0; my < f.mcus_y; ++my) {
+    entropy.decode_row(pixels);
+    pixels.colour_row(my, out, stride);
+    out += static_cast<std::size_t>(f.rows_in(my)) * stride;
   }
   return img;
 }

@@ -11,33 +11,6 @@ namespace serve::codec {
 
 namespace {
 
-/// Per-axis bilinear resampling plan: for each destination index, the two
-/// clamped source taps and the weight of the second tap. Precomputed once
-/// per resize so the pixel loops are pure float multiply-adds.
-struct AxisPlan {
-  std::vector<int> i0, i1;
-  std::vector<float> w1;  ///< weight of tap i1; tap i0 gets (1 - w1)
-};
-
-AxisPlan make_axis_plan(int src, int dst) {
-  AxisPlan plan;
-  const auto n = static_cast<std::size_t>(dst);
-  plan.i0.resize(n);
-  plan.i1.resize(n);
-  plan.w1.resize(n);
-  const double scale = static_cast<double>(src) / dst;
-  for (int x = 0; x < dst; ++x) {
-    // Pixel-center mapping keeps the image from shifting by half a pixel.
-    const double f = (x + 0.5) * scale - 0.5;
-    const int x0 = static_cast<int>(std::floor(f));
-    const auto i = static_cast<std::size_t>(x);
-    plan.i0[i] = std::clamp(x0, 0, src - 1);
-    plan.i1[i] = std::clamp(x0 + 1, 0, src - 1);
-    plan.w1[i] = static_cast<float>(f - x0);
-  }
-  return plan;
-}
-
 /// Nearest-neighbour index plan (same pixel-center mapping as the reference).
 std::vector<int> make_nearest_plan(int src, int dst) {
   std::vector<int> idx(static_cast<std::size_t>(dst));
@@ -68,56 +41,82 @@ Image resize_nearest(const Image& src, int dst_w, int dst_h) {
   return dst;
 }
 
-Image resize_bilinear_two_pass(const Image& src, int dst_w, int dst_h) {
-  Image dst{dst_w, dst_h, src.channels()};
-  const int ch = src.channels();
-  const AxisPlan xp = make_axis_plan(src.width(), dst_w);
-  const AxisPlan yp = make_axis_plan(src.height(), dst_h);
-
-  // The vertical taps never move backwards (i0 and i1 are nondecreasing and
-  // i1 <= i0 + 1), so a window of the last two horizontally resampled source
-  // rows serves every output row: each referenced source row gets exactly
-  // one horizontal pass, and an evicted row is never needed again.
-  const std::size_t mid_row = static_cast<std::size_t>(dst_w) * static_cast<std::size_t>(ch);
-  std::vector<float> window(2 * mid_row);
-  int held[2] = {-1, -1};  ///< source row in each window slot
-  const std::uint8_t* sdata = src.data().data();
-  const std::size_t src_size = src.data().size();
-  const std::size_t src_row = static_cast<std::size_t>(src.width()) * static_cast<std::size_t>(ch);
-  const auto& K = simd::kernels();
-  // Source row `sy`, resampled; evicts the slot not holding `keep`.
-  auto hrow = [&](int sy, int keep) -> const float* {
-    for (std::size_t s = 0; s < 2; ++s) {
-      if (held[s] == sy) return window.data() + s * mid_row;
-    }
-    const std::size_t s = held[0] == keep ? 1 : 0;
-    held[s] = sy;
-    const std::size_t row_off = static_cast<std::size_t>(sy) * src_row;
-    // Bytes readable from the row start: the rest of the image buffer, so a
-    // vector load may legally run past the row end into the next row.
-    K.resize_hpass_row(sdata + row_off, window.data() + s * mid_row, xp.i0.data(), xp.i1.data(),
-                       xp.w1.data(), dst_w, ch, src_size - row_off);
-    return window.data() + s * mid_row;
-  };
-
-  std::uint8_t* out = dst.data().data();
-  for (int y = 0; y < dst_h; ++y) {
-    const auto yi = static_cast<std::size_t>(y);
-    const float* r0 = hrow(yp.i0[yi], yp.i1[yi]);
-    const float* r1 = hrow(yp.i1[yi], yp.i0[yi]);
-    K.resize_vpass_row(r0, r1, yp.w1[yi], out, mid_row);
-    out += mid_row;
-  }
-  return dst;
-}
-
 }  // namespace
 
 Image resize(const Image& src, int dst_w, int dst_h, ResizeFilter filter) {
   if (src.empty()) throw std::invalid_argument("resize: empty source");
   if (dst_w <= 0 || dst_h <= 0) throw std::invalid_argument("resize: non-positive target");
   if (filter == ResizeFilter::kNearest) return resize_nearest(src, dst_w, dst_h);
-  return resize_bilinear_two_pass(src, dst_w, dst_h);
+  Image dst{dst_w, dst_h, src.channels()};
+  RowResizer rows{src.width(), src.height(), src.channels(), dst_w, dst_h};
+  const std::uint8_t* sdata = src.data().data();
+  const std::size_t src_size = src.data().size();
+  const std::size_t src_row = static_cast<std::size_t>(src.width()) *
+                              static_cast<std::size_t>(src.channels());
+  const std::size_t dst_row = static_cast<std::size_t>(dst_w) *
+                              static_cast<std::size_t>(src.channels());
+  std::uint8_t* out = dst.data().data();
+  for (int sy = 0; sy < src.height(); ++sy) {
+    // Bytes readable from the row start: the rest of the image buffer, so a
+    // vector load may legally run past the row end into the next row.
+    const std::size_t row_off = static_cast<std::size_t>(sy) * src_row;
+    rows.push(sdata + row_off, src_size - row_off);
+    for (; rows.ready(); out += dst_row) rows.emit(out);
+  }
+  return dst;
+}
+
+RowResizer::AxisPlan RowResizer::plan(int src, int dst) {
+  AxisPlan p;
+  const auto n = static_cast<std::size_t>(dst);
+  p.i0.resize(n);
+  p.i1.resize(n);
+  p.w1.resize(n);
+  const double scale = static_cast<double>(src) / dst;
+  for (int x = 0; x < dst; ++x) {
+    // Pixel-center mapping keeps the image from shifting by half a pixel.
+    const double f = (x + 0.5) * scale - 0.5;
+    const int x0 = static_cast<int>(std::floor(f));
+    const auto i = static_cast<std::size_t>(x);
+    p.i0[i] = std::clamp(x0, 0, src - 1);
+    p.i1[i] = std::clamp(x0 + 1, 0, src - 1);
+    p.w1[i] = static_cast<float>(f - x0);
+  }
+  return p;
+}
+
+RowResizer::RowResizer(int src_w, int src_h, int channels, int dst_w, int dst_h)
+    : channels_(channels),
+      dst_w_(dst_w),
+      dst_h_(dst_h),
+      xp_(plan(src_w, dst_w)),
+      yp_(plan(src_h, dst_h)),
+      mid_row_(static_cast<std::size_t>(dst_w) * static_cast<std::size_t>(channels)),
+      window_(2 * mid_row_) {}
+
+// The vertical taps never move backwards (i0 and i1 are nondecreasing and
+// i1 <= i0 + 1), and destination rows are written as soon as their taps have
+// arrived, so a pushed row is needed only if it is at or past the next
+// destination row's first tap; it then replaces the older of the two held
+// rows, which no later destination row reads. Each referenced source row
+// gets exactly one horizontal pass.
+void RowResizer::push(const std::uint8_t* row, std::size_t avail) noexcept {
+  const int sy = pushed_++;
+  if (y_ >= dst_h_ || sy < yp_.i0[static_cast<std::size_t>(y_)]) return;
+  const std::size_t s = held_[0] < held_[1] ? 0 : 1;
+  held_[s] = sy;
+  simd::kernels().resize_hpass_row(row, window_.data() + s * mid_row_, xp_.i0.data(),
+                                   xp_.i1.data(), xp_.w1.data(), dst_w_, channels_, avail);
+}
+
+const float* RowResizer::slot_of(int sy) const noexcept {
+  return window_.data() + (held_[0] == sy ? 0 : mid_row_);
+}
+
+void RowResizer::emit(std::uint8_t* out) noexcept {
+  const auto y = static_cast<std::size_t>(y_++);
+  simd::kernels().resize_vpass_row(slot_of(yp_.i0[y]), slot_of(yp_.i1[y]), yp_.w1[y], out,
+                                   mid_row_);
 }
 
 Image resize_reference(const Image& src, int dst_w, int dst_h, ResizeFilter filter) {
