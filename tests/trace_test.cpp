@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <stdexcept>
@@ -256,6 +257,22 @@ TEST(JsonMini, AcceptsOnlyJsonNumbers) {
                           ".5", "1.", "1e", "-", "[1, nan]"}) {
     jsonmini::Parser p{bad};
     EXPECT_FALSE(p.parse().has_value()) << bad;
+  }
+}
+
+TEST(JsonMini, BenchmarkModeAcceptsOnlyGoogleBenchmarkNonfinites) {
+  // google-benchmark writes a cv aggregate of an all-zero counter as NaN.
+  const auto parse = [](const char* text) {
+    jsonmini::Parser p{text, true};
+    return p.parse();
+  };
+  EXPECT_TRUE(std::isnan(parse("NaN")->number));
+  EXPECT_TRUE(std::isnan(parse("-NaN")->number));
+  EXPECT_EQ(parse("Infinity")->number, std::numeric_limits<double>::infinity());
+  EXPECT_EQ(parse("-Infinity")->number, -std::numeric_limits<double>::infinity());
+  EXPECT_TRUE(std::isnan(parse("{\"cv\": NaN}")->find("cv")->number));
+  for (const char* bad : {"nan", "inf", "-inf", "NaNx", "Inf", "+Infinity", "0x10", "01"}) {
+    EXPECT_FALSE(parse(bad).has_value()) << bad;
   }
 }
 

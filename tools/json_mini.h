@@ -9,10 +9,15 @@
 // with a useful message. Input may be untrusted: nesting deeper than
 // kMaxDepth is a parse error (not a stack overflow), and numbers must match
 // the JSON grammar (no nan, inf, hex or leading '+', which strtod accepts).
+// The one exception is opt-in: google-benchmark's JSON writer spells
+// non-finite doubles NaN, -NaN, Infinity and -Infinity (a cv aggregate of a
+// counter that is 0 in every repetition is NaN), so a reader of its files
+// can accept exactly those four tokens.
 #pragma once
 
 #include <cctype>
 #include <cstdlib>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -61,7 +66,10 @@ struct Value {
 
 class Parser {
  public:
-  explicit Parser(std::string_view text) : text_(text) {}
+  /// `benchmark_nonfinite` accepts google-benchmark's four non-finite
+  /// number tokens (see above); everything else stays strict JSON.
+  explicit Parser(std::string_view text, bool benchmark_nonfinite = false)
+      : text_(text), benchmark_nonfinite_(benchmark_nonfinite) {}
 
   /// Parses one JSON document; std::nullopt on malformed input (error() then
   /// describes the failure and its byte offset).
@@ -168,6 +176,16 @@ class Parser {
       pos_ += 4;
       return true;
     }
+    if (benchmark_nonfinite_) {
+      for (const auto& [token, value] : kNonfinite) {
+        if (text_.compare(pos_, token.size(), token) == 0) {
+          out.type = Value::Type::kNumber;
+          out.number = value;
+          pos_ += token.size();
+          return true;
+        }
+      }
+    }
     const std::size_t len = number_length();
     if (len == 0) {
       fail("expected a JSON value");
@@ -263,7 +281,14 @@ class Parser {
     }
   }
 
+  static constexpr std::pair<std::string_view, double> kNonfinite[] = {
+      {"NaN", std::numeric_limits<double>::quiet_NaN()},
+      {"-NaN", -std::numeric_limits<double>::quiet_NaN()},
+      {"Infinity", std::numeric_limits<double>::infinity()},
+      {"-Infinity", -std::numeric_limits<double>::infinity()}};
+
   std::string_view text_;
+  bool benchmark_nonfinite_ = false;
   std::size_t pos_ = 0;
   int depth_ = 0;
   std::string error_;

@@ -861,8 +861,8 @@ int run_bench_check(const Command& cmd, int argc, char** argv) {
   bool allow_debug = false;
   const auto files = parse_args(cmd, argc, argv,
                                 {{"--tolerance", tolerance}, {"--allow-debug", allow_debug}});
-  const Value base_doc = load_json(files[0]);
-  const Value cur_doc = load_json(files[1]);
+  const Value base_doc = load_json(files[0], true);
+  const Value cur_doc = load_json(files[1], true);
   const auto baseline = benchmarks_of(base_doc);
   const auto current = benchmarks_of(cur_doc);
   if (baseline.empty()) fail_input("no benchmarks in " + files[0]);

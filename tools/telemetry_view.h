@@ -42,13 +42,14 @@ inline constexpr double kSaturated = 0.9;
 
 /// Reads and parses one JSON file; exits 2 with the parser's error on
 /// failure (including truncated files and hostile nesting).
-inline Value load_json(const std::string& path) {
+/// `benchmark_nonfinite` is for google-benchmark output (json_mini.h).
+inline Value load_json(const std::string& path, bool benchmark_nonfinite = false) {
   std::ifstream in(path, std::ios::binary);
   if (!in) fail_input("cannot read " + path);
   std::ostringstream ss;
   ss << in.rdbuf();
   const std::string text = ss.str();  // Parser keeps a view; must outlive it
-  jsonmini::Parser parser{text};
+  jsonmini::Parser parser{text, benchmark_nonfinite};
   auto doc = parser.parse();
   if (!doc) fail_input("malformed JSON in " + path + ": " + parser.error());
   return std::move(*doc);
