@@ -51,13 +51,13 @@ std::vector<float> preprocess_serial(std::span<const std::uint8_t> jpeg,
 /// the IDCT and colour conversion of each MCU row, then the crop, resize and
 /// normalization of its image rows.
 ///
-/// Alone, the driver alternates the stages per block. Pipelined, the driver
+/// Alone, the lead thread alternates the stages per block. Pipelined, the lead
 /// runs stage A up to kPipelineDepth MCU rows ahead of the rows' resize and
 /// normalization, and any thread with nothing better to do takes the next
 /// stage B step: the resize and normalization of the next row (one thread
 /// at a time, holding `busy_`, since the resizer's state runs down the
 /// image) or else the IDCT and colour conversion of the next decoded row
-/// (independent per row). The driver does stage B work only when stage A
+/// (independent per row). The lead does stage B work only when stage A
 /// cannot go on (no free row slot, or no rows left), and never waits for a
 /// helper to arrive, so it finishes the image alone if none does.
 class ImageJob {
@@ -68,8 +68,8 @@ class ImageJob {
       : jpeg_(jpeg), opts_(opts), out_(out), pipelined_(pipelined) {}
 
   /// Preprocesses the image; rethrows what the serial pipeline would throw.
-  void drive();
-  /// Runs stage B steps as they become ready, until the driver returns.
+  void lead();
+  /// Runs stage B steps as they become ready, until the lead returns.
   void help() noexcept;
 
  private:
@@ -83,7 +83,7 @@ class ImageJob {
   void set_up();
   void run_alone();
   void run_pipelined();
-  /// One stage B step by the driver (`role` 0) or the helper (1); false if
+  /// One stage B step by the lead (`role` 0) or the helper (1); false if
   /// none was ready.
   bool step(int role) noexcept;
   bool try_resize() noexcept;
@@ -97,7 +97,7 @@ class ImageJob {
   const bool pipelined_;
 
   std::optional<jpeg::EntropyStage> entropy_;  ///< stage A
-  std::optional<jpeg::PixelStage> pixels_[2];  ///< the driver's and the helper's
+  std::optional<jpeg::PixelStage> pixels_[2];  ///< the lead's and the helper's
   std::optional<RowResizer> resizer_;
   std::unique_ptr<Slot[]> slots_;      ///< pipelined: MCU row r is in slot r % depth
   std::vector<std::uint8_t> resized_;  ///< one destination row
@@ -109,10 +109,10 @@ class ImageJob {
   alignas(64) std::atomic<int> next_colour_{0};  ///< next MCU row to colour-convert
   alignas(64) std::atomic<int> resized_rows_{0};  ///< MCU rows resized and normalized
   std::atomic<bool> busy_{false};                 ///< held while a thread resizes a row
-  std::atomic<bool> finished_{false};             ///< the driver has returned
+  std::atomic<bool> finished_{false};             ///< the lead has returned
 };
 
-void ImageJob::drive() {
+void ImageJob::lead() {
   struct Finish {
     std::atomic<bool>& flag;
     ~Finish() { flag.store(true, std::memory_order_release); }
@@ -353,17 +353,17 @@ std::vector<std::vector<float>> BatchPreprocessor::run(
   if (n >= static_cast<std::size_t>(threads_)) {
     // Every thread has images of its own: each runs its images' stages
     // alternately, block by block.
-    parallel_for(n, [&](std::size_t i) { ImageJob{jpegs[i], opts, out[i], false}.drive(); });
+    parallel_for(n, [&](std::size_t i) { ImageJob{jpegs[i], opts, out[i], false}.lead(); });
   } else {
-    // Spare threads: index i drives image i (stage A) and index n + i helps
+    // Spare threads: index i leads image i (stage A) and index n + i helps
     // it (stage B). parallel_for hands out indexes in order and skips every
-    // index claimed after a failure, so a helper runs only when its driver
-    // does, and returns when the driver does.
+    // index claimed after a failure, so a helper runs only when its lead
+    // does, and returns when the lead does.
     std::deque<ImageJob> jobs;
     for (std::size_t i = 0; i < n; ++i) jobs.emplace_back(jpegs[i], opts, out[i], true);
     parallel_for(2 * n, [&](std::size_t i) {
       if (i < n) {
-        jobs[i].drive();
+        jobs[i].lead();
       } else {
         jobs[i - n].help();
       }
