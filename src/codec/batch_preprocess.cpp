@@ -7,7 +7,6 @@
 #include <optional>
 #include <stdexcept>
 
-#include "codec/jpeg.h"
 #include "codec/jpeg_stages.h"
 #include "codec/simd_kernels.h"
 
@@ -37,14 +36,6 @@ class Backoff {
  private:
   int spins_ = 0;
 };
-
-/// The serial pipeline: decode -> (optional crop) -> resize -> normalize.
-std::vector<float> preprocess_serial(std::span<const std::uint8_t> jpeg,
-                                     const BatchPreprocessOptions& opts) {
-  Image img = decode_jpeg(jpeg);
-  if (opts.center_crop_side > 0) img = center_crop(img, opts.center_crop_side);
-  return normalize_chw(resize(img, opts.target_side, opts.target_side), opts.mean, opts.stddev);
-}
 
 /// One image's preprocessing, streamed one MCU row at a time and giving the
 /// serial pipeline's tensor bytes. Stage A is entropy decoding; stage B is
@@ -118,13 +109,13 @@ void ImageJob::lead() {
     ~Finish() { flag.store(true, std::memory_order_release); }
   } finish{finished_};
   entropy_.emplace(jpeg_, true);
-  const bool stddev_ok = std::all_of(opts_.stddev.begin(), opts_.stddev.end(),
-                                     [](float s) { return s > 0.0f; });
-  if (entropy_->components() != 3 || !stddev_ok) {
+  if (const char* error = normalize_error(entropy_->components(), opts_.stddev)) {
     // normalize_chw rejects this input, but only after the whole stream has
-    // decoded: run the serial calls so the same error surfaces.
-    out_ = preprocess_serial(jpeg_, opts_);
-    return;
+    // decoded: entropy-decode the rest so a corrupt stream fails first, at
+    // the same byte, as it does serially.
+    jpeg::CoeffRow row = entropy_->make_row();
+    for (int my = 0; my < entropy_->layout().mcus_y; ++my) entropy_->decode_row(row);
+    throw std::invalid_argument(error);
   }
   set_up();
   if (pipelined_) {

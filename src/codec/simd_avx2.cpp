@@ -10,8 +10,6 @@
 
 #include <cstring>
 
-#include "codec/simd_idct_inl.h"
-
 namespace serve::codec::simd {
 namespace detail {
 const bool kAvx2Compiled = true;
@@ -19,11 +17,105 @@ const bool kAvx2Compiled = true;
 
 namespace {
 
-// The IDCT uses the shared 4-wide kernel (see simd_idct_inl.h): the 4x4
-// quadrant transposes beat an 8-wide transpose's cross-lane permutes, and
-// this TU's copy still gets VEX encoding from -mavx2.
+// The IDCT runs 4 wide: one DCT row is two __m128 (a V8), so the 8x8
+// transpose decomposes into four 4x4 quadrant transposes, which need only
+// `shufps` — cheaper on most cores than the cross-lane permutes an 8-wide
+// __m256 transpose requires. -mavx2 still gives these ops VEX encoding.
+struct V8 {
+  __m128 lo, hi;
+};
+inline V8 operator+(V8 a, V8 b) noexcept {
+  return {_mm_add_ps(a.lo, b.lo), _mm_add_ps(a.hi, b.hi)};
+}
+inline V8 operator-(V8 a, V8 b) noexcept {
+  return {_mm_sub_ps(a.lo, b.lo), _mm_sub_ps(a.hi, b.hi)};
+}
+inline V8 operator*(V8 a, V8 b) noexcept {
+  return {_mm_mul_ps(a.lo, b.lo), _mm_mul_ps(a.hi, b.hi)};
+}
+inline V8 splat(float f) noexcept {
+  const __m128 v = _mm_set1_ps(f);
+  return {v, v};
+}
+
+// The exact vector transliteration of the scalar `idct_pass1d` in dct.cpp:
+// same expressions, same association, mul/add kept separate (no FMA), so
+// every lane computes bit-identically to the scalar pass.
+inline void aan_idct_pass(V8 d[8]) noexcept {
+  // Even part.
+  const V8 e0 = d[0], e1 = d[2], e2 = d[4], e3 = d[6];
+  const V8 t10 = e0 + e2;
+  const V8 t11 = e0 - e2;
+  const V8 t13 = e1 + e3;
+  const V8 t12 = (e1 - e3) * splat(1.414213562f) - t13;  // 2*c4
+
+  const V8 p0 = t10 + t13;
+  const V8 p3 = t10 - t13;
+  const V8 p1 = t11 + t12;
+  const V8 p2 = t11 - t12;
+
+  // Odd part.
+  const V8 o4 = d[1], o5 = d[3], o6 = d[5], o7 = d[7];
+  const V8 z13 = o6 + o5;
+  const V8 z10 = o6 - o5;
+  const V8 z11 = o4 + o7;
+  const V8 z12 = o4 - o7;
+
+  const V8 q7 = z11 + z13;
+  const V8 w11 = (z11 - z13) * splat(1.414213562f);  // 2*c4
+  const V8 z5 = (z10 + z12) * splat(1.847759065f);   // 2*c2
+  const V8 w10 = splat(1.082392200f) * z12 - z5;     // 2*(c2-c6)
+  const V8 w12 = z5 - splat(2.613125930f) * z10;     // -2*(c2+c6)
+
+  const V8 q6 = w12 - q7;
+  const V8 q5 = w11 - q6;
+  const V8 q4 = w10 + q5;
+
+  d[0] = p0 + q7;
+  d[7] = p0 - q7;
+  d[1] = p1 + q6;
+  d[6] = p1 - q6;
+  d[2] = p2 + q5;
+  d[5] = p2 - q5;
+  d[4] = p3 + q4;
+  d[3] = p3 - q4;
+}
+
+inline void transpose8(V8 r[8]) noexcept {
+  __m128 a0 = r[0].lo, a1 = r[1].lo, a2 = r[2].lo, a3 = r[3].lo;  // quadrant A
+  __m128 b0 = r[0].hi, b1 = r[1].hi, b2 = r[2].hi, b3 = r[3].hi;  // quadrant B
+  __m128 c0 = r[4].lo, c1 = r[5].lo, c2 = r[6].lo, c3 = r[7].lo;  // quadrant C
+  __m128 d0 = r[4].hi, d1 = r[5].hi, d2 = r[6].hi, d3 = r[7].hi;  // quadrant D
+  _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+  _MM_TRANSPOSE4_PS(b0, b1, b2, b3);
+  _MM_TRANSPOSE4_PS(c0, c1, c2, c3);
+  _MM_TRANSPOSE4_PS(d0, d1, d2, d3);
+  // [A B; C D]^T = [A^T C^T; B^T D^T]
+  r[0] = {a0, c0};
+  r[1] = {a1, c1};
+  r[2] = {a2, c2};
+  r[3] = {a3, c3};
+  r[4] = {b0, d0};
+  r[5] = {b1, d1};
+  r[6] = {b2, d2};
+  r[7] = {b3, d3};
+}
+
+// load rows -> pass (columns, vertical) -> transpose -> pass (rows)
+// -> transpose -> store
 void avx2_idct8x8_scaled(const float in[64], float out[64]) noexcept {
-  detail::idct8x8_scaled_4wide(in, out);
+  V8 r[8];
+  for (int i = 0; i < 8; ++i) {
+    r[i] = {_mm_loadu_ps(in + 8 * i), _mm_loadu_ps(in + 8 * i + 4)};
+  }
+  aan_idct_pass(r);
+  transpose8(r);
+  aan_idct_pass(r);
+  transpose8(r);
+  for (int i = 0; i < 8; ++i) {
+    _mm_storeu_ps(out + 8 * i, r[i].lo);
+    _mm_storeu_ps(out + 8 * i + 4, r[i].hi);
+  }
 }
 
 // 8 i32 -> 8 saturated u8 in the low qword.

@@ -1,6 +1,7 @@
 // Internal kernel table behind the codec's runtime SIMD dispatch
-// (codec/cpu_features.h). One table per tier; the scalar table defines the
-// semantics and the SIMD tables must match it within the `*_ref` contracts.
+// (codec/cpu_features.h). One table per tier, scalar and AVX2; the scalar
+// table defines the semantics and the AVX2 table must match it within the
+// `*_ref` contracts.
 //
 // Every kernel is a leaf: no allocation, no exceptions, caller validates
 // sizes. Row kernels may read only the bytes the scalar loop would read plus
@@ -62,11 +63,10 @@ struct KernelTable {
 /// check `cpu::tier_supported` before executing the returned kernels).
 [[nodiscard]] const KernelTable& kernels_for(cpu::SimdTier t) noexcept;
 
-// Per-tier tables (defined in simd_scalar.cpp / simd_sse2.cpp /
-// simd_avx2.cpp). On builds without the matching ISA the SSE2/AVX2 tables
-// alias the scalar entries and the tier reports unsupported.
+// Per-tier tables (defined in simd_scalar.cpp / simd_avx2.cpp). On builds
+// without AVX2 the AVX2 table aliases the scalar entries and the tier
+// reports unsupported.
 extern const KernelTable kScalarKernels;
-extern const KernelTable kSse2Kernels;
 extern const KernelTable kAvx2Kernels;
 
 /// True when this *build* carries real vector code for the tier (regardless
@@ -74,9 +74,8 @@ extern const KernelTable kAvx2Kernels;
 [[nodiscard]] bool tier_compiled(cpu::SimdTier t) noexcept;
 
 namespace detail {
-// Constant-initialized in simd_sse2.cpp / simd_avx2.cpp: true when that TU
-// compiled real vector code rather than aliasing the scalar table.
-extern const bool kSse2Compiled;
+// Constant-initialized in simd_avx2.cpp: true when that TU compiled real
+// vector code rather than aliasing the scalar table.
 extern const bool kAvx2Compiled;
 }  // namespace detail
 

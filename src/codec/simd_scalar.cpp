@@ -1,6 +1,6 @@
 // Scalar kernel tier + the dispatch plumbing of codec/cpu_features.h.
 //
-// The scalar kernels are the semantic definition the SIMD tiers are tested
+// The scalar kernels are the semantic definition the AVX2 tier is tested
 // against; they are also the permanent fallback (non-x86 builds, the
 // SERVESCOPE_SIMD=scalar CI leg, and machines without AVX2).
 #include <cstdlib>
@@ -98,7 +98,6 @@ const KernelTable kScalarKernels{
 const KernelTable& kernels_for(cpu::SimdTier t) noexcept {
   switch (t) {
     case cpu::SimdTier::kAvx2: return kAvx2Kernels;
-    case cpu::SimdTier::kSse2: return kSse2Kernels;
     case cpu::SimdTier::kScalar: break;
   }
   return kScalarKernels;
@@ -109,7 +108,6 @@ const KernelTable& kernels() noexcept { return kernels_for(cpu::active_tier()); 
 bool tier_compiled(cpu::SimdTier t) noexcept {
   switch (t) {
     case cpu::SimdTier::kAvx2: return detail::kAvx2Compiled;
-    case cpu::SimdTier::kSse2: return detail::kSse2Compiled;
     case cpu::SimdTier::kScalar: break;
   }
   return true;
@@ -126,9 +124,6 @@ SimdTier hardware_tier() noexcept {
   if (simd::tier_compiled(SimdTier::kAvx2) && __builtin_cpu_supports("avx2")) {
     return SimdTier::kAvx2;
   }
-  if (simd::tier_compiled(SimdTier::kSse2) && __builtin_cpu_supports("sse2")) {
-    return SimdTier::kSse2;
-  }
 #endif
   return SimdTier::kScalar;
 }
@@ -139,7 +134,6 @@ SimdTier env_cap() noexcept {
   if (simd_env != nullptr) {
     const std::string_view v{simd_env};
     if (v == "scalar") return SimdTier::kScalar;
-    if (v == "sse2") return SimdTier::kSse2;
     // "avx2", empty, or unknown: no cap (detection still bounds it).
   }
   return SimdTier::kAvx2;
@@ -161,7 +155,6 @@ SimdTier& active_slot() noexcept {
 std::string_view tier_name(SimdTier t) noexcept {
   switch (t) {
     case SimdTier::kAvx2: return "avx2";
-    case SimdTier::kSse2: return "sse2";
     case SimdTier::kScalar: break;
   }
   return "scalar";

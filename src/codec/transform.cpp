@@ -9,44 +9,9 @@
 
 namespace serve::codec {
 
-namespace {
-
-/// Nearest-neighbour index plan (same pixel-center mapping as the reference).
-std::vector<int> make_nearest_plan(int src, int dst) {
-  std::vector<int> idx(static_cast<std::size_t>(dst));
-  const double scale = static_cast<double>(src) / dst;
-  for (int x = 0; x < dst; ++x) {
-    const double f = (x + 0.5) * scale - 0.5;
-    idx[static_cast<std::size_t>(x)] =
-        std::clamp(static_cast<int>(std::lround(f)), 0, src - 1);
-  }
-  return idx;
-}
-
-Image resize_nearest(const Image& src, int dst_w, int dst_h) {
-  Image dst{dst_w, dst_h, src.channels()};
-  const auto xs = make_nearest_plan(src.width(), dst_w);
-  const auto ys = make_nearest_plan(src.height(), dst_h);
-  const int ch = src.channels();
-  const std::uint8_t* sdata = src.data().data();
-  std::uint8_t* out = dst.data().data();
-  const std::size_t src_row = static_cast<std::size_t>(src.width()) * static_cast<std::size_t>(ch);
-  for (int y = 0; y < dst_h; ++y) {
-    const std::uint8_t* srow = sdata + static_cast<std::size_t>(ys[static_cast<std::size_t>(y)]) * src_row;
-    for (int x = 0; x < dst_w; ++x) {
-      const std::uint8_t* sp = srow + static_cast<std::size_t>(xs[static_cast<std::size_t>(x)]) * static_cast<std::size_t>(ch);
-      for (int c = 0; c < ch; ++c) *out++ = sp[c];
-    }
-  }
-  return dst;
-}
-
-}  // namespace
-
-Image resize(const Image& src, int dst_w, int dst_h, ResizeFilter filter) {
+Image resize(const Image& src, int dst_w, int dst_h) {
   if (src.empty()) throw std::invalid_argument("resize: empty source");
   if (dst_w <= 0 || dst_h <= 0) throw std::invalid_argument("resize: non-positive target");
-  if (filter == ResizeFilter::kNearest) return resize_nearest(src, dst_w, dst_h);
   Image dst{dst_w, dst_h, src.channels()};
   RowResizer rows{src.width(), src.height(), src.channels(), dst_w, dst_h};
   const std::uint8_t* sdata = src.data().data();
@@ -119,7 +84,7 @@ void RowResizer::emit(std::uint8_t* out) noexcept {
                                    mid_row_);
 }
 
-Image resize_reference(const Image& src, int dst_w, int dst_h, ResizeFilter filter) {
+Image resize_reference(const Image& src, int dst_w, int dst_h) {
   if (src.empty()) throw std::invalid_argument("resize: empty source");
   if (dst_w <= 0 || dst_h <= 0) throw std::invalid_argument("resize: non-positive target");
   Image dst{dst_w, dst_h, src.channels()};
@@ -130,35 +95,36 @@ Image resize_reference(const Image& src, int dst_w, int dst_h, ResizeFilter filt
       // Pixel-center mapping keeps the image from shifting by half a pixel.
       const double fx = (x + 0.5) * sx - 0.5;
       const double fy = (y + 0.5) * sy - 0.5;
-      if (filter == ResizeFilter::kNearest) {
-        const int ix = static_cast<int>(std::lround(fx));
-        const int iy = static_cast<int>(std::lround(fy));
-        for (int c = 0; c < src.channels(); ++c) dst.at(x, y, c) = src.at_clamped(ix, iy, c);
-      } else {
-        const int x0 = static_cast<int>(std::floor(fx));
-        const int y0 = static_cast<int>(std::floor(fy));
-        const double ax = fx - x0;
-        const double ay = fy - y0;
-        for (int c = 0; c < src.channels(); ++c) {
-          const double v00 = src.at_clamped(x0, y0, c);
-          const double v10 = src.at_clamped(x0 + 1, y0, c);
-          const double v01 = src.at_clamped(x0, y0 + 1, c);
-          const double v11 = src.at_clamped(x0 + 1, y0 + 1, c);
-          const double v = v00 * (1 - ax) * (1 - ay) + v10 * ax * (1 - ay) +
-                           v01 * (1 - ax) * ay + v11 * ax * ay;
-          dst.at(x, y, c) = static_cast<std::uint8_t>(std::clamp(std::lround(v), 0L, 255L));
-        }
+      const int x0 = static_cast<int>(std::floor(fx));
+      const int y0 = static_cast<int>(std::floor(fy));
+      const double ax = fx - x0;
+      const double ay = fy - y0;
+      for (int c = 0; c < src.channels(); ++c) {
+        const double v00 = src.at_clamped(x0, y0, c);
+        const double v10 = src.at_clamped(x0 + 1, y0, c);
+        const double v01 = src.at_clamped(x0, y0 + 1, c);
+        const double v11 = src.at_clamped(x0 + 1, y0 + 1, c);
+        const double v = v00 * (1 - ax) * (1 - ay) + v10 * ax * (1 - ay) +
+                         v01 * (1 - ax) * ay + v11 * ax * ay;
+        dst.at(x, y, c) = static_cast<std::uint8_t>(std::clamp(std::lround(v), 0L, 255L));
       }
     }
   }
   return dst;
 }
 
+const char* normalize_error(int channels, const std::array<float, 3>& stddev) noexcept {
+  if (channels != 3) return "normalize_chw: need RGB input";
+  for (float s : stddev) {
+    if (!(s > 0.0f)) return "normalize_chw: stddev must be positive";
+  }
+  return nullptr;
+}
+
 std::vector<float> normalize_chw(const Image& img, const std::array<float, 3>& mean,
                                  const std::array<float, 3>& stddev) {
-  if (img.channels() != 3) throw std::invalid_argument("normalize_chw: need RGB input");
-  for (float s : stddev) {
-    if (s <= 0.0f) throw std::invalid_argument("normalize_chw: stddev must be positive");
+  if (const char* error = normalize_error(img.channels(), stddev)) {
+    throw std::invalid_argument(error);
   }
   const float inv_std[3] = {1.0f / stddev[0], 1.0f / stddev[1], 1.0f / stddev[2]};
   const auto plane = static_cast<std::size_t>(img.width()) * static_cast<std::size_t>(img.height());

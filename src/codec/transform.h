@@ -12,17 +12,15 @@
 
 namespace serve::codec {
 
-enum class ResizeFilter { kNearest, kBilinear };
+/// Bilinear resample of `src` to `dst_w x dst_h`, run as a separable
+/// two-pass resample with precomputed per-axis coefficient tables (float
+/// intermediate rows); results match `resize_reference` within ±1
+/// intensity step.
+[[nodiscard]] Image resize(const Image& src, int dst_w, int dst_h);
 
-/// Resamples `src` to `dst_w x dst_h`. Bilinear runs as a separable two-pass
-/// resample with precomputed per-axis coefficient tables (float intermediate
-/// rows); results match `resize_reference` within ±1 intensity step.
-[[nodiscard]] Image resize(const Image& src, int dst_w, int dst_h,
-                           ResizeFilter filter = ResizeFilter::kBilinear);
-
-/// Streaming form of the bilinear `resize`: takes source rows top to bottom
-/// and writes each destination row as soon as both of its source rows have
-/// arrived, holding two horizontally resampled rows. `resize` is this
+/// Streaming form of `resize`: takes source rows top to bottom and writes
+/// each destination row as soon as both of its source rows have arrived,
+/// holding two horizontally resampled rows. `resize` is this
 /// resampler run over a whole image.
 class RowResizer {
  public:
@@ -61,10 +59,10 @@ class RowResizer {
   int y_ = 0;                 ///< next destination row
 };
 
-/// Naive per-pixel double-precision resampler — the oracle the equivalence
-/// tests compare the two-pass fast path against. Same pixel-center mapping.
-[[nodiscard]] Image resize_reference(const Image& src, int dst_w, int dst_h,
-                                     ResizeFilter filter = ResizeFilter::kBilinear);
+/// Naive per-pixel double-precision bilinear resampler — the oracle the
+/// equivalence tests compare the two-pass fast path against. Same
+/// pixel-center mapping.
+[[nodiscard]] Image resize_reference(const Image& src, int dst_w, int dst_h);
 
 /// Standard ImageNet normalization constants.
 inline constexpr std::array<float, 3> kImageNetMean{0.485f, 0.456f, 0.406f};
@@ -73,9 +71,16 @@ inline constexpr std::array<float, 3> kImageNetStd{0.229f, 0.224f, 0.225f};
 /// Converts an RGB image to a CHW fp32 tensor: x = (v/255 - mean) / std.
 /// Returns channels*height*width floats, channel-major (the layout vision
 /// models consume).
+/// Throws std::invalid_argument unless the input has 3 channels and every
+/// stddev is > 0 (a NaN stddev is rejected too).
 [[nodiscard]] std::vector<float> normalize_chw(const Image& img,
                                                const std::array<float, 3>& mean = kImageNetMean,
                                                const std::array<float, 3>& stddev = kImageNetStd);
+
+/// The message `normalize_chw` rejects an image of `channels` channels and
+/// this `stddev` with, or nullptr when it accepts them.
+[[nodiscard]] const char* normalize_error(int channels,
+                                          const std::array<float, 3>& stddev) noexcept;
 
 /// Center-crop to a square of `side` (clamped to image bounds).
 [[nodiscard]] Image center_crop(const Image& src, int side);

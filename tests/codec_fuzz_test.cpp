@@ -20,9 +20,9 @@
 #include "codec/batch_preprocess.h"
 #include "codec/cpu_features.h"
 #include "codec/jpeg.h"
-#include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
 #include "codec/transform.h"
+#include "simd_tiers.h"
 #include "xorshift.h"
 
 namespace serve::codec {
@@ -198,11 +198,7 @@ TEST(CodecFuzz, MutationOutcomesMatchGolden) {
   constexpr std::uint64_t kOutcomes = 0x874a11529efe0ca6ULL;
   constexpr std::uint64_t kPixels = 0xcbb1ae905d694ec2ULL;
   const auto corpus = build_corpus();
-  const cpu::SimdTier original = cpu::active_tier();
-  for (cpu::SimdTier t : {cpu::SimdTier::kScalar, cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
-    if (!simd::tier_compiled(t)) continue;
-    if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
-    cpu::set_active_tier(t);
+  tiers::for_each_tier([&](cpu::SimdTier) {
     std::uint64_t outcomes = 0xcbf29ce484222325ULL;
     std::uint64_t pixels = outcomes;
     const auto replay = [&](const SeedInput&, const std::string&,
@@ -221,11 +217,9 @@ TEST(CodecFuzz, MutationOutcomesMatchGolden) {
     for_each_byte_flip(corpus, replay);
     for_each_truncation(corpus, replay);
     for_each_flip_and_truncate(corpus, replay);
-    SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
     EXPECT_EQ(outcomes, kOutcomes) << "outcomes: got 0x" << std::hex << outcomes;
     EXPECT_EQ(pixels, kPixels) << "pixels: got 0x" << std::hex << pixels;
-  }
-  cpu::set_active_tier(original);
+  });
 }
 
 /// What a preprocessing call gave: its tensor, or the dynamic type and

@@ -3,6 +3,7 @@
 // and malformed-input rejection.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
 #include <cstdlib>
 #include <iterator>
@@ -19,13 +20,15 @@
 #include "codec/jpeg.h"
 #include "codec/jpeg_huffman.h"
 #include "codec/jpeg_tables.h"
-#include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
 #include "codec/transform.h"
 #include "sim/rng.h"
+#include "simd_tiers.h"
 
 namespace serve::codec {
 namespace {
+
+using tiers::for_each_tier;
 
 TEST(Image, AccessorsAndBounds) {
   Image img{4, 3, 3};
@@ -372,16 +375,9 @@ TEST_P(DecoderFuzzTest, CorruptedStreamsNeverCrash) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, DecoderFuzzTest, ::testing::Range(1, 7));
 
-TEST(Resize, NearestPreservesCorners) {
-  const Image img = make_synthetic(64, 64, Pattern::kGradient, 1);
-  const Image half = resize(img, 32, 32, ResizeFilter::kNearest);
-  EXPECT_EQ(half.width(), 32);
-  EXPECT_EQ(half.height(), 32);
-}
-
 TEST(Resize, IdentityIsExactForBilinear) {
   const Image img = make_synthetic(33, 17, Pattern::kScene, 4);
-  const Image same = resize(img, 33, 17, ResizeFilter::kBilinear);
+  const Image same = resize(img, 33, 17);
   EXPECT_EQ(img, same);
 }
 
@@ -414,6 +410,30 @@ TEST(Normalize, RejectsGrayscaleAndBadStd) {
   EXPECT_THROW(normalize_chw(gray), std::invalid_argument);
   Image rgb{2, 2, 3};
   EXPECT_THROW(normalize_chw(rgb, kImageNetMean, {1.0f, 0.0f, 1.0f}), std::invalid_argument);
+}
+
+TEST(Normalize, NanStddevThrowsSeriallyAndInThePool) {
+  // NaN fails every comparison, so a `<= 0` check lets it through and the
+  // tensor comes back all NaN.
+  const std::array<float, 3> nan_std{1.0f, std::nanf(""), 1.0f};
+  const Image rgb = make_synthetic(40, 30, Pattern::kScene, 5);
+  const auto message_of = [](auto&& fn) -> std::string {
+    try {
+      (void)fn();
+    } catch (const std::invalid_argument& e) {
+      return e.what();
+    }
+    return "no exception";
+  };
+  const std::string want = "normalize_chw: stddev must be positive";
+  EXPECT_EQ(message_of([&] { return normalize_chw(rgb, kImageNetMean, nan_std); }), want);
+  const std::vector<std::vector<std::uint8_t>> jpegs{encode_jpeg(rgb)};
+  BatchPreprocessOptions opts;
+  opts.stddev = nan_std;
+  for (int threads : {1, 2}) {  // one image: run inline, or pipelined on two threads
+    BatchPreprocessor pool{threads};
+    EXPECT_EQ(message_of([&] { return pool.run(jpegs, opts); }), want) << "threads=" << threads;
+  }
 }
 
 TEST(CenterCrop, SquareFromRectangle) {
@@ -520,8 +540,8 @@ TEST(ResizeEquivalence, TwoPassBilinearWithinOneLsbOfReference) {
                                 {224, 224, 224, 224}})  // identity
   {
     const Image img = make_synthetic(sw, sh, Pattern::kScene, 23);
-    const Image fast = resize(img, dw, dh, ResizeFilter::kBilinear);
-    const Image ref = resize_reference(img, dw, dh, ResizeFilter::kBilinear);
+    const Image fast = resize(img, dw, dh);
+    const Image ref = resize_reference(img, dw, dh);
     ASSERT_EQ(fast.data().size(), ref.data().size());
     int max_diff = 0;
     for (std::size_t i = 0; i < fast.data().size(); ++i) {
@@ -530,12 +550,6 @@ TEST(ResizeEquivalence, TwoPassBilinearWithinOneLsbOfReference) {
     }
     EXPECT_LE(max_diff, 1) << sw << "x" << sh << " -> " << dw << "x" << dh;
   }
-}
-
-TEST(ResizeEquivalence, NearestMatchesReferenceExactly) {
-  const Image img = make_synthetic(123, 77, Pattern::kTexture, 4);
-  EXPECT_EQ(resize(img, 50, 60, ResizeFilter::kNearest),
-            resize_reference(img, 50, 60, ResizeFilter::kNearest));
 }
 
 TEST(NormalizeEquivalence, LutIsBitExactAgainstInlineFormula) {
@@ -860,9 +874,9 @@ TEST(BatchPreprocessor, RejectsBadConfiguration) {
 // --- Golden hashes: decoded, resized and batch-preprocessed bytes ---
 //
 // Each case's FNV-1a hash is checked under every SIMD tier this build and
-// host can run. The kernel contracts allow a tier ±1 LSB (simd_test.cpp),
-// but today every tier gives these bytes exactly, so one hash pins all of
-// them. A refactor of the decoder, resize or pool must leave every hash
+// host can run (simd_tiers.h). The kernel contracts allow AVX2 ±1 LSB
+// against scalar (simd_test.cpp), but today both tiers give these bytes
+// exactly, so one hash pins both. A refactor of the decoder, resize or pool must leave every hash
 // unchanged; a change of output re-pins them on purpose.
 
 constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
@@ -876,21 +890,6 @@ std::uint64_t fnv1a(const void* data, std::size_t n, std::uint64_t h = kFnvBasis
 std::uint64_t image_hash(const Image& img) {
   const int shape[3] = {img.width(), img.height(), img.channels()};
   return fnv1a(img.data().data(), img.data().size(), fnv1a(shape, sizeof shape));
-}
-
-/// Runs `fn()` with dispatch pinned to each tier this build compiles and the
-/// host (capped by SERVESCOPE_SIMD) runs.
-template <typename Fn>
-void for_each_golden_tier(Fn&& fn) {
-  const cpu::SimdTier original = cpu::active_tier();
-  for (cpu::SimdTier t : {cpu::SimdTier::kScalar, cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
-    if (!simd::tier_compiled(t)) continue;
-    if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
-    cpu::set_active_tier(t);
-    SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
-    fn();
-  }
-  cpu::set_active_tier(original);
 }
 
 void expect_golden(const std::string& name, std::uint64_t got, std::uint64_t want) {
@@ -964,7 +963,7 @@ TEST(CodecGolden, DecodedPixelsMatchGolden) {
     const Image rgb = make_synthetic(c.w, c.h, c.pattern, 29);
     wires.push_back(encode_jpeg(c.gray ? gray_of(rgb) : rgb, c.enc));
   }
-  for_each_golden_tier([&] {
+  for_each_tier([&](cpu::SimdTier) {
     for (std::size_t i = 0; i < std::size(cases); ++i) {
       const Image img = decode_jpeg(wires[i], {.use_reference_idct = cases[i].reference_idct});
       expect_golden(cases[i].name, image_hash(img), cases[i].hash);
@@ -992,7 +991,7 @@ TEST(CodecGolden, ResizedPixelsMatchGolden) {
       {"64x48 -> 1x1", 64, 48, false, 1, 1, 0xa29c23859124e99ULL},
       {"224x224 identity", 224, 224, false, 224, 224, 0x5d5de1c99a84f02cULL},
   };
-  for_each_golden_tier([&] {
+  for_each_tier([&](cpu::SimdTier) {
     for (const auto& c : cases) {
       const Image rgb = make_synthetic(c.sw, c.sh, Pattern::kScene, 31);
       const Image out = resize(c.gray ? gray_of(rgb) : rgb, c.dw, c.dh);
@@ -1016,7 +1015,7 @@ TEST(CodecGolden, BatchPreprocessorTensorsMatchGolden) {
     for (const auto& t : tensors) h = fnv1a(t.data(), t.size() * sizeof(float), h);
     return h;
   };
-  for_each_golden_tier([&] {
+  for_each_tier([&](cpu::SimdTier) {
     expect_golden("224x224", tensors_hash(pool.run(jpegs, {})), kPlain);
     BatchPreprocessOptions crop;
     crop.center_crop_side = 256;
@@ -1063,7 +1062,7 @@ TEST(CodecGolden, SingleImageBatchesMatchGolden) {
     wires.push_back(encode_jpeg(make_synthetic(c.w, c.h, Pattern::kScene, 37), c.enc));
   }
   BatchPreprocessor pools[] = {BatchPreprocessor{1}, BatchPreprocessor{2}, BatchPreprocessor{4}};
-  for_each_golden_tier([&] {
+  for_each_tier([&](cpu::SimdTier) {
     for (std::size_t i = 0; i < std::size(cases); ++i) {
       const std::vector<std::span<const std::uint8_t>> batch{wires[i]};
       BatchPreprocessOptions crop;

@@ -1,20 +1,23 @@
-// Property tests pinning every SIMD kernel tier to the scalar semantic
-// definition (codec/simd_kernels.h). The scalar table is the oracle; SSE2
-// and AVX2 must match it within the documented contracts: ±1 LSB on u8
-// outputs, bit-exact normalize, exact upsample.
+// Property tests pinning the AVX2 kernel tier to the scalar semantic
+// definition (codec/simd_kernels.h). The scalar table is the oracle; AVX2
+// must match it within the documented contracts: ±1 LSB on u8 outputs,
+// bit-exact normalize, exact upsample.
 //
 // The sweeps deliberately hit the awkward cases vector code gets wrong:
 // odd widths covering every remainder modulo the widest lane count,
 // unaligned row pointers (heap allocation + 1 element), and exact-size
 // buffers so the ASan job catches any tail over-read the `avail` contracts
-// forbid. Tiers are capped at cpu::detected_tier(), which honors
-// SERVESCOPE_SIMD — the forced-scalar CI leg (SERVESCOPE_SIMD=scalar)
-// runs these tests against the scalar table only, by design.
+// forbid. Tiers are swept by simd_tiers.h, capped at cpu::detected_tier(),
+// which honors SERVESCOPE_SIMD — the forced-scalar CI leg
+// (SERVESCOPE_SIMD=scalar) runs these tests against the scalar table
+// only, by design; SimdDispatch.EnvCapPinsDispatch proves the cap took.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <random>
+#include <string_view>
 #include <vector>
 
 #include "codec/cpu_features.h"
@@ -24,35 +27,17 @@
 #include "codec/simd_kernels.h"
 #include "codec/synthetic.h"
 #include "codec/transform.h"
+#include "simd_tiers.h"
 
 namespace {
 
 using namespace serve::codec;
+using serve::tiers::for_each_tier;
 
 // Widths covering every tail-lane remainder for 16-wide u8 kernels, plus a
 // few larger sizes that exercise full vector bodies with a straggler tail.
 const int kWidths[] = {1,  2,  3,  4,  5,  6,  7,  8,  9,  10, 11, 12,
                        13, 14, 15, 16, 17, 31, 33, 63, 64, 100, 333};
-
-/// Runs `fn(tier, table)` for every non-scalar tier this build carries and
-/// the current configuration permits (env caps included, so the forced-
-/// scalar leg sweeps nothing here and the scalar-vs-scalar identity holds
-/// trivially elsewhere).
-template <typename Fn>
-void for_each_simd_tier(Fn&& fn) {
-  int swept = 0;
-  for (cpu::SimdTier t : {cpu::SimdTier::kSse2, cpu::SimdTier::kAvx2}) {
-    if (!simd::tier_compiled(t)) continue;
-    if (static_cast<int>(t) > static_cast<int>(cpu::detected_tier())) continue;
-    SCOPED_TRACE(std::string("tier=") + std::string(cpu::tier_name(t)));
-    fn(t, simd::kernels_for(t));
-    ++swept;
-  }
-  if (swept == 0) {
-    GTEST_LOG_(INFO) << "no SIMD tier available (scalar-only build, host, or "
-                        "SERVESCOPE_SIMD=scalar); oracle-vs-oracle is vacuous";
-  }
-}
 
 TEST(SimdDispatch, ScalarTableAlwaysCompiledAndSupported) {
   EXPECT_TRUE(simd::tier_compiled(cpu::SimdTier::kScalar));
@@ -71,11 +56,31 @@ TEST(SimdDispatch, SetActiveTierRoundTrip) {
 }
 
 TEST(SimdDispatch, UnsupportedTierThrows) {
-  // Find a tier the host/build cannot run, if any.
-  for (cpu::SimdTier t : {cpu::SimdTier::kAvx2, cpu::SimdTier::kSse2}) {
-    if (!cpu::tier_supported(t)) {
-      EXPECT_THROW(cpu::set_active_tier(t), std::invalid_argument);
-    }
+  // Pinning AVX2 throws exactly when the host or build cannot run it.
+  const cpu::SimdTier original = cpu::active_tier();
+  if (cpu::tier_supported(cpu::SimdTier::kAvx2)) {
+    EXPECT_NO_THROW(cpu::set_active_tier(cpu::SimdTier::kAvx2));
+    EXPECT_EQ(&simd::kernels(), &simd::kAvx2Kernels);
+  } else {
+    EXPECT_THROW(cpu::set_active_tier(cpu::SimdTier::kAvx2), std::invalid_argument);
+  }
+  cpu::set_active_tier(original);
+}
+
+TEST(SimdDispatch, EnvCapPinsDispatch) {
+  // The forced-scalar CI leg passes vacuously on an AVX2 host unless the
+  // SERVESCOPE_SIMD cap really took effect.
+  const char* env = std::getenv("SERVESCOPE_SIMD");
+  if (env == nullptr) {
+    const cpu::SimdTier best = cpu::tier_supported(cpu::SimdTier::kAvx2)
+                                   ? cpu::SimdTier::kAvx2
+                                   : cpu::SimdTier::kScalar;
+    EXPECT_EQ(cpu::detected_tier(), best);
+  } else if (std::string_view{env} == "scalar") {
+    EXPECT_EQ(cpu::detected_tier(), cpu::SimdTier::kScalar);
+    EXPECT_EQ(&simd::kernels(), &simd::kScalarKernels);
+  } else {
+    GTEST_SKIP() << "SERVESCOPE_SIMD=" << env;
   }
 }
 
@@ -84,7 +89,8 @@ TEST(SimdEquivalence, Idct8x8ScaledMatchesScalar) {
   std::uniform_real_distribution<float> coeff{-1024.0f, 1024.0f};
   std::uniform_int_distribution<int> sparsity{0, 63};
   const auto& prescale = jpeg::idct_prescale();
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int round = 0; round < 200; ++round) {
       float in[64], ref[64], got[64];
       // Mix dense blocks with DC-heavy sparse ones (the common decode case).
@@ -108,7 +114,8 @@ TEST(SimdEquivalence, YcbcrToRgbRowWithinOneLsb) {
   // Past-the-gamut values exercise both clamp edges.
   std::uniform_real_distribution<float> ydist{-40.0f, 300.0f};
   std::uniform_real_distribution<float> cdist{-32.0f, 288.0f};
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int n : kWidths) {
       const auto un = static_cast<std::size_t>(n);
       // +1 slot so the kernel sees a deliberately unaligned row pointer;
@@ -134,7 +141,8 @@ TEST(SimdEquivalence, YcbcrToRgbRowWithinOneLsb) {
 TEST(SimdEquivalence, GrayToU8RowWithinOneLsb) {
   std::mt19937 rng{11};
   std::uniform_real_distribution<float> ydist{-40.0f, 300.0f};
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int n : kWidths) {
       const auto un = static_cast<std::size_t>(n);
       std::vector<float> y(un + 1);
@@ -153,7 +161,8 @@ TEST(SimdEquivalence, ResizeHpassRowMatchesScalar) {
   std::mt19937 rng{13};
   std::uniform_int_distribution<int> byte{0, 255};
   std::uniform_real_distribution<float> wdist{0.0f, 1.0f};
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int ch : {1, 3}) {
       for (int dst_w : kWidths) {
         const int src_w = 2 * dst_w + 3;  // odd source width, general mapping
@@ -196,7 +205,8 @@ TEST(SimdEquivalence, ResizeVpassRowWithinOneLsb) {
   std::mt19937 rng{17};
   std::uniform_real_distribution<float> pix{-2.0f, 257.0f};
   std::uniform_real_distribution<float> wdist{0.0f, 1.0f};
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int n : kWidths) {
       const auto un = static_cast<std::size_t>(n);
       std::vector<float> r0(un + 1), r1(un + 1);
@@ -221,7 +231,8 @@ TEST(SimdEquivalence, ResizeVpassRowWithinOneLsb) {
 TEST(SimdEquivalence, Upsample2RowExact) {
   std::mt19937 rng{19};
   std::uniform_real_distribution<float> pix{0.0f, 255.0f};
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int dst_n : kWidths) {
       const auto udn = static_cast<std::size_t>(dst_n);
       const std::size_t src_n = (udn + 1) / 2;
@@ -243,7 +254,8 @@ TEST(SimdEquivalence, NormalizeRgbRowBitExact) {
   std::uniform_int_distribution<int> byte{0, 255};
   const float mean[3] = {0.485f, 0.456f, 0.406f};
   const float inv_std[3] = {1.0f / 0.229f, 1.0f / 0.224f, 1.0f / 0.225f};
-  for_each_simd_tier([&](cpu::SimdTier, const simd::KernelTable& K) {
+  for_each_tier([&](cpu::SimdTier t) {
+    const simd::KernelTable& K = simd::kernels_for(t);
     for (int n : kWidths) {
       const auto un = static_cast<std::size_t>(n);
       std::vector<std::uint8_t> p(un * 3 + 1);
@@ -276,9 +288,9 @@ TEST(SimdEquivalence, FullDecodeTierSweepWithinOneLsb) {
   cpu::set_active_tier(cpu::SimdTier::kScalar);
   const Image scalar_decoded = decode_jpeg(bytes);
   const Image scalar_resized = resize(scalar_decoded, 64, 48);
+  cpu::set_active_tier(original);
 
-  for_each_simd_tier([&](cpu::SimdTier t, const simd::KernelTable&) {
-    cpu::set_active_tier(t);
+  for_each_tier([&](cpu::SimdTier) {
     const Image d = decode_jpeg(bytes);
     ASSERT_EQ(d.width(), scalar_decoded.width());
     ASSERT_EQ(d.height(), scalar_decoded.height());
@@ -298,7 +310,6 @@ TEST(SimdEquivalence, FullDecodeTierSweepWithinOneLsb) {
       ASSERT_LE(std::abs(int(ra[i]) - int(rb[i])), 2) << "resize byte " << i;
     }
   });
-  cpu::set_active_tier(original);
 }
 
 }  // namespace
